@@ -9,7 +9,7 @@ through the streaming executor:
     read_parquet(shards)                      url warc_ts html text lang
       -> map_batches(prepass)                 n_bytes sha256 size_bucket part_id
       -> [optional] dedup by url              keep latest warc_ts (stages/dedup)
-      -> map_batches(DocExtractor, pool)      extracted_text fields ... status
+      -> map_batches(DocExtractor)            extracted_text fields ... status
       -> write_parquet(out/group=K/)          + per-partition lineage manifest
 
 Resume: shard-group manifests (state/manifest.py). Skew: oversized payloads
@@ -25,8 +25,6 @@ import glob
 import os
 import time
 from dataclasses import dataclass
-
-import pyarrow as pa
 
 import ray.data as rd
 
@@ -70,21 +68,12 @@ class ExtractionConfig:
     doc_type: str = "credit_request"
     num_parts: int = DEFAULT_NUM_PARTS
     chunk_budget_mb: int = 32     # per-sub-batch payload byte budget (skew)
-    concurrency: int | None = None  # actor pool size; None = CPUs-2 heuristic
     dedup: bool = False           # exact dedup by url (keep latest warc_ts)
     with_result_json: bool = False
 
 
-def _pool_size(requested: int | None) -> int:
-    if requested is not None:
-        return requested
-    import ray
-    cpus = int(ray.cluster_resources().get("CPU", 4))
-    # cpus-2: leave exactly two scheduler slots for read/write tasks. Swept
-    # on 32 CPUs / 100k pages (column-pruned read, per-shard blocks):
-    # 24 actors -> 2256 docs/s, 28 -> 2597, 30 -> 3221, 31+ -> starvation
-    # crawl (zero slots left, pipeline advances only via backpressure).
-    return max(2, cpus - 2)
+# group executions run at once when more than one group is pending
+GROUPS_IN_FLIGHT = 2
 
 
 def _resolve_files(paths: list[str] | str) -> list[str]:
@@ -117,54 +106,32 @@ def build_extraction_ds(paths: list[str] | str,
         from credit_ocr_backend_ray.stages.dedup import dedup_latest
         ds = dedup_latest(ds, key="url", order_col="warc_ts")
 
-    if cfg.concurrency is None:
-        # Stateless tasks, NOT an actor pool: the extractor's state is a
-        # small picklable config + compiled regexes, and Ray deserializes
-        # a task UDF once per worker PROCESS (cloudpickle cache), so the
-        # "state built once per worker" property holds without a pool.
-        # Measured at 32 CPUs / 100k docs: the fixed-size pool cost 18.1 s
-        # vs 12.8 s stateless — pool ramp (~2 s for 30 actors), rigid
-        # block->actor assignment (no work stealing => stragglers), and
-        # per-actor queue overhead. An actor pool remains the right shape
-        # when the state is a real model (set cfg.concurrency explicitly).
-        extractor = DocExtractor(doc_type=cfg.doc_type,
-                                 with_result_json=cfg.with_result_json,
-                                 chunk_budget_mb=cfg.chunk_budget_mb)
-
-        def extract_batches(t: pa.Table):
-            yield from extractor(t)  # byte-budget sub-batching preserved
-
-        ds = ds.map_batches(extract_batches, batch_format="pyarrow",
-                            batch_size=None, num_cpus=1)
-    else:
-        ds = ds.map_batches(
-            DocExtractor,
-            fn_constructor_kwargs={
-                "doc_type": cfg.doc_type,
-                "with_result_json": cfg.with_result_json,
-                "chunk_budget_mb": cfg.chunk_budget_mb,
-            },
-            batch_format="pyarrow",
-            batch_size=None,  # whole block; DocExtractor sub-batches by BYTES
-            concurrency=_pool_size(cfg.concurrency),
-            num_cpus=1,
-        )
-    return ds
+    # Stateless tasks, not an actor pool: the extractor's state is a small
+    # picklable config + compiled regexes, and Ray deserializes a task UDF
+    # once per worker process (cloudpickle cache), so the state is still
+    # built once per worker; a fixed-size pool measured slower (pool ramp,
+    # no work stealing; BASELINE.md). The instance is the UDF itself, so
+    # the read, prepass and extract fuse into one task operator.
+    # batch_size=None hands over whole blocks; DocExtractor sub-batches
+    # them by bytes.
+    extractor = DocExtractor(doc_type=cfg.doc_type,
+                             with_result_json=cfg.with_result_json,
+                             chunk_budget_mb=cfg.chunk_budget_mb)
+    return ds.map_batches(extractor, batch_format="pyarrow",
+                          batch_size=None, num_cpus=1)
 
 
 def run_extraction(input_paths: list[str] | str, out_dir: str,
                    cfg: ExtractionConfig | None = None,
-                   n_groups: int = 1,
-                   concurrent_groups: int | None = None) -> dict:
+                   n_groups: int = 1) -> dict:
     """Execute with shard-group checkpointing; returns a run summary.
 
-    ``concurrent_groups`` > 1 pipelines that many group executions at once
-    (each a separate streaming Dataset run): one group's write tail and the
-    next group's read/actor ramp overlap, which recovers the spin-up cost
-    that sequential groups pay at every boundary (measured: 400k docs in 8
-    sequential groups ran at 0.47x the single-group rate). The per-group
-    actor pool is scaled down so the total stays at cpus-2. Default: 2
-    when there is more than one group to run."""
+    When more than one group is pending, ``GROUPS_IN_FLIGHT`` group
+    executions run at once (each a separate streaming Dataset run): one
+    group's write tail and the next group's read ramp overlap, which
+    recovers the spin-up cost that sequential groups pay at every boundary
+    (measured: 400k docs in 8 sequential groups ran at 0.47x the
+    single-group rate)."""
     cfg = cfg or ExtractionConfig()
     files = _resolve_files(input_paths)
 
@@ -202,16 +169,7 @@ def run_extraction(input_paths: list[str] | str, out_dir: str,
                 summary["rows"] / summary["completed_wall_s"], 1)
         return summary
 
-    k_eff = (concurrent_groups if concurrent_groups is not None
-             else (2 if len(todo) > 1 else 1))
-    k_eff = max(1, min(k_eff, len(todo)))
-    gcfg = cfg
-    if k_eff > 1 and cfg.concurrency is not None:
-        # explicit actor pools must share the cluster between groups;
-        # the default stateless-task path needs no split (tasks from all
-        # groups schedule onto the same CPU pool)
-        gcfg = ExtractionConfig(**{**cfg.__dict__,
-                                   "concurrency": max(2, _pool_size(cfg.concurrency) // k_eff)})
+    k_eff = min(GROUPS_IN_FLIGHT, len(todo))
 
     import threading
     lock = threading.Lock()
@@ -219,7 +177,7 @@ def run_extraction(input_paths: list[str] | str, out_dir: str,
     def run_group(item: tuple[str, list[str]]) -> None:
         key, group = item
         t0 = time.perf_counter()
-        ds = build_extraction_ds(group, gcfg)
+        ds = build_extraction_ds(group, cfg)
         gdir = manifest.group_dir(key)
         ds.write_parquet(gdir)
         lineage_dir, rows = write_lineage(gdir)

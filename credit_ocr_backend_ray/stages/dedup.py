@@ -7,15 +7,11 @@ document id + sha256 content hash (/root/reference/src/ocr/extraction.py:
 absent in the reference).
 
 Scale notes (the partitioning assumptions, per north rule):
-- ``dedup_latest`` default path is a combiner-pruned shuffle: each batch
-  keeps only its local max-``order_col`` rows per key, then one
-  ``groupby(key)`` keeps the global max rows — shuffle volume is at most
+- ``dedup_latest`` is a combiner-pruned shuffle: each batch keeps only
+  its local max-``order_col`` rows per key, then one co-group over 64
+  key-hash shards keeps the global max rows — shuffle volume is at most
   one winner-candidate row per (key, batch), driver memory O(1). Ties on
-  (key, order) both survive (matching the broadcast path's semantics).
-  ``small_keys=True`` keeps the old broadcast-winners map (cheaper when
-  the distinct-key set is known-small AND payloads are too wide to
-  shuffle); ``strict=True`` adds a total tie-break via
-  ``groupby(key).map_groups`` head-1.
+  (key, order) all survive.
 - MinHash/SimHash banding shuffles only (band_key, id) pairs — signatures,
   never text. Candidate verification joins the (small) candidate-pair set
   back to the texts by id with two hash-shuffle joins — the corpus is
@@ -48,67 +44,14 @@ logger = logging.getLogger(__name__)
 # ---------------------------------------------------------------- exact
 
 def dedup_latest(ds: "rd.Dataset", key: str = "url",
-                 order_col: str = "warc_ts", strict: bool = False,
-                 small_keys: bool = False) -> "rd.Dataset":
+                 order_col: str = "warc_ts") -> "rd.Dataset":
     """Keep the newest row per key (reference J4/S12: latest job per
     document, last-write-wins upsert).
 
-    Default: combiner-pruned hash shuffle — scale-safe for unbounded key
-    cardinality (per-url dedup over the whole web). ``small_keys=True``
-    switches to a broadcast winners map (one small aggregate + a
-    shuffle-free filter of the payload stream) — only valid when the
-    distinct keys fit driver memory. ``strict=True`` breaks (key, order)
-    ties to exactly one row; otherwise ties both survive (deterministic
-    set semantics, same in all paths)."""
-    if strict:
-        from credit_ocr_backend_ray.stages.relational import _with_shard
-
-        def local_pick(b: pd.DataFrame) -> pd.DataFrame:
-            out = (b.sort_values([order_col, key], ascending=False)
-                    .groupby(key, as_index=False, sort=False).head(1))
-            return _with_shard(out, key, 64)
-
-        def shard_pick(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.drop(columns=["__shard"])
-            return (g.sort_values([order_col, key], ascending=False)
-                     .groupby(key, as_index=False, sort=False).head(1))
-
-        # coarse-shard co-group, not per-key map_groups: Ray prices
-        # groupby(key) by DISTINCT-key count (measured 64-78 s at 400k
-        # keys), and the key here is per-url — unbounded at crawl scale
-        return (ds.map_batches(local_pick, batch_format="pandas")
-                  .groupby("__shard").map_groups(shard_pick,
-                                                 batch_format="pandas"))
-
-    if small_keys:
-        from credit_ocr_backend_ray.stages.relational import shard_cogroup
-
-        def wpart(b: pd.DataFrame) -> pd.DataFrame:
-            return b.groupby(key, as_index=False, sort=False).agg(
-                __max_ord=(order_col, "max"))
-
-        def wfold(g: pd.DataFrame) -> pd.DataFrame:
-            return g.groupby(key, as_index=False, sort=False,
-                             dropna=False).agg(
-                __max_ord=("__max_ord", "max"))
-
-        winners = shard_cogroup(
-            ds.select_columns([key, order_col])
-              .map_batches(wpart, batch_format="pandas"), key, wfold)
-        wdf = winners.to_pandas()  # bounded by assumption (small_keys)
-        ref = ray.put(wdf)
-
-        def keep_winner(batch: pd.DataFrame) -> pd.DataFrame:
-            w = ray.get(ref)
-            # vectorized winners lookup: map key -> max order, keep rows
-            # whose order equals it (keys absent from the map can't occur:
-            # the winners aggregate saw every key)
-            mx = batch[key].map(
-                pd.Series(w["__max_ord"].values, index=w[key].values))
-            return batch[batch[order_col].to_numpy() == mx.to_numpy()]
-
-        return ds.map_batches(keep_winner, batch_format="pandas")
-
+    Combiner-pruned hash shuffle — scale-safe for unbounded key
+    cardinality (per-url dedup over the whole web). Rows tying the max
+    order of a key all survive (deterministic set semantics under any
+    partitioning)."""
     # coarse-shard co-group (see dedup_exact): the per-shard pass is one
     # vectorized transform, never per-key group machinery
     from credit_ocr_backend_ray.stages.relational import _with_shard

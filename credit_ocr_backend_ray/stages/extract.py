@@ -1,12 +1,13 @@
-"""The extraction actor-pool stage.
+"""The extraction stage.
 
-``DocExtractor`` is a callable class for
-``ds.map_batches(DocExtractor, fn_constructor_kwargs=..., concurrency=N,
-batch_format="pyarrow")`` — configuration (label banks, validation regexes)
-is resolved once per actor in ``__init__`` (the reference reloads config
-from disk on every call, src/ocr/extraction.py:239 — ST5 in SURVEY §2.3),
-and each ``__call__`` runs the full per-document kernel chain over a
-zero-copy Arrow batch, emitting a fixed explicit schema (no inference).
+A ``DocExtractor`` instance is the task UDF of
+``ds.map_batches(DocExtractor(...), batch_format="pyarrow",
+batch_size=None)`` — configuration (label banks, validation regexes) is
+resolved once in ``__init__`` and shipped to each worker process with the
+UDF (the reference reloads config from disk on every call,
+src/ocr/extraction.py:239 — ST5 in SURVEY §2.3), and each ``__call__``
+runs the full per-document kernel chain over a zero-copy Arrow batch,
+emitting a fixed explicit schema (no inference).
 
 Per-row errors are captured in status/error columns (the reference's
 ``"Fehlerhaft"`` terminal state, pipeline_tasks.py:19-64) instead of
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import pyarrow as pa
 
-from credit_ocr_backend_ray.config import DocTypeConfig, default_config, load_config
+from credit_ocr_backend_ray.config import DocTypeConfig, default_config
 from credit_ocr_backend_ray.functions.document import extract_document
 
 BBOX_T = pa.list_(pa.struct([("x", pa.float64()), ("y", pa.float64())]))
@@ -48,22 +49,20 @@ PASSTHROUGH = ["url", "warc_ts", "lang", "n_bytes", "content_sha256",
 
 
 class DocExtractor:
-    """Stateful extraction worker (one per actor in the pool).
+    """Extraction UDF (one copy per worker process).
 
     ``__call__`` is a GENERATOR: each incoming block is split into
     sub-batches whose cumulative payload size stays under
     ``chunk_budget_mb`` (size-bucketed batch splitting, north rule) — a
     block of ordinary ~40 KB pages processes in a few large chunks, while
-    a run of multi-MB outliers is cut into small ones, so peak actor heap
+    a run of multi-MB outliers is cut into small ones, so peak worker heap
     and output block size are bounded by the BYTE budget, not a row count
     that assumes uniform pages."""
 
     def __init__(self, doc_type: str = "credit_request",
-                 config_path: str | None = None,
                  with_result_json: bool = False,
                  chunk_budget_mb: int = 32):
-        registry = load_config(config_path) if config_path else default_config()
-        self.cfg: DocTypeConfig = registry[doc_type]
+        self.cfg: DocTypeConfig = default_config()[doc_type]
         self.with_result_json = with_result_json
         self.budget = chunk_budget_mb << 20
 

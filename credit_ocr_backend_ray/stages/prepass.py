@@ -1,15 +1,16 @@
 """Hash / size pre-pass: cheap stateless map adding per-row
-``n_bytes``, ``content_sha256``, ``size_bucket`` and the canonical
-``part_id`` (url-hash partition key reused by every downstream wide op).
+``n_bytes``, ``content_sha256``, ``size_bucket`` and the url-hash
+partition key ``part_id`` (keys the lineage; ``dedup_latest`` still
+shards by its own ``_with_shard`` hash).
 
 Parity: content sha256 mirrors the reference's upload-time hash
 (/root/reference/src/dms_mock/service.py:26-32); ``part_id`` replaces its
-per-document UUID addressing with a deterministic hash partition, the ONE
-partitioning key of the engine (north rule: repartition by url-hash).
+per-document UUID addressing with a deterministic hash partition.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import zlib
 
@@ -26,17 +27,17 @@ def part_id_for_url(url: str, num_parts: int) -> int:
     return zlib.crc32(url.encode("utf-8")) % num_parts
 
 
-def prepass_batch(batch: pa.Table, *, num_parts: int = DEFAULT_NUM_PARTS,
-                  payload_col: str = "html", key_col: str = "url") -> pa.Table:
-    n_bytes = pc.binary_length(batch[payload_col]).cast(pa.int64())
+def prepass_batch(batch: pa.Table, *,
+                  num_parts: int = DEFAULT_NUM_PARTS) -> pa.Table:
+    n_bytes = pc.binary_length(batch["html"]).cast(pa.int64())
 
-    payloads = batch[payload_col].to_pylist()
+    payloads = batch["html"].to_pylist()
     sha = pa.array(
         [None if p is None else hashlib.sha256(p).hexdigest() for p in payloads],
         type=pa.string(),
     )
 
-    urls = batch[key_col].to_pylist()
+    urls = batch["url"].to_pylist()
     parts = pa.array(
         np.fromiter((part_id_for_url(u, num_parts) for u in urls),
                     dtype=np.int32, count=len(urls)),
@@ -54,9 +55,5 @@ def prepass_batch(batch: pa.Table, *, num_parts: int = DEFAULT_NUM_PARTS,
             .append_column("part_id", parts))
 
 
-def make_prepass(num_parts: int = DEFAULT_NUM_PARTS,
-                 payload_col: str = "html", key_col: str = "url"):
-    def fn(batch: pa.Table) -> pa.Table:
-        return prepass_batch(batch, num_parts=num_parts,
-                             payload_col=payload_col, key_col=key_col)
-    return fn
+def make_prepass(num_parts: int = DEFAULT_NUM_PARTS):
+    return functools.partial(prepass_batch, num_parts=num_parts)

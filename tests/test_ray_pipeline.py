@@ -96,11 +96,10 @@ def test_dedup_latest(ray_session):
              "2024-01-04", "2024-01-01"]),
         "payload": list("123456"),
     })
-    for strict in (False, True):
-        out = dedup_latest(rd.from_pandas(df), key="url",
-                           order_col="warc_ts", strict=strict).to_pandas()
-        got = dict(zip(out["url"], out["payload"]))
-        assert got == {"a": "2", "b": "4", "c": "6"}, f"strict={strict}"
+    out = dedup_latest(rd.from_pandas(df), key="url",
+                       order_col="warc_ts").to_pandas()
+    got = dict(zip(out["url"], out["payload"]))
+    assert got == {"a": "2", "b": "4", "c": "6"}
 
 
 def test_grouped_agg_matches_pandas(ray_session):
@@ -219,8 +218,11 @@ def test_extractor_byte_budget_chunking(credit_cfg):
 def test_run_extraction_multigroup_partial_resume(ray_session, tmp_path):
     """With n_groups=3, completing two groups then losing the third's
     manifest entry reruns ONLY that group. Needs >=3 input shards
-    (shard_groups caps at the file count), so synthesize 3 shards' worth."""
-    from credit_ocr_backend_ray.pipelines.extraction import run_extraction
+    (shard_groups caps at the file count), so synthesize 3 shards' worth.
+    Both runs write, per url, the same text and status as one group over
+    the same files, although two groups execute at once."""
+    from credit_ocr_backend_ray.pipelines.extraction import (
+        build_extraction_ds, run_extraction)
     from credit_ocr_backend_ray.sources.synth import ROWS_PER_FILE, synthesize_pages
     from credit_ocr_backend_ray.state.manifest import RunManifest
 
@@ -228,10 +230,21 @@ def test_run_extraction_multigroup_partial_resume(ray_session, tmp_path):
     pages3 = synthesize_pages(n_pages, base=PAGES_BASE)
     N_PAGES = n_pages  # shadows the module constant for the asserts below
 
+    one = build_extraction_ds(pages3).to_pandas()
+    want = dict(zip(one["url"], zip(one["extracted_text"], one["status"])))
+    assert len(want) == N_PAGES
+
+    def written() -> dict:
+        df = pd.concat(pq.read_table(f).to_pandas() for f in
+                       glob.glob(os.path.join(out, "group-*", "*.parquet")))
+        assert len(df) == df["url"].nunique()
+        return dict(zip(df["url"], zip(df["extracted_text"], df["status"])))
+
     out = str(tmp_path / "mg")
     s1 = run_extraction(pages3, out, n_groups=3)
     assert s1["groups_run"] == s1["groups_total"] >= 2
     assert s1["rows"] == N_PAGES
+    assert written() == want
 
     m = RunManifest(out)
     key = sorted(m.entries)[-1]
@@ -243,6 +256,35 @@ def test_run_extraction_multigroup_partial_resume(ray_session, tmp_path):
     s2 = run_extraction(pages3, out, n_groups=3)
     assert s2["groups_run"] == 1 and s2["groups_skipped"] == s1["groups_total"] - 1
     assert s2["rows"] == N_PAGES
+    assert written() == want
+
+
+def test_extraction_plan_is_one_fused_task_operator(ray_session, tmp_path):
+    """Read, prepass and extract run as ONE fused task operator: there is
+    a single extractor path and it is not an actor pool."""
+    import pyarrow as pa
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    from credit_ocr_backend_ray.pipelines.extraction import build_extraction_ds
+    from credit_ocr_backend_ray.sources.synth import page_row
+
+    p = tmp_path / "plan"
+    p.mkdir()
+    pq.write_table(pa.Table.from_pylist([page_row(i) for i in range(40)]),
+                   str(p / "p.parquet"))
+    lazy = build_extraction_ds(str(p))
+    ds = lazy.materialize()
+    assert ds.count() == 40
+    ops = [line.split(": ")[0].split(" ", 2)[2]
+           for line in ds.stats().splitlines()
+           if line.startswith("Operator ")]
+    assert ops == ["ReadParquet->MapBatches(prepass_batch)"
+                   "->MapBatches(DocExtractor)"], ops
+    # stats() names an actor-pool operator the same way, so check the
+    # physical operator's class too
+    op = get_execution_plan(lazy._logical_plan).dag
+    assert type(op).__name__ == "TaskPoolMapOperator"
+    assert op.name == ops[0]
 
 
 def test_pipeline_with_dedup_keeps_latest(ray_session, tmp_path):
@@ -464,10 +506,9 @@ def test_partitioned_sink_by_lang(ray_session, tmp_path):
     assert len(en) == 10
 
 
-def test_dedup_latest_ties_survive_default_not_strict(ray_session):
-    """Default path keeps ALL rows tying the max order per key (set
-    semantics, deterministic under any partitioning); strict breaks the
-    tie to exactly one row; small_keys matches the default."""
+def test_dedup_latest_ties_survive(ray_session):
+    """dedup_latest keeps ALL rows tying the max order per key (set
+    semantics, deterministic under any partitioning)."""
     import ray.data as rd
     from credit_ocr_backend_ray.stages.dedup import dedup_latest
 
@@ -480,12 +521,6 @@ def test_dedup_latest_ties_survive_default_not_strict(ray_session):
     ds = rd.from_pandas(df).repartition(3)
     out = dedup_latest(ds, key="url", order_col="warc_ts").to_pandas()
     assert sorted(out["payload"]) == ["1", "2", "4"]  # both ties survive
-    out_sk = dedup_latest(ds, key="url", order_col="warc_ts",
-                          small_keys=True).to_pandas()
-    assert sorted(out_sk["payload"]) == ["1", "2", "4"]
-    out_strict = dedup_latest(ds, key="url", order_col="warc_ts",
-                              strict=True).to_pandas()
-    assert len(out_strict) == 2  # exactly one row per key
 
 
 def test_near_dup_hot_bucket_truncation_reported(ray_session, caplog):

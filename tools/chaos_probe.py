@@ -1,6 +1,6 @@
-"""Fault-tolerance probe: SIGKILL an extraction actor's worker process
+"""Fault-tolerance probe: SIGKILL an extraction task's worker process
 mid-run and verify the job still completes with every row present and
-correct (Ray reschedules the killed actor's tasks; our per-group
+correct (Ray retries the killed worker's tasks; our per-group
 manifests only mark completion after a group's write finishes).
 
 Usage: python tools/chaos_probe.py [n_pages]
@@ -43,12 +43,11 @@ def main() -> int:
 
     killed: dict[str, int] = {}
 
-    def _mapworker_pids() -> list[int]:
-        """Ray titles a worker process ray::<task or actor name> while it
-        executes; scan /proc (the dashboard state API is disabled here).
-        Matches both the stateless-task stage (ray::ReadParquet->...
-        MapBatches(extract_batches)) and the actor-pool variant
-        (ray::MapWorker...)."""
+    def _extract_worker_pids() -> list[int]:
+        """Ray titles a worker process ray::<task name> while it executes;
+        scan /proc (the dashboard state API is off). The extract stage runs
+        fused with the read and prepass, as
+        ray::ReadParquet->MapBatches(prepass_batch)->MapBatches(DocExtractor)."""
         pids = []
         for p in os.listdir("/proc"):
             if not p.isdigit():
@@ -58,16 +57,15 @@ def main() -> int:
                     cmd = f.read()
             except OSError:
                 continue
-            if (b"extract_batches" in cmd or b"ray::MapWorker" in cmd
-                    or b"ray::MapBatches" in cmd):
+            if b"MapBatches(DocExtractor)" in cmd:
                 pids.append(int(p))
         return sorted(pids)
 
     def assassin() -> None:
-        """After the pool has spun up, SIGKILL one extraction worker."""
+        """Once two extract workers are busy, SIGKILL one of them."""
         deadline = time.time() + 60
         while time.time() < deadline:
-            pids = _mapworker_pids()
+            pids = _extract_worker_pids()
             if len(pids) >= 2:
                 time.sleep(1.0)  # let it take work first
                 victim = pids[0]

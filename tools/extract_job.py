@@ -3,7 +3,7 @@
 
     ray job submit --working-dir . -- \
         python tools/extract_job.py --input /data/pages --out /data/extracted \
-        --groups 64 [--dedup] [--concurrency N]
+        --groups 64 [--dedup] [--chunk-budget-mb N]
 
 Single-node/local dev runs work identically (``RAY_ADDRESS=local``). The
 job is resumable: re-submitting with the same ``--out`` skips every shard
@@ -32,8 +32,6 @@ def main() -> int:
                     help="shard groups (resume granularity)")
     ap.add_argument("--dedup", action="store_true",
                     help="exact dedup by url (keep latest warc_ts)")
-    ap.add_argument("--concurrency", type=int, default=None,
-                    help="extract actor pool size (default: CPUs-2)")
     ap.add_argument("--chunk-budget-mb", type=int, default=32,
                     help="per-sub-batch payload byte budget (skew guard)")
     args = ap.parse_args()
@@ -46,7 +44,7 @@ def main() -> int:
     from credit_ocr_backend_ray.pipelines.extraction import (
         ExtractionConfig, run_extraction)
 
-    cfg = ExtractionConfig(dedup=args.dedup, concurrency=args.concurrency,
+    cfg = ExtractionConfig(dedup=args.dedup,
                            chunk_budget_mb=args.chunk_budget_mb)
     summary = run_extraction(args.input, args.out, cfg, n_groups=args.groups)
     print(json.dumps({"job": "extract", **summary}))

@@ -6,11 +6,13 @@ set -e
 cd "$(dirname "$0")/.."
 echo "== pytest =="
 python -m pytest tests/ -q
+echo "== benchmark smoke test =="
+python -m pytest benchmark/test_smoke.py -q
 echo "== oracle gate sf0.01 =="
 python tools/check_correctness.py /root/testdata/sf0.01 | tail -1
 echo "== oracle gate sf0.1 =="
 python tools/check_correctness.py /root/testdata/sf0.1 | tail -1
-echo "== actor-kill probe =="
+echo "== extract-worker-kill probe =="
 python tools/chaos_probe.py 20000
 echo "== driver-kill resume probe =="
 python tools/resume_probe.py 20000
