@@ -1,7 +1,8 @@
 """Hash / size pre-pass: cheap stateless map adding per-row
 ``n_bytes``, ``content_sha256``, ``size_bucket`` and the url-hash
-partition key ``part_id`` (keys the lineage; ``dedup_latest`` still
-shards by its own ``_with_shard`` hash).
+partition key ``part_id`` (keys the lineage). With a winners table from
+``latest_crawls`` it also drops every crawl older than its url's newest,
+before any hashing, so latest-crawl dedup needs no shuffle.
 
 Parity: content sha256 mirrors the reference's upload-time hash
 (/root/reference/src/dms_mock/service.py:26-32); ``part_id`` replaces its
@@ -17,6 +18,7 @@ import zlib
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 DEFAULT_NUM_PARTS = 64
 SIZE_BUCKET_BYTES = 256 * 1024  # payloads above this are "oversized"
@@ -27,8 +29,28 @@ def part_id_for_url(url: str, num_parts: int) -> int:
     return zlib.crc32(url.encode("utf-8")) % num_parts
 
 
+def latest_crawls(files: list[str]) -> pa.Table:
+    """Newest ``warc_ts`` per url over ``files`` (columns ``url`` and
+    ``warc_ts_max``): the reference's last-write-wins upsert as a winners
+    table. Reads only the two key columns, never the payloads, and runs
+    no Ray execution. Memory bound: one ``(url, ts)`` pair per distinct
+    url, held on the driver and shipped with the prepass UDF to every
+    task."""
+    keys = [pq.read_table(f, columns=["url", "warc_ts"]) for f in files]
+    return (pa.concat_tables(keys).group_by("url")
+            .aggregate([("warc_ts", "max")]))
+
+
 def prepass_batch(batch: pa.Table, *,
-                  num_parts: int = DEFAULT_NUM_PARTS) -> pa.Table:
+                  num_parts: int = DEFAULT_NUM_PARTS,
+                  latest: pa.Table | None = None) -> pa.Table:
+    if latest is not None:
+        # keep rows at their url's max warc_ts: ties all survive; a null
+        # url or null warc_ts compares null, and filter drops nulls
+        idx = pc.index_in(batch["url"], value_set=latest["url"],
+                          skip_nulls=True)
+        newest = pc.take(latest["warc_ts_max"], idx)
+        batch = batch.filter(pc.equal(batch["warc_ts"], newest))
     n_bytes = pc.binary_length(batch["html"]).cast(pa.int64())
 
     payloads = batch["html"].to_pylist()
@@ -55,5 +77,7 @@ def prepass_batch(batch: pa.Table, *,
             .append_column("part_id", parts))
 
 
-def make_prepass(num_parts: int = DEFAULT_NUM_PARTS):
-    return functools.partial(prepass_batch, num_parts=num_parts)
+def make_prepass(num_parts: int = DEFAULT_NUM_PARTS,
+                 latest: pa.Table | None = None):
+    return functools.partial(prepass_batch, num_parts=num_parts,
+                             latest=latest)

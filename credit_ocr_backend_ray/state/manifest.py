@@ -72,11 +72,16 @@ def write_lineage(group_dir: str) -> tuple[str, int]:
     construction, so driver-side stays cheap at scale."""
     import glob as _glob
 
+    import pyarrow as pa
     import pyarrow.dataset as pads
+    import pyarrow.parquet as pq
 
     files = sorted(_glob.glob(os.path.join(group_dir, "*.parquet")))
-    light = pads.dataset(files).to_table(
-        columns=["part_id", "n_bytes", "n_lines", "status"]).to_pandas()
+    # an explicit schema: a group with no output rows has no files to
+    # infer one from, and still gets an (empty) lineage of the same shape
+    columns = pa.schema([("part_id", pa.int32()), ("n_bytes", pa.int64()),
+                         ("n_lines", pa.int32()), ("status", pa.string())])
+    light = pads.dataset(files, schema=columns).to_table().to_pandas()
     light["is_error"] = (light["status"] == "Fehlerhaft").astype("int64")
     final = light.groupby("part_id", as_index=False).agg(
         rows=("part_id", "size"),
@@ -87,8 +92,6 @@ def write_lineage(group_dir: str) -> tuple[str, int]:
 
     lineage_dir = os.path.join(group_dir, "_lineage")
     os.makedirs(lineage_dir, exist_ok=True)
-    import pyarrow as pa
-    import pyarrow.parquet as pq
     pq.write_table(pa.Table.from_pandas(final, preserve_index=False),
                    os.path.join(lineage_dir, "part-0.parquet"))
     return lineage_dir, int(final["rows"].sum())

@@ -191,6 +191,66 @@ def test_prepass_part_id_stable(ray_session):
         "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881")
 
 
+def test_prepass_latest_filter_keeps_dedup_latest_rows(tmp_path):
+    """prepass_batch(latest=...) keeps exactly the rows dedup_latest's rule
+    keeps (every row at its url's max warc_ts; null urls and null
+    timestamps drop), in input order, and hashes only those."""
+    import datetime
+    import pyarrow as pa
+    from credit_ocr_backend_ray.stages.prepass import (
+        latest_crawls, prepass_batch)
+
+    t0 = datetime.datetime(2024, 1, 1)
+    crawls = [("a", 1), ("b", 5), ("a", 3), (None, 9), ("b", 5),
+              ("c", None), ("c", 2), ("d", None), ("a", 2)]
+    t = pa.table({
+        "url": pa.array([u for u, _ in crawls], pa.string()),
+        "warc_ts": pa.array([None if d is None
+                             else t0 + datetime.timedelta(days=d)
+                             for _, d in crawls], pa.timestamp("us")),
+        "html": [str(i).encode() for i in range(len(crawls))],
+    })
+    f = str(tmp_path / "k.parquet")
+    pq.write_table(t, f)
+
+    out = prepass_batch(t, latest=latest_crawls([f]))
+    # "b" ties at its max (both kept); None url, null ts and "d" (only a
+    # null-ts crawl) drop
+    assert out["html"].to_pylist() == [b"1", b"2", b"4", b"6"]
+    assert out["n_bytes"].to_pylist() == [1, 1, 1, 1]
+    # dedup_latest's own per-key rule, in pandas
+    df = t.to_pandas()
+    mx = df.groupby("url", sort=False)["warc_ts"].transform("max")
+    assert out["html"].to_pylist() == list(df[df["warc_ts"] == mx]["html"])
+
+
+def test_write_lineage_empty_group(tmp_path):
+    """A group that wrote no output rows gets an empty lineage with the
+    same schema as a non-empty group's, and 0 rows."""
+    import pyarrow as pa
+    from credit_ocr_backend_ray.sources.synth import page_row
+    from credit_ocr_backend_ray.stages.extract import DocExtractor
+    from credit_ocr_backend_ray.stages.prepass import prepass_batch
+    from credit_ocr_backend_ray.state.manifest import write_lineage
+
+    full = tmp_path / "full"
+    full.mkdir()
+    t = prepass_batch(pa.Table.from_pylist([page_row(i) for i in range(3)]))
+    for j, chunk in enumerate(DocExtractor()(t)):
+        pq.write_table(chunk, str(full / f"part-{j}.parquet"))
+    full_dir, full_rows = write_lineage(str(full))
+    assert full_rows == 3
+
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    lineage_dir, rows = write_lineage(str(empty))
+    assert rows == 0
+    got = pq.read_table(os.path.join(lineage_dir, "part-0.parquet"))
+    want = pq.read_table(os.path.join(full_dir, "part-0.parquet"))
+    assert got.num_rows == 0
+    assert got.schema.remove_metadata() == want.schema.remove_metadata()
+
+
 def test_extractor_byte_budget_chunking(credit_cfg):
     """DocExtractor sub-batches a block by payload bytes: an oversized run
     is cut while ordinary pages flow in large chunks; outputs concatenate
@@ -220,7 +280,7 @@ def test_run_extraction_multigroup_partial_resume(ray_session, tmp_path):
     manifest entry reruns ONLY that group. Needs >=3 input shards
     (shard_groups caps at the file count), so synthesize 3 shards' worth.
     Both runs write, per url, the same text and status as one group over
-    the same files, although two groups execute at once."""
+    the same files."""
     from credit_ocr_backend_ray.pipelines.extraction import (
         build_extraction_ds, run_extraction)
     from credit_ocr_backend_ray.sources.synth import ROWS_PER_FILE, synthesize_pages
@@ -259,20 +319,24 @@ def test_run_extraction_multigroup_partial_resume(ray_session, tmp_path):
     assert written() == want
 
 
-def test_extraction_plan_is_one_fused_task_operator(ray_session, tmp_path):
+@pytest.mark.parametrize("dedup", [False, True])
+def test_extraction_plan_is_one_fused_task_operator(ray_session, tmp_path,
+                                                    dedup):
     """Read, prepass and extract run as ONE fused task operator: there is
-    a single extractor path and it is not an actor pool."""
+    a single extractor path, it is not an actor pool, and dedup adds no
+    shuffle."""
     import pyarrow as pa
     from ray.data._internal.logical.optimizers import get_execution_plan
 
-    from credit_ocr_backend_ray.pipelines.extraction import build_extraction_ds
+    from credit_ocr_backend_ray.pipelines.extraction import (
+        ExtractionConfig, build_extraction_ds)
     from credit_ocr_backend_ray.sources.synth import page_row
 
     p = tmp_path / "plan"
     p.mkdir()
     pq.write_table(pa.Table.from_pylist([page_row(i) for i in range(40)]),
                    str(p / "p.parquet"))
-    lazy = build_extraction_ds(str(p))
+    lazy = build_extraction_ds(str(p), ExtractionConfig(dedup=dedup))
     ds = lazy.materialize()
     assert ds.count() == 40
     ops = [line.split(": ")[0].split(" ", 2)[2]
@@ -314,6 +378,60 @@ def test_pipeline_with_dedup_keeps_latest(ray_session, tmp_path):
     for i in range(5):
         row = df[df["url"] == rows[i]["url"]].iloc[0]
         assert row["extracted_text"] == "NEWER VERSION"
+
+
+def test_run_extraction_dedup_across_groups(ray_session, tmp_path):
+    """Latest-crawl dedup holds across shard groups: crawls of one url in
+    different files (and groups) collapse to the newest, a tie at the max
+    warc_ts keeps both rows, a group whose every crawl lost writes 0 rows,
+    and a resumed run writes the same output."""
+    import datetime
+    import json
+    import pyarrow as pa
+    from credit_ocr_backend_ray.pipelines.extraction import (
+        ExtractionConfig, run_extraction)
+    from credit_ocr_backend_ray.state.manifest import RunManifest
+
+    t0 = datetime.datetime(2024, 1, 1)
+
+    def crawl(url: str, day: int, text: str) -> dict:
+        return {"url": url, "warc_ts": t0 + datetime.timedelta(days=day),
+                "html": f"<html><body><main><p>{text}</p></main></body>"
+                        f"</html>".encode(), "text": None, "lang": "de"}
+
+    files = [  # shard_groups gives each file its own group
+        [crawl("u1", 1, "OLD"), crawl("u3", 1, "STALE")],  # all lose
+        [crawl("u1", 2, "NEW"), crawl("u2", 3, "TIE A")],
+        [crawl("u2", 3, "TIE B"), crawl("u3", 2, "FRESH")],
+    ]
+    inp = tmp_path / "in"
+    inp.mkdir()
+    for k, rows in enumerate(files):
+        pq.write_table(pa.Table.from_pylist(rows), str(inp / f"f{k}.parquet"))
+
+    out = str(tmp_path / "out")
+    cfg = ExtractionConfig(dedup=True)
+
+    def written() -> list:
+        return sorted((r["url"], r["extracted_text"]) for f in
+                      glob.glob(os.path.join(out, "group-*", "*.parquet"))
+                      for r in pq.read_table(f).to_pylist())
+
+    want = [("u1", "NEW"), ("u2", "TIE A"), ("u2", "TIE B"),
+            ("u3", "FRESH")]
+    s1 = run_extraction(str(inp), out, cfg, n_groups=3)
+    assert s1["groups_run"] == 3 and s1["rows"] == 4
+    assert written() == want
+    m = RunManifest(out)
+    assert [m.entries[k]["rows"] for k in sorted(m.entries)] == [0, 2, 2]
+
+    # the empty group reruns against winners from ALL files, not its own
+    del m.entries["00000"]
+    with open(m.path, "w", encoding="utf-8") as f:
+        json.dump(m.entries, f)
+    s2 = run_extraction(str(inp), out, cfg, n_groups=3)
+    assert s2["groups_run"] == 1 and s2["rows"] == 4
+    assert written() == want
 
 
 def test_page_renderer_ppm_output(ray_session):

@@ -31,7 +31,8 @@ def main() -> int:
     ap.add_argument("--groups", type=int, default=16,
                     help="shard groups (resume granularity)")
     ap.add_argument("--dedup", action="store_true",
-                    help="exact dedup by url (keep latest warc_ts)")
+                    help="exact dedup by url: keep the newest warc_ts "
+                         "across all input files")
     ap.add_argument("--chunk-budget-mb", type=int, default=32,
                     help="per-sub-batch payload byte budget (skew guard)")
     args = ap.parse_args()
