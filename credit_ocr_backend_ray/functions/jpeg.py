@@ -7,11 +7,22 @@ azure_ocr_client.py:28-63); the repo's raster text channel was PNG-only
 (VERDICT r04 "What's missing" item 1). This module implements
 
 - ``decode_baseline_jpeg``: a general baseline-sequential decoder —
-  marker parse (DQT/DHT/SOF0/SOS/DRI/APP0), canonical Huffman decode
-  with restart-interval support, dequant + batched vectorized IDCT
-  (one einsum per component), sampling-factor upsampling (4:4:4 and
-  4:2:0 streams), JFIF YCbCr -> RGB. Progressive (SOF2) raises — the
-  decoder rejects what it cannot decode rather than mis-decoding.
+  marker parse (DQT/DHT/SOF0/SOF1/SOS/DRI/APP0), canonical Huffman decode
+  with restart-interval support, dequant + batched IDCT, sampling-factor
+  upsampling (4:4:4 and 4:2:0 streams), JFIF YCbCr -> RGB. Progressive
+  (SOF2) and non-8-bit frames raise — the decoder rejects what it cannot
+  decode rather than mis-decoding.
+  - Entropy decode reads each Huffman code through a 16-bit lookahead
+    table that applies the bit-serial F.16 rule to every prefix, and
+    each read is one lookup in a list of 32-bit windows of the segment.
+    Coefficients go to flat ``array("q")`` buffers, scattered into each
+    component's block array once. The last few thousand bits of a
+    segment, and any DC category above 16, are read by the bit-serial
+    ``_BitReader`` instead, so a truncated or corrupt stream fails with
+    the exception and message of a wholly bit-serial decode.
+  - The IDCT is the einsum ``M.T @ block @ M`` per block, except for
+    blocks with no AC coefficient (blank page areas), whose constant
+    value is computed directly and bit-identically.
 - ``encode_baseline_jpeg``: the matching encoder (grayscale, 4:4:4 or
   4:2:0 color; Annex-K tables scaled by the IJG quality rule), used to
   synthesize test/bench fixtures in-sandbox (no external data) and by
@@ -23,13 +34,17 @@ azure_ocr_client.py:28-63); the repo's raster text channel was PNG-only
   JFIF-APP0) for ``media_features`` on streams the full decoder
   declines (e.g. progressive).
 
-Per-document work only — callers batch it inside ``map_batches`` actor
-pools (stages/multimodal.py), one decode per row, poison-isolated.
+Per-document work only: one decode per row; callers catch what a
+malformed stream raises and keep it to that row.
 """
 
 from __future__ import annotations
 
+import re
 import struct
+from array import array
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -40,6 +55,7 @@ ZIGZAG = np.array([
     35, 42, 49, 56, 57, 50, 43, 36, 29, 22, 15, 23, 30, 37, 44, 51,
     58, 59, 52, 45, 38, 31, 39, 46, 53, 60, 61, 54, 47, 55, 62, 63,
 ], dtype=np.int64)
+_UNZIGZAG = np.argsort(ZIGZAG)  # zigzag position of each natural index
 
 # Annex K.1/K.2 quantization tables (natural order, row-major)
 _Q_LUM = np.array([
@@ -157,7 +173,10 @@ def _markers(data: bytes):
 
 class _Huff:
     """Canonical Huffman table -> (mincode, maxcode, valptr) decode form
-    (ITU T.81 F.2.2.3)."""
+    (ITU T.81 F.2.2.3), plus a 16-bit lookahead table ``lut``, built on
+    first use: for each 16-bit prefix, ``(length << 8) | symbol`` of the
+    code the F.16 rule finds in it, or 0 when that needs ``slow`` (no code
+    matches, or the value index runs past the end of HUFFVAL)."""
 
     def __init__(self, bits: list[int], vals: list[int]):
         self.vals = vals
@@ -174,13 +193,48 @@ class _Huff:
                 self.maxcode[ln] = code - 1
             code <<= 1
 
+    @cached_property
+    def lut(self) -> list[int]:
+        # F.16 takes the first length ln whose maxcode fits the prefix.
+        # A prefix reaching ln unmatched is >= mincode[ln], and one at or
+        # above mincode[ln] matched no shorter length, so filling each
+        # length's codes from mincode on gives F.16's answer for every
+        # prefix, over-subscribed tables included.
+        lut = [0] * 65536
+        for ln in range(1, 17):
+            sh = 16 - ln
+            for code in range(self.mincode[ln],
+                              min(self.maxcode[ln], (1 << ln) - 1) + 1):
+                i = self.valptr[ln] + code - self.mincode[ln]
+                if i < len(self.vals):
+                    lut[code << sh:(code + 1) << sh] = \
+                        [(ln << 8) | self.vals[i]] * (1 << sh)
+        return lut
+
+    def slow(self, b16: int) -> int:
+        """F.16 on the next 16 bits ``b16``: ``(length << 8) | symbol``,
+        raising what ``_BitReader.huff`` raises when 16 bits remain."""
+        for ln in range(1, 17):
+            code = b16 >> (16 - ln)
+            if code <= self.maxcode[ln]:
+                return (ln << 8) | self.vals[
+                    self.valptr[ln] + code - self.mincode[ln]]
+        raise ValueError("invalid Huffman code")
+
 
 class _BitReader:
-    def __init__(self, data: bytes):
+    """Bit-serial reader: the exact path, which raises "entropy stream
+    exhausted" at the first bit read past the end of its segment."""
+
+    def __init__(self, data: bytes, bit: int = 0):
         self.d = data
-        self.pos = 0
+        self.pos, r = divmod(bit, 8)
         self.acc = 0
         self.n = 0
+        if r:  # start inside a byte
+            self.acc = data[self.pos]
+            self.pos += 1
+            self.n = 8 - r
 
     def bit(self) -> int:
         if not self.n:
@@ -212,29 +266,163 @@ def _extend(v: int, t: int) -> int:
     return v - (1 << t) + 1 if t and v < (1 << (t - 1)) else v
 
 
+_SCAN_END = re.compile(rb"\xff(?![\x00\xd0-\xd7])")  # a real marker
+_RST = re.compile(rb"\xff[\xd0-\xd7]")
+
+
 def _entropy_segments(data: bytes, pos: int) -> list[bytes]:
-    """De-stuffed entropy byte runs, split at restart markers."""
-    segs: list[bytes] = []
-    cur = bytearray()
-    n = len(data)
-    while pos < n:
-        b = data[pos]
-        if b == 0xFF:
-            m = data[pos + 1] if pos + 1 < n else 0xD9
-            if m == 0x00:
-                cur.append(0xFF)
-                pos += 2
+    """De-stuffed entropy byte runs, split at restart markers. The scan
+    ends at the first 0xFF that is neither stuffing (0xFF00) nor RSTn; a
+    lone 0xFF as the last byte is dropped."""
+    end = _SCAN_END.search(data, pos)
+    body = data[pos:end.start() if end else len(data)]
+    return [s.replace(b"\xff\x00", b"\xff") for s in _RST.split(body)]
+
+
+# The lookahead path reads at most 1985 bits per block (DC: 16-bit code
+# + 16 bits; 63 AC symbols of 16 + 15 bits), so with this many bits left
+# in the segment at a block's start it cannot run past the end. The last
+# blocks of each segment go to the bit-serial exact path instead.
+_FAST_BITS = 4096
+_MASK = [(1 << s) - 1 for s in range(17)]
+_ZZ = ZIGZAG.tolist()
+_HALF = [0] + [1 << (s - 1) for s in range(1, 17)]
+
+
+def _ac_index_error(k: int, v: int) -> None:
+    """Raise what ``coef[k] = v`` raises on a 64-slot block row for an
+    AC run that ends past index 63: numpy's own IndexError."""
+    np.zeros(64, dtype=np.int64)[k] = v
+
+
+def _decode_segment(d: bytes, blocks, pred: list[int]) -> None:
+    """Entropy-decode the blocks of one restart segment ``d``.
+
+    ``blocks`` yields ``(tab, bi)``: the block's index ``bi`` in its
+    component and ``tab`` = (DC table, AC table, DC predictor slot in
+    ``pred``, and the ``append`` methods of the component's index and
+    value buffers). Each coefficient written is appended as its flat
+    natural-order index and its value."""
+    limit = len(d) * 8 - _FAST_BITS
+    # w[i]: the 32 bits from byte i on, so each read is one list lookup at
+    # bit offset bp (a 16-bit code peek, or up to 16 magnitude bits)
+    b = np.frombuffer(d + b"\0\0\0", dtype=np.uint8).astype(np.uint32)
+    w = ((b[:-3] << 24) | (b[1:-2] << 16) | (b[2:-1] << 8) | b[3:]).tolist()
+    mask, half, zz = _MASK, _HALF, _ZZ
+    bp = 0
+    for u in blocks:
+        if bp > limit:
+            _decode_exact(d, bp, chain((u,), blocks), pred)
+            return
+        (dc, ac, slot, ia, va), bi = u
+        p = w[bp >> 3] >> (16 - (bp & 7)) & 0xFFFF
+        e = dc.lut[p] or dc.slow(p)
+        t = e & 255
+        if t > 16:  # may overflow int64: let the exact path read it
+            _decode_exact(d, bp, chain((u,), blocks), pred)
+            return
+        bp += e >> 8
+        if t:
+            v = w[bp >> 3] >> (32 - t - (bp & 7)) & mask[t]
+            bp += t
+            pred[slot] += v - mask[t] if v < half[t] else v
+        base = bi << 6
+        ia(base)
+        va(pred[slot])
+        alut = ac.lut
+        k = 1
+        while k < 64:
+            p = w[bp >> 3] >> (16 - (bp & 7)) & 0xFFFF
+            e = alut[p] or ac.slow(p)
+            bp += e >> 8
+            s = e & 15
+            if s:
+                k += (e >> 4) & 15
+                v = w[bp >> 3] >> (32 - s - (bp & 7)) & mask[s]
+                bp += s
+                if v < half[s]:
+                    v -= mask[s]
+                if k > 63:
+                    _ac_index_error(k, v)
+                ia(base + zz[k])
+                va(v)
+                k += 1
+            elif e & 255 == 0xF0:  # ZRL; past 63 it just ends the block
+                k += 16
+            else:  # EOB
+                break
+
+
+def _decode_exact(d: bytes, bit: int, blocks, pred: list[int]) -> None:
+    """``_decode_segment``'s blocks from bit offset ``bit`` on, read one
+    bit at a time, so "entropy stream exhausted" is raised at the first
+    bit past the end. Each DC value passes through an int64 slot and each
+    AC index is checked, so numpy's overflow and index errors come out
+    where, and as, a wholly bit-serial decode raises them."""
+    rd = _BitReader(d, bit)
+    dc_slot = np.zeros(1, dtype=np.int64)
+    for (dc, ac, slot, ia, va), bi in blocks:
+        t = rd.huff(dc)
+        pred[slot] += _extend(rd.bits(t), t) if t else 0
+        dc_slot[0] = pred[slot]  # past int64: numpy's OverflowError
+        base = bi << 6
+        ia(base)
+        va(pred[slot])
+        k = 1
+        while k < 64:
+            rs = rd.huff(ac)
+            r, s = rs >> 4, rs & 15
+            if s == 0:
+                if r != 15:
+                    break
+                k += 16
                 continue
-            if 0xD0 <= m <= 0xD7:  # RSTn
-                segs.append(bytes(cur))
-                cur = bytearray()
-                pos += 2
-                continue
-            break  # real marker (EOI / next frame)
-        cur.append(b)
-        pos += 1
-    segs.append(bytes(cur))
-    return segs
+            k += r
+            v = _extend(rd.bits(s), s)
+            if k > 63:
+                _ac_index_error(k, v)
+            ia(base + _ZZ[k])
+            va(v)
+            k += 1
+
+
+def _block_order(units: list[tuple], mcux: int, start: int, end: int):
+    """``(tab, block index)`` of every block of MCUs ``start..end-1``, in
+    scan order; ``units`` holds each block of one MCU as (tab, MCU-row
+    stride, blocks per MCU across, offset inside the MCU)."""
+    for mcu in range(start, end):
+        my, mx = divmod(mcu, mcux)
+        for tab, rstride, ch, off in units:
+            yield tab, my * rstride + mx * ch + off
+
+
+def _decode_scan(segs: list[bytes], order: list[dict], mcux: int,
+                 n_mcus: int, restart: int) -> int:
+    """Entropy-decode the scan's restart segments into each component's
+    ``blocks`` (natural order); returns the number of MCUs decoded."""
+    bufs: dict[int, tuple[array, array]] = {}  # per component: idx, val
+    slots: dict[int, int] = {}  # DC predictor per component id
+    units = []
+    for c in order:
+        idx, val = bufs.setdefault(id(c), (array("q"), array("q")))
+        tab = (c["dc"], c["ac"], slots.setdefault(c["id"], len(slots)),
+               idx.append, val.append)
+        for v in range(c["v"]):
+            for hh in range(c["h"]):
+                units.append((tab, c["v"] * c["bw"], c["h"],
+                              v * c["bw"] + hh))
+    mcu = 0
+    for sdata in segs:
+        end = min(n_mcus, mcu + restart) if restart else n_mcus
+        if mcu < end:
+            _decode_segment(sdata, _block_order(units, mcux, mcu, end),
+                            [0] * len(slots))
+            mcu = end
+    for c in order:
+        idx, val = bufs[id(c)]
+        c["blocks"].reshape(-1)[np.frombuffer(idx, np.int64)] = \
+            np.frombuffer(val, np.int64)
+    return mcu
 
 
 def decode_baseline_jpeg(data: bytes) -> np.ndarray:
@@ -271,7 +459,10 @@ def decode_baseline_jpeg(data: bytes) -> np.ndarray:
                 huffs[(tc, th)] = _Huff(bits, vals)
                 p += 17 + nv
         elif m in (0xC0, 0xC1):  # baseline / extended sequential
-            _, h, w, nc = struct.unpack_from(">BHHB", seg, 0)
+            prec, h, w, nc = struct.unpack_from(">BHHB", seg, 0)
+            if prec != 8:
+                raise ValueError(f"unsupported sample precision {prec}; "
+                                 "only 8-bit samples decode here")
             comps = []
             for c in range(nc):
                 cid, hv, tq = struct.unpack_from("BBB", seg, 6 + 3 * c)
@@ -303,57 +494,39 @@ def decode_baseline_jpeg(data: bytes) -> np.ndarray:
         c["ac"] = huffs[(1, ta)]
         c["bw"] = mcux * c["h"]
         c["bh"] = mcuy * c["v"]
-        c["blocks"] = np.zeros((c["bh"] * c["bw"], 64), dtype=np.int64)
+        c["blocks"] = np.zeros((c["bh"] * c["bw"], 64),  # natural order
+                               dtype=np.int64)
         order.append(c)
 
-    segs = _entropy_segments(data, scan_pos)
-    mcu = 0
-    n_mcus = mcux * mcuy
-    zz = ZIGZAG
-    for si, sdata in enumerate(segs):
-        rd = _BitReader(sdata)
-        pred = {c["id"]: 0 for c in order}
-        end = min(n_mcus, mcu + restart) if restart else n_mcus
-        while mcu < end:
-            my, mx = divmod(mcu, mcux)
-            for c in order:
-                for v in range(c["v"]):
-                    for hh in range(c["h"]):
-                        t = rd.huff(c["dc"])
-                        diff = _extend(rd.bits(t), t) if t else 0
-                        pred[c["id"]] += diff
-                        coef = c["blocks"][
-                            (my * c["v"] + v) * c["bw"] + mx * c["h"] + hh]
-                        coef[0] = pred[c["id"]]
-                        k = 1
-                        while k < 64:
-                            rs = rd.huff(c["ac"])
-                            r, s = rs >> 4, rs & 15
-                            if s == 0:
-                                if r != 15:
-                                    break
-                                k += 16
-                                continue
-                            k += r
-                            coef[k] = _extend(rd.bits(s), s)
-                            k += 1
-            mcu += 1
-
-    if mcu != n_mcus:
-        raise ValueError(f"decoded {mcu}/{n_mcus} MCUs")
+    mcu = _decode_scan(_entropy_segments(data, scan_pos), order, mcux,
+                       mcux * mcuy, restart)
+    if mcu != mcux * mcuy:
+        raise ValueError(f"decoded {mcu}/{mcux * mcuy} MCUs")
 
     planes = []
     for c in order:
-        q = qtabs[c["tq"]]
-        deq = np.zeros_like(c["blocks"], dtype=np.float64)
-        deq[:, zz] = (c["blocks"] * q[None, :]).astype(np.float64)
+        q = qtabs[c["tq"]][_UNZIGZAG]  # natural order, as the blocks
+        deq = (c["blocks"] * q[None, :]).astype(np.float64)
         blk = deq.reshape(-1, 8, 8)
-        pix = np.einsum("ij,njk,kl->nil", _M.T, blk, _M) + 128.0
+        # A block whose AC coefficients are all zero (a blank patch of
+        # page) skips the einsum: every term but (M[0,i]*dc)*M[0,l] is a
+        # product with a zero, adding zeros is exact, and both outer
+        # factors are M[0,0] (row 0 of the basis is constant), so this is
+        # the einsum's result bit for bit. Two batched matmuls
+        # ((M.T @ blk) @ M) would be as fast for the other blocks but sum
+        # in another order, moving pixels by one gray level at rounding
+        # ties; the einsum stays for them.
+        flat = ~deq[:, 1:].any(axis=1)
+        pix = np.empty_like(blk)
+        pix[flat] = ((_M[0, 0] * blk[flat, 0, 0]) * _M[0, 0])[:, None, None]
+        pix[~flat] = np.einsum("ij,njk,kl->nil", _M.T, blk[~flat], _M)
+        pix += 128.0
         arr = (pix.reshape(c["bh"], c["bw"], 8, 8)
                .transpose(0, 2, 1, 3).reshape(c["bh"] * 8, c["bw"] * 8))
-        arr = np.repeat(np.repeat(arr, vmax // c["v"], axis=0),
-                        hmax // c["h"], axis=1)[:h, :w]
-        planes.append(arr)
+        if (c["v"], c["h"]) != (vmax, hmax):  # upsample subsampled chroma
+            arr = np.repeat(np.repeat(arr, vmax // c["v"], axis=0),
+                            hmax // c["h"], axis=1)
+        planes.append(arr[:h, :w])
 
     if len(planes) == 1:
         return np.clip(np.round(planes[0]), 0, 255).astype(np.uint8)

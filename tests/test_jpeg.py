@@ -7,12 +7,20 @@ was PNG-only. Pure-kernel tests — no Ray session needed.
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import random
+
 import numpy as np
 import pyarrow as pa
 import pytest
 
 from credit_ocr_backend_ray.functions.jpeg import (
     decode_baseline_jpeg, encode_baseline_jpeg, jpeg_dimensions, jpeg_dpi)
+from credit_ocr_backend_ray.sources.synth import raster_jpeg_doc_bytes
+
+# a page takes ~1 s to render; the parity tests below share them
+_page = functools.cache(raster_jpeg_doc_bytes)
 
 
 def _gray(h=48, w=64, seed=7):
@@ -61,13 +69,16 @@ def test_binary_q100_within_binarization_margin():
 
 
 def test_progressive_raises_but_header_dims_survive():
-    data = bytearray(encode_baseline_jpeg(_gray(), quality=90))
-    i = data.find(b"\xff\xc0")
+    base = encode_baseline_jpeg(_gray(), quality=90)
+    i = base.find(b"\xff\xc0")
     assert i > 0
-    data[i + 1] = 0xC2  # masquerade as progressive
-    with pytest.raises(ValueError, match="SOF2"):
-        decode_baseline_jpeg(bytes(data))
-    assert jpeg_dimensions(bytes(data)) == (64, 48)
+    # masquerade as progressive; then as a 12-bit baseline frame
+    for off, byte, match in ((1, 0xC2, "SOF2"), (4, 12, "precision 12")):
+        data = bytearray(base)
+        data[i + off] = byte
+        with pytest.raises(ValueError, match=match):
+            decode_baseline_jpeg(bytes(data))
+        assert jpeg_dimensions(bytes(data)) == (64, 48)
 
 
 def test_media_feature_extractor_reports_real_jpeg_dims():
@@ -101,13 +112,12 @@ def test_raster_jpeg_channel_byte_parity():
     tests/test_raster.py pins against PNG)."""
     from credit_ocr_backend_ray.config import default_config
     from credit_ocr_backend_ray.functions.document import extract_document
-    from credit_ocr_backend_ray.sources.synth import (
-        raster_doc_bytes, raster_jpeg_doc_bytes)
+    from credit_ocr_backend_ray.sources.synth import raster_doc_bytes
 
     cfg = default_config()["credit_request"]
     for i in (0, 3, 17):
         png_out = extract_document(raster_doc_bytes(i), cfg)
-        jpg_out = extract_document(raster_jpeg_doc_bytes(i), cfg)
+        jpg_out = extract_document(_page(i), cfg)
         assert jpg_out["status"] == "Fertig"
         assert jpg_out["extracted_text"] == png_out["extracted_text"]
         assert jpg_out["fields"] == png_out["fields"]
@@ -121,3 +131,105 @@ def test_raster_jpeg_poison_is_isolated():
     out = extract_document(b"\xff\xd8\xff\xe0truncated",
                            default_config()["credit_request"])
     assert out["status"] == "Fehlerhaft"
+
+
+def _parity_corpus() -> list[bytes]:
+    """Seeded streams for the decoder parity guard: two raster pages
+    (mostly blank blocks, long Huffman codes at quality 100), gray, 4:4:4
+    and 4:2:0 streams at three qualities with and without restarts, a
+    DHT whose DC table holds categories above 16, and truncations and
+    bit flips of the small streams."""
+    g = _gray(64, 80, seed=5)
+    g[8:24, 16:56] = 255  # a flat patch next to noise
+    c = np.stack([g, 255 - g, np.roll(g, 9, axis=1)], axis=-1)
+    small = [encode_baseline_jpeg(g if kind == "gray" else c, quality=q,
+                                  subsample=kind == "420",
+                                  restart_interval=rst)
+             for kind in ("gray", "444", "420")
+             for q in (100, 50, 1) for rst in (0, 3)]
+    dc_over_16 = bytearray(small[0])
+    at = dc_over_16.find(b"\xff\xc4") + 21  # DC table 0's 12 symbols
+    dc_over_16[at:at + 12] = bytes([0, 1, 2, 3, 4, 40, 6, 7, 8, 9, 23, 200])
+    streams = [_page(0), _page(3), *small, bytes(dc_over_16)]
+    r = random.Random(2024)
+    for d in small:
+        scan = d.find(b"\xff\xda")
+        prec = d.find(b"\xff\xc0") + 4  # 8-bit frames only: P != 8 raises
+        for _ in range(6):
+            if r.random() < 0.3:
+                streams.append(d[:r.randrange(2, len(d))])
+                continue
+            b = bytearray(d)
+            for _ in range(r.choice((1, 1, 3))):
+                # two flips in three land in the scan, the rest anywhere
+                p = r.randrange(scan if r.random() < 0.67 else 2, len(b))
+                if p != prec:
+                    b[p] ^= 1 << r.randrange(8)
+            streams.append(bytes(b))
+    return streams
+
+
+def _outcome(data: bytes) -> bytes:
+    try:
+        a = decode_baseline_jpeg(data)
+    except Exception as e:  # noqa: BLE001 — the error is the outcome
+        return f"{type(e).__name__}: {e}".encode()
+    return str(a.shape).encode() + a.tobytes()
+
+
+# sha256 over the outcomes of _parity_corpus(), from the bit-serial
+# decoder that preceded the lookahead one
+_PARITY_DIGEST = ("b1d87b3ef79a36cf5613c58960f61bd5"
+                  "94b6423483a163bcc6019f6f1fe776a1")
+
+
+def test_decoder_outcomes_match_bit_serial_decoder():
+    """Every array and every (exception type, message) of the seeded
+    corpus is what the bit-serial decoder produced: the error text lands
+    in the output's ``error`` column, and ValueError vs other errors
+    decides ``decode_ok`` in media features."""
+    h = hashlib.sha256()
+    streams = _parity_corpus()
+    for d in streams:
+        h.update(hashlib.sha256(_outcome(d)).digest())
+    assert len(streams) == 129
+    assert h.hexdigest() == _PARITY_DIGEST
+
+
+def _bad_run_stream(pad: int) -> bytes:
+    """An 8x8 gray stream whose one block has ZRL x3 (k = 49) and then
+    run 15 / size 1, which lands on index 64; ``pad`` zero bytes follow,
+    so with a large pad the lookahead path reads the block."""
+    from credit_ocr_backend_ray.functions.jpeg import (
+        _AC_LUM, _DC_LUM, _BitWriter, _enc_table)
+
+    hdr = encode_baseline_jpeg(np.zeros((8, 8), np.uint8), quality=50)
+    sos = hdr.find(b"\xff\xda")
+    start = sos + 2 + int.from_bytes(hdr[sos + 2:sos + 4], "big")
+    dc, ac = _enc_table(*_DC_LUM), _enc_table(*_AC_LUM)
+    bw = _BitWriter()
+    bw.write(*dc[0])
+    for sym in (0xF0, 0xF0, 0xF0, 0xF1):
+        bw.write(*ac[sym])
+    bw.write(1, 1)  # the magnitude bit is read before the index fails
+    bw.flush()
+    return hdr[:start] + bytes(bw.out) + bytes(pad) + b"\xff\xd9"
+
+
+def test_decoder_errors_truncated_scan_and_ac_overrun():
+    from credit_ocr_backend_ray.stages.multimodal import MediaFeatureExtractor
+
+    full = encode_baseline_jpeg(_gray(64, 80, seed=5), quality=100)
+    with pytest.raises(ValueError, match="^entropy stream exhausted$"):
+        decode_baseline_jpeg(full[:len(full) * 3 // 5])
+    for pad in (0, 1024):  # bit-serial path; lookahead path
+        with pytest.raises(IndexError, match="^index 64 is out of bounds "
+                                             "for axis 0 with size 64$"):
+            decode_baseline_jpeg(_bad_run_stream(pad))
+    batch = pa.table({
+        "media_id": pa.array(["x"], pa.string()),
+        "media_type": pa.array(["image"], pa.string()),
+        "payload": pa.array([_bad_run_stream(0)], pa.binary()),
+        "meta": pa.array(["{}"], pa.string()),
+    })
+    assert MediaFeatureExtractor()(batch).to_pydict()["decode_ok"] == [False]
