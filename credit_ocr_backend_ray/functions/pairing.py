@@ -17,21 +17,29 @@ Semantics pinned to the reference's ``extract_label_value_pairs``
 - the "mark value line used" step resolves the value line by *first equal
   dict content* (the reference's ``list.index``), not by position.
 
-This implementation is O(n log n + pairs*n) per page instead of the
-reference's repeated-center-recomputation O(n^2) inner loops, with
-bit-identical float results (centers/heights are computed once with the
-same arithmetic expressions).
+Centers and heights are computed once per line with the reference's
+arithmetic, so every threshold and tie sees the same floats. Pass 2
+looks for a label's value only in a y-window: lines are in center-y
+order, an aligned line is at most ``reach = max(heights) * 0.1`` away in
+y (float rounding is monotone, so ``max(h_i, h_j) * 0.1 <= reach``), and
+the rounded distance only grows moving away from the label, so the scan
+in each direction stops at the first line past ``reach`` — exactly, with
+no epsilon. A page whose center ys or heights are not all finite, or not
+ascending, is scanned whole. In the window the reference's predicate
+runs unchanged, except that a NaN height aligns with nothing (its
+``max`` would depend on argument order). A window is about one text row,
+so a label costs a few comparisons instead of a pass over the page.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
 from credit_ocr_backend_ray.functions.geometry import (
     box_center_x, box_center_y, box_height,
 )
+
+_INF = float("inf")
 
 
 def _first_equal_index(lines: list[dict], target: dict) -> int:
@@ -92,35 +100,53 @@ def pair_label_values(
                 })
                 used.add(i)
 
-        # pass 2: two-column geometry — the candidate scan is vectorized
-        # (numpy float64 ops are the same IEEE expressions as the scalar
-        # loop, so thresholds/ties are bit-identical); argmin's first-min
-        # rule reproduces "ties keep the earlier line"
-        a_cx = np.asarray(cxs)
-        a_cy = np.asarray(cys)
-        a_ht = np.asarray(hts)
-        has_box = np.fromiter((bool(ln["bounding_box"]) for ln in lines),
-                              dtype=bool, count=len(lines))
-        free = np.ones(len(lines), dtype=bool)
-        for j in used:
-            free[j] = False
+        # pass 2: two-column geometry over each label's y-window (see the
+        # module docstring for why stopping at the first line past
+        # ``reach`` is exact); inf - inf is NaN and would end a scan
+        # early, so a page with a non-finite center y or height, or out
+        # of y order, is scanned whole
+        n = len(lines)
+        free = [j not in used for j in range(n)]
+        has_box = [bool(ln["bounding_box"]) for ln in lines]
+        windowed = (all(-_INF < v < _INF for v in cys)
+                    and all(-_INF < v < _INF for v in hts)
+                    and all(a <= b for a, b in zip(cys, cys[1:])))
+        if windowed:
+            reach = max(hts) * 0.1
 
         for i, ln in enumerate(lines):
             if i in used:
                 continue
             text = ln["text"].strip()
-            if cxs[i] >= x_split:
+            cx_i = cxs[i]
+            if cx_i >= x_split:
                 continue  # not a left-column label candidate
 
-            # nearest horizontally-aligned free line strictly to the right
+            # nearest horizontally-aligned free line strictly to the right:
+            # smallest center x wins (+inf included), ties keep the earlier
+            # line, and a NaN height never aligns
             best_j = None
             if has_box[i]:
-                cand = (free & has_box & (a_cx > cxs[i])
-                        & (np.abs(cys[i] - a_cy)
-                           <= np.maximum(hts[i], a_ht) * 0.1))
-                if cand.any():
-                    xs = np.where(cand, a_cx, np.inf)
-                    best_j = int(np.argmin(xs))
+                cy_i, h_i = cys[i], hts[i]
+                lo, hi = 0, n
+                if windowed:
+                    lo = i
+                    while lo > 0 and cy_i - cys[lo - 1] <= reach:
+                        lo -= 1
+                    hi = i + 1
+                    while hi < n and cys[hi] - cy_i <= reach:
+                        hi += 1
+                best_cx = None
+                for j in range(lo, hi):
+                    cx_j = cxs[j]
+                    if not (free[j] and has_box[j] and cx_j > cx_i):
+                        continue
+                    h_j = hts[j]
+                    if h_i != h_i or h_j != h_j:
+                        continue
+                    if (abs(cy_i - cys[j]) <= max(h_i, h_j) * 0.1
+                            and (best_cx is None or cx_j < best_cx)):
+                        best_j, best_cx = j, cx_j
 
             if best_j is not None:
                 value_line = lines[best_j]

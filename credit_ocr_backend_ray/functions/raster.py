@@ -254,14 +254,23 @@ def extract_raster_layout(data: bytes) -> dict[str, Any]:
             if width % cw:
                 raise ValueError(f"segment width {width} not a multiple "
                                  f"of the cell at rows {t}..{b}")
+            # one strided sample of the whole segment: cell k's sample
+            # ``cell[::s, ::s]`` is columns 8k..8k+7 of it, because cell
+            # k starts at c0 + k*cw and cw = 8*s; the (n, 12, 8) regroup
+            # packs each cell's 96 bits row-major, as packbits(cell) does
+            n = width // cw
+            small = (ink[t:t + span:s, c0:c0 + width:s]
+                     .reshape(GLYPH_H, n, GLYPH_W).transpose(1, 0, 2)
+                     .reshape(n, GLYPH_H * GLYPH_W))
+            blank = (~small.any(axis=1)).tolist()
+            keys = np.packbits(small, axis=1).tobytes()
+            nb = GLYPH_H * GLYPH_W // 8
             chars = []
-            for k in range(width // cw):
-                cell = ink[t:t + span, c0 + k * cw:c0 + (k + 1) * cw]
-                small = cell[::s, ::s]
-                if not small.any():
+            for k in range(n):
+                if blank[k]:
                     chars.append(" ")
                     continue
-                ch = _TEMPLATES.get(np.packbits(small).tobytes())
+                ch = _TEMPLATES.get(keys[k * nb:(k + 1) * nb])
                 if ch is None:
                     raise ValueError(f"unrecognized glyph in cell {k} at "
                                      f"rows {t}..{b}")

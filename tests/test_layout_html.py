@@ -1,7 +1,10 @@
 """Layout flattening (reference postprocess.py:20-71 semantics) and the
 DOM text-density HTML extractor."""
 
+import hashlib
 import json
+import math
+import random
 
 from credit_ocr_backend_ray.functions.html_extract import (
     extracted_text_from_lines, html_to_lines, link_stats, node_text, parse_dom,
@@ -90,3 +93,100 @@ def test_dl_pairs():
         "<html><body><main><dl><dt>Firmenname</dt><dd>X GmbH</dd>"
         "</dl></main></body></html>")
     assert [l["text"] for l in lines] == ["Firmenname", "X GmbH"]
+
+
+def _random_layout_doc(r: random.Random) -> dict:
+    """Up to two pages of lines and words on a few shared rows: polygons
+    that are absent, empty, cut short or shuffled, coordinates mixing
+    ints, rounded floats, NaN and +-inf, and None/absent confidences."""
+    special = (math.nan, math.inf, -math.inf)
+    wild = r.random() < 0.4
+
+    def v(base):
+        u = r.random()
+        if wild and u < 0.06:
+            return r.choice(special)
+        if u < 0.15:
+            return r.randint(0, 5)
+        if u < 0.4:
+            return base
+        return round(base + r.uniform(-0.1, 0.1), r.choice((1, 2, 6)))
+
+    def poly(x, y, w, h):
+        u = r.random()
+        if u < 0.08:
+            return None if u < 0.05 else []
+        pts = [{"x": v(x), "y": v(y)}, {"x": v(x + w), "y": v(y)},
+               {"x": v(x + w), "y": v(y + h)}, {"x": v(x), "y": v(y + h)}]
+        if r.random() < 0.3:
+            r.shuffle(pts)
+        return pts[:r.randint(1, 3)] if r.random() < 0.1 else pts
+
+    pages = []
+    for pn in range(r.randint(0, 2)):
+        rows = [r.choice((0.5, 1.0, 1.2, 2.0, 3.0, 3.05))
+                for _ in range(r.randint(1, 6))]
+        lines = [{"content": "l", "polygon": poly(
+                     r.choice((0.2, 0.5, 3.0)), r.choice(rows) - 0.05,
+                     r.choice((1.0, 3.0)), r.choice((0.1, 0.12, 0.2)))}
+                 for _ in range(r.randint(0, 8))]
+        words = []
+        for _ in range(r.randint(0, 16)):
+            w = {"content": "w", "polygon": poly(
+                r.choice((0.2, 0.6, 1.1, 3.0, 3.5)), r.choice(rows) - 0.05,
+                0.4, r.choice((0.1, 0.12)))}
+            u = r.random()
+            if u < 0.15:
+                w["confidence"] = None
+            elif u < 0.9:
+                w["confidence"] = r.choice((0.913, 0.5, 1.0, 0.333, 1))
+            words.append(w)
+        pages.append({"page_number": pn + 1, "lines": lines,
+                      "words": words})
+    return {"pages": pages}
+
+
+def _edge_docs() -> list[dict]:
+    """A line holding three words out of y order whose rounded mean
+    depends on the summation order (0.63 in word order, 0.64 in y
+    order), and lines with string coordinates, which fail or not exactly
+    where the all-words scan's comparisons did."""
+    def box(x0, x1, y0, y1):
+        return [{"x": x0, "y": y0}, {"x": x1, "y": y0},
+                {"x": x1, "y": y1}, {"x": x0, "y": y1}]
+
+    line = {"content": "a b c", "polygon": box(0, 3, 0.9, 1.1)}
+    words = [_word("a", 0.1, 1.05, 0.964), _word("b", 1.0, 0.95, 0.517),
+             _word("c", 2.0, 1.0, 0.424)]
+    return [
+        {"pages": [{"page_number": 1, "lines": [line], "words": words}]},
+        {"pages": [{"page_number": 1, "words": words, "lines": [
+            {"content": "s", "polygon": box(0, 3, "0.9", "1.1")}]}]},
+        {"pages": [{"page_number": 1, "words": words, "lines": [
+            {"content": "s", "polygon": box(5, 6, "0.9", "1.1")}]}]},
+        {"pages": [{"page_number": 1, "words": [], "lines": [
+            {"content": "s", "polygon": box("0", "3", 0.9, 1.1)}]}]},
+    ]
+
+
+# sha256 over the outcomes of 300 _random_layout_doc(random.Random(11))
+# docs and _edge_docs(), from the all-words containment scan that
+# preceded the y-window
+_PARITY_DIGEST = ("5c086b265b1119f32ae48b33fe3e01ad"
+                  "3246fad4a474f7e893d3b5c72ccfd714")
+
+
+def test_flatten_outcomes_match_all_words_scan():
+    """Every record list of a seeded corpus with NaN/inf polygons and
+    None confidences is what testing every word against every line
+    produced (the float sum order shows in ``round(mean, 2)``)."""
+    r = random.Random(11)
+    h = hashlib.sha256()
+    docs = [_random_layout_doc(r) for _ in range(300)] + _edge_docs()
+    for doc in docs:
+        try:
+            out = repr(flatten_layout(doc))
+        except Exception as e:  # noqa: BLE001 — the error is the outcome
+            out = f"{type(e).__name__}: {e}"
+        h.update(hashlib.sha256(out.encode()).digest())
+    assert h.hexdigest() == _PARITY_DIGEST

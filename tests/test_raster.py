@@ -6,6 +6,9 @@ reference's image-upload seam (src/api/main.py:331-338, OCR at
 src/ocr/azure_ocr_client.py:28-63) restated as deterministic template
 OCR (functions/raster.py)."""
 
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -119,3 +122,66 @@ def test_render_rejects_out_of_scope_geometry():
     with pytest.raises(ValueError, match="charset"):
         render_page_png([{"text": "☃", "x_in": 1.0, "y_top_in": 1.0,
                           "h_in": 0.12}], dpi=100)
+
+
+def _parity_pages() -> list[bytes]:
+    """Two renders (glyph scale 2 at 200 dpi; scales 1, 2 and 3 at 100
+    dpi, with spaces and two segments on one band) and 20 copies with one
+    to three pixels flipped: some inside a cell's sampled grid, some
+    between its samples, some next to the ink."""
+    from credit_ocr_backend_ray.functions.png import decode_png, encode_png
+    from credit_ocr_backend_ray.functions.raster import _phys_chunk
+
+    renders = [
+        (200, [{"text": "Kreditbetrag in EUR", "x_in": 0.2, "y_top_in": 0.2,
+                "h_in": 0.12},
+               {"text": "700.000 €  ß²", "x_in": 2.5, "y_top_in": 0.21,
+                "h_in": 0.12},
+               {"text": "A: B", "x_in": 0.3, "y_top_in": 0.5,
+                "h_in": 0.12}]),
+        (100, [{"text": "Firmenname", "x_in": 0.2, "y_top_in": 0.2,
+                "h_in": 0.12},
+               {"text": "Demo GmbH", "x_in": 2.0, "y_top_in": 0.2,
+                "h_in": 0.24},
+               {"text": "x ÄÖÜ", "x_in": 0.2, "y_top_in": 0.6,
+                "h_in": 0.36}]),
+    ]
+    pages = [render_page_png(runs, dpi=dpi) for dpi, runs in renders]
+    r = random.Random(7)
+    for (dpi, _), png in zip(renders, list(pages)):
+        ink = decode_png(png)[:, :, 0] < 128
+        ys, xs = np.nonzero(ink)
+        for _ in range(10):
+            flipped = ink.copy()
+            for _ in range(r.choice((1, 1, 3))):
+                i = r.randrange(len(ys))
+                y = ys[i] + r.choice((0, 0, 1, -1, -3))
+                x = xs[i] + r.choice((0, 0, 1, 2, -3))
+                flipped[y, x] = not flipped[y, x]
+            page = np.where(flipped[:, :, None], 0, 255).astype(np.uint8)
+            page = np.repeat(page, 3, axis=2)
+            enc = encode_png(page)
+            pages.append(enc[:33] + _phys_chunk(dpi) + enc[33:])
+    return pages
+
+
+# sha256 over the outcomes of _parity_pages(), from the per-cell sample
+# and packbits loop that preceded the one-pass segment sample
+_PARITY_DIGEST = ("2d56044986d37aa3625893291e1ee4f0"
+                  "7341d0c95abcf3f9f1439614303006fe")
+
+
+def test_raster_outcomes_match_per_cell_decode():
+    """Every layout document and every (exception type, message) of the
+    seeded pages is what sampling and packing each cell on its own
+    produced; the messages name the cell and rows that failed."""
+    h = hashlib.sha256()
+    pages = _parity_pages()
+    for png in pages:
+        try:
+            out = repr(extract_raster_layout(png))
+        except Exception as e:  # noqa: BLE001 — the error is the outcome
+            out = f"{type(e).__name__}: {e}"
+        h.update(hashlib.sha256(out.encode()).digest())
+    assert len(pages) == 22
+    assert h.hexdigest() == _PARITY_DIGEST

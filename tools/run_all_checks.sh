@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
-# Everything the engine claims, in one command (~10 min):
+# Everything the engine claims, in one command (well over 20 min on a
+# 1-CPU host, where the pytest step alone takes 18-25 min):
 #   unit/differential/property tests, the DuckDB oracle gate at two
-#   scales, fault-tolerance probes, and the headline bench.
+#   scales, fault-tolerance probes, and the historical 32-CPU bench.py
+#   run (the performance yardstick is benchmark/run.py, see
+#   benchmark/README.md).
 set -e
 cd "$(dirname "$0")/.."
 echo "== pytest =="
@@ -16,5 +19,5 @@ echo "== extract-worker-kill probe =="
 python tools/chaos_probe.py 20000
 echo "== driver-kill resume probe =="
 python tools/resume_probe.py 20000
-echo "== headline bench (32 cpus, sf0.1) =="
+echo "== historical bench.py run (32-cpu figures, sf0.1) =="
 python bench.py
