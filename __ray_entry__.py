@@ -97,7 +97,6 @@ def _q_agg_pricing(sf_dir: str):
     between engines: at sf0.1 the drift reached ~2e-4 on a 5e9 sum, right
     at the rounding granularity, so float sums of money can never be
     hash-compared reliably."""
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import grouped_agg
 
     ds = _rp(_t(sf_dir, "lineitem"), columns=[
@@ -132,7 +131,6 @@ def _q_agg_pricing(sf_dir: str):
 def _q_filter_revenue(sf_dir: str):
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray.data as rd
 
     cutoff = pa.scalar(pd.Timestamp("1996-01-01"), pa.timestamp("us"))
 
@@ -159,7 +157,6 @@ def _q_recent_orders_pushdown(sf_dir: str):
     parquet row-group statistics before any block leaves storage ("prune
     at the read"), composed with column pruning."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     expr = (pc.field("o_orderdate") >= pa_timestamp("1998-01-01")) & (
         pc.field("o_totalprice") > 300_000.0)
@@ -176,7 +173,6 @@ def pa_timestamp(s: str):
 
 
 def _q_latest_event_per_user(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import latest_per_key
 
     ds = _rp(_t(sf_dir, "events"), columns=[
@@ -187,7 +183,6 @@ def _q_latest_event_per_user(sf_dir: str):
 def _q_top_lineitems_global(sf_dir: str):
     """Global top-k via per-batch pruning — contrast with newest_orders,
     which exercises the full cluster sort path."""
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import global_topk
 
     ds = _rp(_t(sf_dir, "lineitem"), columns=[
@@ -205,7 +200,6 @@ def _q_top_lineitems_global(sf_dir: str):
 
 
 def _q_newest_orders(sf_dir: str):
-    import ray.data as rd
     ds = _rp(_t(sf_dir, "orders"), columns=[
         "o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"])
     return ds.sort(["o_orderdate", "o_orderkey"],
@@ -213,7 +207,6 @@ def _q_newest_orders(sf_dir: str):
 
 
 def _q_customer_nation(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import broadcast_join
 
     nation = pq.read_table(_t(sf_dir, "nation")).to_pandas()
@@ -229,7 +222,6 @@ def _q_customer_nation(sf_dir: str):
 
 
 def _q_top_brands_revenue(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import broadcast_join, grouped_agg
 
     part = pq.read_table(_t(sf_dir, "part"),
@@ -262,7 +254,6 @@ def _q_top_brands_revenue(sf_dir: str):
 def _q_dedup_exact_documents(sf_dir: str):
     import hashlib
     import pyarrow as pa
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.dedup import dedup_exact
 
     def add_hash(t: pa.Table) -> pa.Table:
@@ -277,7 +268,6 @@ def _q_dedup_exact_documents(sf_dir: str):
 
 
 def _q_doc_text_stats(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.text import text_stats_batch
 
     ds = _rp(_t(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -287,7 +277,6 @@ def _q_doc_text_stats(sf_dir: str):
 
 
 def _q_doc_fingerprint(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.text import fingerprint_batch
 
     ds = _rp(_t(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -296,7 +285,6 @@ def _q_doc_fingerprint(sf_dir: str):
 
 
 def _q_lang_counts(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import grouped_agg
 
     ds = _rp(_t(sf_dir, "documents"), columns=["lang", "n_chars"])
@@ -305,7 +293,6 @@ def _q_lang_counts(sf_dir: str):
 
 
 def _q_events_daily_window(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import windowed_agg
 
     ds = _rp(_t(sf_dir, "events"),
@@ -323,7 +310,6 @@ def _q_events_daily_window(sf_dir: str):
 
 
 def _q_orders_lineitem_join(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import shuffle_join
 
     li = _rp(_t(sf_dir, "lineitem"),
@@ -338,7 +324,6 @@ def _q_orders_lineitem_join(sf_dir: str):
 def _q_customer_order_counts(sf_dir: str):
     """LEFT OUTER shuffle join + grouped count of the non-null right keys
     (customers with no orders keep n_orders = 0)."""
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import (
         grouped_agg, shuffle_join)
 
@@ -358,7 +343,6 @@ def _q_customer_order_counts(sf_dir: str):
 
 
 def _q_supplier_acctbal_stats(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import grouped_stats
 
     ds = _rp(_t(sf_dir, "supplier"),
@@ -384,7 +368,6 @@ def _q_supplier_acctbal_stats(sf_dir: str):
 
 
 def _q_top_orders_per_priority(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import topk_per_group
 
     ds = _rp(_t(sf_dir, "orders"), columns=[
@@ -395,7 +378,6 @@ def _q_top_orders_per_priority(sf_dir: str):
 
 
 def _q_sessionize_events(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import sessionize
 
     ds = _rp(_t(sf_dir, "events"),
@@ -413,7 +395,6 @@ def _q_sessionize_events(sf_dir: str):
 
 
 def _q_asof_latest_order(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import asof_join
 
     ev = _rp(_t(sf_dir, "events"),
@@ -438,7 +419,6 @@ def _q_asof_latest_order_broadcast(sf_dir: str):
     """Same semantics as ``asof_latest_order`` via the shuffle-free
     broadcast variant (right side is dimension-sized here); shares the
     same DuckDB oracle, proving the two compositions agree."""
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import asof_join_broadcast
 
     ev = _rp(_t(sf_dir, "events"),
@@ -460,7 +440,6 @@ def _q_asof_latest_order_broadcast(sf_dir: str):
 
 
 def _q_events_hopping_window(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import hopping_window_agg
 
     ds = _rp(_t(sf_dir, "events"),
@@ -504,7 +483,6 @@ def _q_events_watermarked(sf_dir: str):
 
 
 def _q_customers_without_events(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import broadcast_anti_join
 
     users = set(pq.read_table(_t(sf_dir, "events"),
@@ -515,7 +493,6 @@ def _q_customers_without_events(sf_dir: str):
 
 
 def _q_customer_running_total(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import running_sum
 
     ds = _rp(_t(sf_dir, "orders"), columns=[
@@ -531,7 +508,6 @@ def _q_customer_running_total(sf_dir: str):
 
 
 def _q_event_value_zscore(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import grouped_zscore
 
     ds = _rp(_t(sf_dir, "events"),
@@ -546,7 +522,6 @@ def _q_event_value_zscore(sf_dir: str):
 
 
 def _q_event_value_delta(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import lag_delta
 
     ds = _rp(_t(sf_dir, "events"),
@@ -563,7 +538,6 @@ def _q_event_value_delta(sf_dir: str):
 
 
 def _q_brand_price_median(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import grouped_quantile
 
     ds = _rp(_t(sf_dir, "part"),
@@ -579,7 +553,6 @@ def _q_brand_price_median(sf_dir: str):
 
 
 def _q_order_price_histogram(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import histogram
 
     ds = _rp(_t(sf_dir, "orders"), columns=["o_totalprice"])
@@ -587,7 +560,6 @@ def _q_order_price_histogram(sf_dir: str):
 
 
 def _q_distinct_event_types(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import distinct
 
     ds = _rp(_t(sf_dir, "events"), columns=["event_type"])
@@ -595,8 +567,6 @@ def _q_distinct_event_types(sf_dir: str):
 
 
 def _q_union_hot_lineitems(sf_dir: str):
-    import ray.data as rd
-
     cols = ["l_orderkey", "l_linenumber", "l_returnflag", "l_quantity",
             "l_discount"]
 
@@ -617,7 +587,6 @@ def _q_union_hot_lineitems(sf_dir: str):
 
 
 def _q_event_user_count_distinct(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import grouped_count_distinct
 
     ds = _rp(_t(sf_dir, "events"),
@@ -627,7 +596,6 @@ def _q_event_user_count_distinct(sf_dir: str):
 
 
 def _q_customers_with_events(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import broadcast_semi_join
 
     users = set(pq.read_table(_t(sf_dir, "events"),
@@ -638,7 +606,6 @@ def _q_customers_with_events(sf_dir: str):
 
 
 def _click_purchase_sides(sf_dir: str):
-    import ray.data as rd
     ev = _rp(_t(sf_dir, "events"),
                          columns=["user_id", "event_type"])
     a = ev.filter(expr="event_type == 'click'")
@@ -655,7 +622,6 @@ def _q_click_and_purchase_users(sf_dir: str):
 def _q_order_customers_no_events(sf_dir: str):
     """Shuffle-based EXCEPT (contrast: ``customers_without_events`` is the
     broadcast anti-join form of the same semantics)."""
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import set_op
 
     od = (_rp(_t(sf_dir, "orders"), columns=["o_custkey"])
@@ -666,7 +632,6 @@ def _q_order_customers_no_events(sf_dir: str):
 
 
 def _q_user_event_pivot(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import pivot_sum
 
     ds = _rp(_t(sf_dir, "events"),
@@ -690,7 +655,6 @@ _PRICE_BANDS = pd.DataFrame({
 
 
 def _q_orders_price_band_join(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import range_join_broadcast
 
     ds = _rp(_t(sf_dir, "orders"),
@@ -700,7 +664,6 @@ def _q_orders_price_band_join(sf_dir: str):
 
 
 def _q_returnflag_qty_price_corr(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import grouped_corr
 
     ds = _rp(_t(sf_dir, "lineitem"),
@@ -717,7 +680,6 @@ def _q_returnflag_qty_price_corr(sf_dir: str):
 
 
 def _q_priority_price_quartiles(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import grouped_multi_quantile
 
     ds = _rp(_t(sf_dir, "orders"),
@@ -734,7 +696,6 @@ def _q_priority_price_quartiles(sf_dir: str):
 
 
 def _q_order_price_ntile(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import ntile
 
     ds = _rp(_t(sf_dir, "orders"), columns=[
@@ -743,7 +704,6 @@ def _q_order_price_ntile(sf_dir: str):
 
 
 def _q_documents_sample(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import deterministic_sample
 
     ds = _rp(_t(sf_dir, "documents"), columns=["doc_id", "lang"])
@@ -754,7 +714,6 @@ def _q_heavy_hitter_terms(sf_dir: str):
     """Approximate heavy-hitter tokens via count-min sketch + exact
     verification — the sketch companion to the exact ``top_terms``."""
     import pyarrow as pa
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.sketch import cms_heavy_hitters
 
     def tokenize(t: pa.Table) -> pa.Table:
@@ -778,7 +737,6 @@ def _q_heavy_hitter_terms(sf_dir: str):
 
 
 def _q_top_terms(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.text import top_terms
 
     ds = _rp(_t(sf_dir, "documents"), columns=["text"])
@@ -786,7 +744,6 @@ def _q_top_terms(sf_dir: str):
 
 
 def _q_user_top_event_type(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import mode_per_key
 
     ds = _rp(_t(sf_dir, "events"),
@@ -797,7 +754,6 @@ def _q_user_top_event_type(sf_dir: str):
 def _q_asof_next_event(sf_dir: str):
     """Forward as-of: each order finds its customer's earliest event at or
     after the order date (order dates all precede the event stream)."""
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import asof_join
 
     od = _rp(_t(sf_dir, "orders"),
@@ -876,7 +832,6 @@ def _q_click_to_purchase_median(sf_dir: str):
 
 
 def _q_approx_user_count(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.sketch import approx_count_distinct
 
     ds = _rp(_t(sf_dir, "events"),
@@ -886,7 +841,6 @@ def _q_approx_user_count(sf_dir: str):
 
 
 def _q_pricing_rollup(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import rollup_agg
 
     ds = _rp(_t(sf_dir, "lineitem"),
@@ -911,7 +865,6 @@ def _q_pricing_rollup(sf_dir: str):
 
 
 def _q_user_event_history(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.relational import grouped_concat
 
     ds = _rp(_t(sf_dir, "events"),
@@ -926,7 +879,6 @@ def _q_approx_price_quantiles(sf_dir: str):
     relative to the exact quantile, the sketch itself is DETERMINISTIC —
     bin counts are exact histograms and the within-bin interpolation is
     a fixed float64 formula — so it is SQL-oracled bit-for-bit (r5)."""
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.sketch import approx_quantile
 
     ds = _rp(_t(sf_dir, "orders"), columns=["o_totalprice"])
@@ -984,7 +936,6 @@ def _q_epoch_packed_sequences(sf_dir: str):
     doc_id back on via one hash join."""
     import hashlib
     import pyarrow as pa
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.chunking import pack_sequences
 
     def _ekeys(ids: list) -> list[int]:
@@ -1228,7 +1179,6 @@ def _q_events_from_jsonl_robust(sf_dir: str):
     planted every 100 lines; good rows aggregate to the SAME oracle as
     the clean file (the quarantine absorbs exactly the planted lines —
     asserted), instead of rd.read_json aborting the whole job."""
-    import ray.data as rd
     from credit_ocr_backend_ray.sources.warc import read_jsonl_robust
 
     d = _events_alt_format(sf_dir, "jsonl")
@@ -1275,7 +1225,6 @@ def _knn_queries(sf_dir: str) -> np.ndarray:
 
 
 def _q_knn_cosine(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.similarity import knn_bruteforce
 
     ds = _rp(_t(sf_dir, "embeddings"),
@@ -1285,7 +1234,6 @@ def _q_knn_cosine(sf_dir: str):
 
 def _q_media_features(sf_dir: str):
     import pyarrow as pa
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.multimodal import MediaFeatureExtractor
 
     def to_media(t: pa.Table) -> pa.Table:
@@ -1358,8 +1306,6 @@ def _q_media_image_dims(sf_dir: str):
 # --------- non-SQL (rows-only) queries
 
 def _q_extract_flagship(sf_dir: str):
-    import ray.data as rd
-
     ds = _rp(_flagship_output(sf_dir))
     return ds.select_columns([
         "url", "content_sha256", "extracted_text", "n_lines", "n_pairs",
@@ -1368,7 +1314,6 @@ def _q_extract_flagship(sf_dir: str):
 
 def _q_extract_fields_long(sf_dir: str):
     import pyarrow as pa
-    import ray.data as rd
 
     ds = _rp(_flagship_output(sf_dir))
 
@@ -1569,7 +1514,6 @@ def _q_mixed_channel_extract(sf_dir: str):
 def _q_annotation_render(sf_dir: str):
     import hashlib
     import pyarrow as pa
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.multimodal import PageRenderer
 
     # render a bounded subset: each page raster is ~6 MB of pixels
@@ -1599,7 +1543,6 @@ def _q_annotation_augmented(sf_dir: str):
     tests."""
     import hashlib
     import pyarrow as pa
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.multimodal import (
         ImageAugmenter, PageRenderer)
 
@@ -1626,7 +1569,6 @@ def _q_annotation_augmented(sf_dir: str):
 def _q_annotation_thumbnails(sf_dir: str):
     import hashlib
     import pyarrow as pa
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.multimodal import (
         PageRenderer, ThumbnailMaker)
 
@@ -1655,7 +1597,6 @@ def _q_video_frame_sample(sf_dir: str):
     import hashlib
     import numpy as np
     import pyarrow as pa
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.multimodal import FrameSampler
 
     def synth_videos(t: pa.Table) -> pa.Table:
@@ -1700,7 +1641,6 @@ def _q_audio_resample(sf_dir: str):
     import json
     import numpy as np
     import pyarrow as pa
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.multimodal import PcmResampler
 
     def synth_audio(t: pa.Table) -> pa.Table:
@@ -1803,7 +1743,6 @@ def _q_audio_features(sf_dir: str):
 
 
 def _q_annotation_plans(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.multimodal import PageAnnotator
 
     ds = _rp(_flagship_output(sf_dir),
@@ -1816,8 +1755,6 @@ def _q_document_status_listing(sf_dir: str):
     """The reference API's read side (GET status / list-by-type,
     /root/reference/src/api/main.py:397-414, dms service ORDER BY
     erstellt_am DESC listings) over the extraction output: newest first."""
-    import ray.data as rd
-
     ds = _rp(_flagship_output(sf_dir),
                          columns=["url", "warc_ts", "status", "n_pairs",
                                   "error"])
@@ -1830,7 +1767,6 @@ def _q_extraction_prompts(sf_dir: str):
     string; digests keep the result small."""
     import hashlib
     import pyarrow as pa
-    import ray.data as rd
     from credit_ocr_backend_ray.config import default_config
     from credit_ocr_backend_ray.functions.document import payload_to_lines
     from credit_ocr_backend_ray.functions.llm_seam import (
@@ -1877,8 +1813,6 @@ def _q_training_batches(sf_dir: str):
     through ``iter_batches`` (fixed batch size, zero-copy Arrow) the way a
     trainer's data loader would, emitting per-batch descriptors. Streaming
     consumption — no take_all/to_pandas of the corpus."""
-    import ray.data as rd
-
     ds = _rp(_t(sf_dir, "documents"),
                          columns=["doc_id", "n_chars"])
     rows = []
@@ -1899,7 +1833,6 @@ def _q_training_batches(sf_dir: str):
 
 
 def _q_lang_id(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.text import lang_id_batch
 
     ds = _rp(_t(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -1908,8 +1841,7 @@ def _q_lang_id(sf_dir: str):
         ["doc_id", "pred_lang"])
 
 
-def _q_quality(sf_dir: str):
-    import ray.data as rd
+def _q_quality_scores(sf_dir: str):
     from credit_ocr_backend_ray.stages.text import quality_batch
 
     ds = _rp(_t(sf_dir, "documents"), columns=["doc_id", "text"])
@@ -1970,7 +1902,6 @@ def _q_dedup_ngram_jaccard(sf_dir: str):
 
 
 def _q_knn_ivf(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.similarity import knn_ivf
 
     ds = _rp(_t(sf_dir, "embeddings"),
@@ -2034,7 +1965,6 @@ def _q_embedding_near_dup(sf_dir: str):
 
 
 def _q_knn_lsh(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.similarity import knn_lsh
 
     ds = _rp(_t(sf_dir, "embeddings"),
@@ -2054,7 +1984,6 @@ def _q_dedup_clusters(sf_dir: str):
 
 
 def _q_kmeans_fit_history(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.similarity import kmeans_fit
 
     ds = _rp(_t(sf_dir, "embeddings"),
@@ -2067,7 +1996,6 @@ def _q_kmeans_fit_history(sf_dir: str):
 
 
 def _q_kmeans_assign(sf_dir: str):
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.similarity import ivf_assign
 
     ds = _rp(_t(sf_dir, "embeddings"),
@@ -2606,7 +2534,6 @@ def _q_user_gap_median(sf_dir: str):
     inverted_cdf — an actual element of the group, so the SQL
     quantile_disc restatement is exact; users with one event drop
     with their NULL first-delta by the quantile's null contract)."""
-    import numpy as np
     import pandas as pd
 
     from credit_ocr_backend_ray.stages.relational import (grouped_quantile,
@@ -3225,7 +3152,6 @@ def _q_dedup_latest_events(sf_dir: str):
     SQL oracle (reference S12 last-write-wins upsert, generalized): keep
     every row tying the max ts per user — ties-survive set semantics,
     deterministic under any partitioning."""
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.dedup import dedup_latest
 
     ds = _rp(_t(sf_dir, "events"),
@@ -3243,7 +3169,6 @@ def _q_llm_field_extract(sf_dir: str):
     assembly / fenced-JSON parsing / grounding per batch. Deterministic
     offline client (no model weights in this container); rows-only by
     nature (model scoring has no SQL equivalent)."""
-    import ray.data as rd
     from credit_ocr_backend_ray.stages.llm_map import LLMFieldMapper
 
     inp = _flagship_input(sf_dir)
@@ -3616,7 +3541,6 @@ def _q_event_type_pagerank(sf_dir: str):
     0.0)."""
     import pyarrow as pa
     from credit_ocr_backend_ray.stages.graph import pagerank
-    from credit_ocr_backend_ray.stages.relational import grouped_agg
 
     ev = _rp(_t(sf_dir, "events"), columns=["user_id", "event_type"])
     types = sorted(ev.groupby("event_type").count()
@@ -4199,7 +4123,6 @@ def _q_canonical_urls(sf_dir: str):
     query) — the dedup key a multi-crawl corpus collapses on. The oracle
     pins the exact canonical string per variant class."""
     import pyarrow as pa
-    import ray.data as rd
     from credit_ocr_backend_ray.functions.links import (
         canonicalize_urls_batch)
 
@@ -4234,7 +4157,6 @@ def _q_documents_from_warc(sf_dir: str):
     back through the native WARC source, recover (doc_id, text) — the
     content must hash-match a plain scan of the source table."""
     import pyarrow as pa
-    import ray.data as rd
     from datetime import datetime, timedelta
     from credit_ocr_backend_ray.sources.warc import read_warc, write_warc
 
@@ -4811,7 +4733,6 @@ def _q_orders_snapshot_diff(sf_dir: str):
     hard-linked are skipped on inode identity without reading a byte.
     The oracle is the merge definition itself: updated keys are
     'changed', inserted keys 'added', nothing 'removed'."""
-    import ray.data as rd
     from credit_ocr_backend_ray.state.bucket_store import snapshot_diff
 
     _q_orders_merged(sf_dir)  # (re)builds base + snapshot, idempotent
@@ -4935,7 +4856,7 @@ def _q_events_compacted(sf_dir: str):
     return rd.read_parquet(comp)
 
 
-def _q_temperature_mix(sf_dir: str):
+def _q_temperature_mix_sample(sf_dir: str):
     """alpha=0.5 temperature-mixed half-corpus sample: small sources
     up-weighted, integer-exact per-source md5 thresholds."""
     from credit_ocr_backend_ray.stages.curate import temperature_mix_sample
@@ -5085,6 +5006,56 @@ _SHOWCASE_ORDER = [
     "pricing_rollup",
 ]
 
+# The queries with no SQL oracle (rows-only checked), in registry order.
+_ROWS_ONLY_ORDER = [
+    "approx_user_count",
+    "lr_quality_fit",
+    "knn_recall",
+    "knn_rank_eval",
+    "embedding_pca",
+    "image_phash_dups",
+    "audio_features",
+    "video_scene_cuts",
+    "price_quantiles_kll",
+    "priority_quantiles_kll",
+    "bpe_vocab_stats",
+    "near_dup_index_probe",
+    "llm_field_extract",
+    "media_image_dims",
+    "web_corpus",
+    "page_link_stats",
+    "approx_daily_users",
+    "host_indegree",
+    "doc_compression",
+    "approx_source_overlap",
+    "extract_flagship",
+    "document_status_listing",
+    "extract_fields_long",
+    "annotation_plans",
+    "annotation_render",
+    "annotation_thumbnails",
+    "annotation_augmented",
+    "pdf_extract_pairs",
+    "raster_extract_pairs",
+    "mixed_channel_extract",
+    "video_frame_sample",
+    "audio_resample",
+    "extraction_prompts",
+    "curate_documents",
+    "dedup_minhash",
+    "dedup_simhash",
+    "dedup_ngram_jaccard",
+    "dedup_clusters",
+    "knn_ivf",
+    "knn_ivf_persisted",
+    "kmeans_assign",
+    "kmeans_fit_history",
+    "embedding_near_dup",
+    "knn_lsh",
+    "mmr_diversify",
+    "knn_pq",
+]
+
 
 def queries() -> dict[str, Callable[[str], Any]]:
     # Ordered: the breadth-showcase list first (all oracled), then the
@@ -5093,258 +5064,12 @@ def queries() -> dict[str, Callable[[str], Any]]:
     # rows-only one, and the 50-entry enumeration cap sees one query per
     # operator family.
     q = _all_queries()
-    oracled = oracle_sql()
-    ordered = {k: q[k] for k in _SHOWCASE_ORDER if k in q}
-    ordered.update({k: q[k] for k in oracled if k in q})
-    ordered.update({k: v for k, v in q.items() if k not in oracled})
-    return ordered
+    return {k: q[k] for k in dict.fromkeys(
+        [*_SHOWCASE_ORDER, *oracle_sql(), *_ROWS_ONLY_ORDER])}
 
 
 def _all_queries() -> dict[str, Callable[[str], Any]]:
-    return {
-        "agg_pricing": _q_agg_pricing,
-        "filter_revenue": _q_filter_revenue,
-        "recent_orders_pushdown": _q_recent_orders_pushdown,
-        "latest_event_per_user": _q_latest_event_per_user,
-        "newest_orders": _q_newest_orders,
-        "top_lineitems_global": _q_top_lineitems_global,
-        "customer_nation": _q_customer_nation,
-        "top_brands_revenue": _q_top_brands_revenue,
-        "orders_lineitem_join": _q_orders_lineitem_join,
-        "supplier_acctbal_stats": _q_supplier_acctbal_stats,
-        "customer_order_counts": _q_customer_order_counts,
-        "top_orders_per_priority": _q_top_orders_per_priority,
-        "sessionize_events": _q_sessionize_events,
-        "asof_latest_order": _q_asof_latest_order,
-        "asof_latest_order_broadcast": _q_asof_latest_order_broadcast,
-        "events_hopping_window": _q_events_hopping_window,
-        "events_watermarked": _q_events_watermarked,
-        "orders_global_rank": _q_orders_global_rank,
-        "customers_without_events": _q_customers_without_events,
-        "customer_running_total": _q_customer_running_total,
-        "event_value_delta": _q_event_value_delta,
-        "event_value_zscore": _q_event_value_zscore,
-        "brand_price_median": _q_brand_price_median,
-        "order_price_histogram": _q_order_price_histogram,
-        "distinct_event_types": _q_distinct_event_types,
-        "union_hot_lineitems": _q_union_hot_lineitems,
-        "event_user_count_distinct": _q_event_user_count_distinct,
-        "customers_with_events": _q_customers_with_events,
-        "click_and_purchase_users": _q_click_and_purchase_users,
-        "order_customers_no_events": _q_order_customers_no_events,
-        "user_event_pivot": _q_user_event_pivot,
-        "orders_price_band_join": _q_orders_price_band_join,
-        "returnflag_qty_price_corr": _q_returnflag_qty_price_corr,
-        "priority_price_quartiles": _q_priority_price_quartiles,
-        "order_price_ntile": _q_order_price_ntile,
-        "documents_sample": _q_documents_sample,
-        "top_terms": _q_top_terms,
-        "heavy_hitter_terms": _q_heavy_hitter_terms,
-        "user_top_event_type": _q_user_top_event_type,
-        "asof_next_event": _q_asof_next_event,
-        "approx_user_count": _q_approx_user_count,
-        "pricing_rollup": _q_pricing_rollup,
-        "user_event_history": _q_user_event_history,
-        "approx_price_quantiles": _q_approx_price_quantiles,
-        "events_from_jsonl": _q_events_from_jsonl,
-        "events_from_jsonl_robust": _q_events_from_jsonl_robust,
-        "events_from_csv": _q_events_from_csv,
-        "dedup_exact_documents": _q_dedup_exact_documents,
-        "dedup_latest_events": _q_dedup_latest_events,
-        "documents_stratified_sample": _q_documents_stratified_sample,
-        "recent_lineitems_bloom": _q_recent_lineitems_bloom,
-        "incremental_dedup": _q_incremental_dedup,
-        "source_quota_sample": _q_source_quota_sample,
-        "decontamination_stats": _q_decontamination_stats,
-        "doc_quality_stats": _q_doc_quality_stats,
-        "gopher_topgram_stats": _q_gopher_topgram_stats,
-        "hashed_features": _q_hashed_features,
-        "bigram_nll": _q_bigram_nll,
-        "trigram_nll": _q_trigram_nll,
-        "zipf_slope": _q_zipf_slope,
-        "label_balanced_sample": _q_label_balanced_sample,
-        "customer_k_anonymity": _q_customer_k_anonymity,
-        "lr_quality_fit": _q_lr_quality_fit,
-        "doc_budget_select": _q_doc_budget_select,
-        "contrastive_pairs": _q_contrastive_pairs,
-        "knn_recall": _q_knn_recall,
-        "knn_rank_eval": _q_knn_rank_eval,
-        "embedding_pca": _q_embedding_pca,
-        "bm25_search": _q_bm25_search,
-        "rrf_search": _q_rrf_search,
-        "term_label_chi2": _q_term_label_chi2,
-        "doc_length_auc": _q_doc_length_auc,
-        "order_price_rank_features": _q_order_price_rank_features,
-        "user_state_history": _q_user_state_history,
-        "image_phash_dups": _q_image_phash_dups,
-        "order_price_equidepth": _q_order_price_equidepth,
-        "flag_weighted_median_price": _q_flag_weighted_median_price,
-        "order_gini": _q_order_gini,
-        "priority_price_moments": _q_priority_price_moments,
-        "nb_calibration": _q_nb_calibration,
-        "doc_snm_pairs": _q_doc_snm_pairs,
-        "doc_containment_join": _q_doc_containment_join,
-        "source_js_divergence": _q_source_js_divergence,
-        "priority_welch_t": _q_priority_welch_t,
-        "events_from_ipc": _q_events_from_ipc,
-        "order_theil": _q_order_theil,
-        "user_decayed_value": _q_user_decayed_value,
-        "audio_features": _q_audio_features,
-        "customer_abc": _q_customer_abc,
-        "user_gap_median": _q_user_gap_median,
-        "event_type_wow": _q_event_type_wow,
-        "priority_status_chi2": _q_priority_status_chi2,
-        "part_rules": _q_part_rules,
-        "daily_wau": _q_daily_wau,
-        "weekly_top_event_types": _q_weekly_top_event_types,
-        "click_to_purchase_median": _q_click_to_purchase_median,
-        "orders_systematic_sample": _q_orders_systematic_sample,
-        "order_price_pctrank": _q_order_price_pctrank,
-        "priority_price_minmax": _q_priority_price_minmax,
-        "price_benford": _q_price_benford,
-        "term_label_ig": _q_term_label_ig,
-        "lang_confusion": _q_lang_confusion,
-        "lang_id_report": _q_lang_id_report,
-        "lang_kappa": _q_lang_kappa,
-        "doc_chunks": _q_doc_chunks,
-        "chunk_dedup": _q_chunk_dedup,
-        "packed_sequences": _q_packed_sequences,
-        "intra_doc_dedup": _q_intra_doc_dedup,
-        "source_reputation": _q_source_reputation,
-        "curated_pack": _q_curated_pack,
-        "token_spectrum": _q_token_spectrum,
-        "corpus_overlap": _q_corpus_overlap,
-        "train_split_counts": _q_train_split_counts,
-        "event_session_components": _q_event_session_components,
-        "inverted_index": _q_inverted_index,
-        "doc_top_tfidf": _q_doc_top_tfidf,
-        "order_rolling_sum": _q_order_rolling_sum,
-        "top_bigrams": _q_top_bigrams,
-        "source_vocab_jaccard": _q_source_vocab_jaccard,
-        "funnel_conversion": _q_funnel_conversion,
-        "priority_trimmed_mean": _q_priority_trimmed_mean,
-        "part_skyline": _q_part_skyline,
-        "part_triangles": _q_part_triangles,
-        "event_retention": _q_event_retention,
-        "supplier_hamming_pairs": _q_supplier_hamming_pairs,
-        "event_transitions": _q_event_transitions,
-        "user_event_entropy": _q_user_event_entropy,
-        "frequent_part_pairs": _q_frequent_part_pairs,
-        "temperature_mix_sample": _q_temperature_mix,
-        "doc_dup_grams": _q_doc_dup_grams,
-        "substring_dedup": _q_substring_dedup,
-        "nb_quality_score": _q_nb_quality_score,
-        "winnow_fingerprints": _q_winnow_fingerprints,
-        "winnow_overlap": _q_winnow_overlap,
-        "mirror_clusters": _q_mirror_clusters,
-        "event_value_next_delta": _q_event_value_next_delta,
-        "brand_price_p90_disc": _q_brand_price_p90_disc,
-        "priority_price_mad": _q_priority_price_mad,
-        "session_event_pairs": _q_session_event_pairs,
-        "part_kcore": _q_part_kcore,
-        "orders_lineitem_join_bucketed": _q_orders_lineitem_join_bucketed,
-        "event_session_components_bucketed":
-            _q_event_session_components_bucketed,
-        "video_scene_cuts": _q_video_scene_cuts,
-        "customer_spend_bucketed": _q_customer_spend_bucketed,
-        "orders_merged": _q_orders_merged,
-        "orders_snapshot_diff": _q_orders_snapshot_diff,
-        "order_interval_overlaps": _q_order_interval_overlaps,
-        "price_quantiles_kll": _q_price_quantiles_kll,
-        "label_centroids": _q_label_centroids,
-        "semantic_dedup": _q_semantic_dedup,
-        "doc_importance": _q_doc_importance,
-        "doc_ticket_sample": _q_doc_ticket_sample,
-        "priority_quantiles_kll": _q_priority_quantiles_kll,
-        "embedding_covariance": _q_embedding_covariance,
-        "doc_pii_redaction": _q_doc_pii_redaction,
-        "bigram_lift": _q_bigram_lift,
-        "epoch_packed_sequences": _q_epoch_packed_sequences,
-        "orders_quality_rules": _q_orders_quality_rules,
-        "bpe_vocab_stats": _q_bpe_vocab_stats,
-        "orders_price_range_scan": _q_orders_price_range_scan,
-        "qty_discount_hist2d": _q_qty_discount_hist2d,
-        "events_within_minute": _q_events_within_minute,
-        "orders_profile": _q_orders_profile,
-        "supplier_edit1_pairs": _q_supplier_edit1_pairs,
-        "documents_from_warc": _q_documents_from_warc,
-        "canonical_urls": _q_canonical_urls,
-        "shipping_priority": _q_shipping_priority,
-        "lineitem_box_scan": _q_lineitem_box_scan,
-        "click_purchase_band": _q_click_purchase_band,
-        "orders_from_orc": _q_orders_from_orc,
-        "doc_text_normalized": _q_doc_text_normalized,
-        "doc_kfold_counts": _q_doc_kfold_counts,
-        "near_dup_index_probe": _q_near_dup_index_probe,
-        "priority_price_winsorized": _q_priority_price_winsorized,
-        "returned_item_customers": _q_returned_item_customers,
-        "priority_price_outliers": _q_priority_price_outliers,
-        "events_compacted": _q_events_compacted,
-        "orders_lineitem_join_salted": _q_orders_lineitem_join_salted,
-        "customer_event_full_outer": _q_customer_event_full_outer,
-        "order_rolling_7d": _q_order_rolling_7d,
-        "event_props_agg": _q_event_props_agg,
-        "order_price_cume": _q_order_price_cume,
-        "weighted_doc_sample": _q_weighted_doc_sample,
-        "local_supplier_revenue": _q_local_supplier_revenue,
-        "order_rank_in_customer": _q_order_rank_in_customer,
-        "user_first_last_event": _q_user_first_last_event,
-        "llm_field_extract": _q_llm_field_extract,
-        "doc_text_stats": _q_doc_text_stats,
-        "doc_fingerprint": _q_doc_fingerprint,
-        "lang_counts": _q_lang_counts,
-        "events_daily_window": _q_events_daily_window,
-        "knn_cosine": _q_knn_cosine,
-        "media_features": _q_media_features,
-        "media_image_dims": _q_media_image_dims,
-        "web_corpus": _q_web_corpus,
-        "page_link_stats": _q_page_link_stats,
-        "event_type_pagerank": _q_event_type_pagerank,
-        "priority_quartiles_approx": _q_priority_quartiles_approx,
-        "approx_daily_users": _q_approx_daily_users,
-        "top_term_per_source": _q_top_term_per_source,
-        "host_indegree": _q_host_indegree,
-        "doc_mean_token_freq": _q_doc_mean_token_freq,
-        "doc_unigram_nll": _q_doc_unigram_nll,
-        "doc_compression": _q_doc_compression,
-        "lineitem_measures_long": _q_lineitem_measures_long,
-        "orders_page2": _q_orders_page2,
-        "qty_price_regression": _q_qty_price_regression,
-        "cube_flag_status": _q_cube_flag_status,
-        "order_grouping_sets": _q_order_grouping_sets,
-        "source_length_drift": _q_source_length_drift,
-        "approx_source_overlap": _q_approx_source_overlap,
-        "extract_flagship": _q_extract_flagship,
-        "document_status_listing": _q_document_status_listing,
-        "extract_fields_long": _q_extract_fields_long,
-        "annotation_plans": _q_annotation_plans,
-        "annotation_render": _q_annotation_render,
-        "annotation_thumbnails": _q_annotation_thumbnails,
-        "annotation_augmented": _q_annotation_augmented,
-        "pdf_extract_pairs": _q_pdf_extract_pairs,
-        "raster_extract_pairs": _q_raster_extract_pairs,
-        "mixed_channel_extract": _q_mixed_channel_extract,
-        "video_frame_sample": _q_video_frame_sample,
-        "audio_resample": _q_audio_resample,
-        "extraction_prompts": _q_extraction_prompts,
-        "curate_documents": _q_curate_documents,
-        "training_batches": _q_training_batches,
-        "lang_id": _q_lang_id,
-        "quality_scores": _q_quality,
-        "dedup_minhash": _q_dedup_minhash,
-        "dedup_simhash": _q_dedup_simhash,
-        "doc_jaccard_join": _q_doc_jaccard_join,
-        "dedup_ngram_jaccard": _q_dedup_ngram_jaccard,
-        "dedup_clusters": _q_dedup_clusters,
-        "knn_ivf": _q_knn_ivf,
-        "knn_ivf_persisted": _q_knn_ivf_persisted,
-        "kmeans_assign": _q_kmeans_assign,
-        "kmeans_fit_history": _q_kmeans_fit_history,
-        "embedding_near_dup": _q_embedding_near_dup,
-        "knn_lsh": _q_knn_lsh,
-        "mmr_diversify": _q_mmr_diversify,
-        "knn_pq": _q_knn_pq,
-    }
+    return {k[3:]: f for k, f in globals().items() if k.startswith("_q_")}
 
 
 def _kcore_oracle_sql(k: int = 8, levels: int = 6) -> str:

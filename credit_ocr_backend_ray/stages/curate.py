@@ -1423,6 +1423,9 @@ def calibration_bins(ds: "rd.Dataset", score_col: str, label_col: str,
     batch, driver fold; nothing row-sized leaves the workers."""
     from credit_ocr_backend_ray.stages.relational import _exact_dot
 
+    # lo/hi over exactly the rows that get binned
+    ds = ds.map_batches(lambda b: b[[score_col, label_col]].dropna(),
+                        batch_format="pandas")
     lo = ds.min(score_col)
     hi = ds.max(score_col)
     if lo is None:
@@ -1438,9 +1441,8 @@ def calibration_bins(ds: "rd.Dataset", score_col: str, label_col: str,
                          "overflows int64 — rescale the score")
 
     def part(b: pd.DataFrame) -> pd.DataFrame:
-        f = b[[score_col, label_col]].dropna()
-        s = f[score_col].to_numpy(np.int64)
-        y = f[label_col].to_numpy(np.int64)
+        s = b[score_col].to_numpy(np.int64)
+        y = b[label_col].to_numpy(np.int64)
         if len(y) and not ((y == 0) | (y == 1)).all():
             raise ValueError("calibration_bins: label_col must be "
                              "0/1 (n_pos would silently corrupt)")
@@ -1486,11 +1488,12 @@ def benford_digits(ds: "rd.Dataset", col: str) -> pd.DataFrame:
     exact integers. The digit is taken from the INTEGER part
     (``floor(x)`` then repeated ``//10``, bit-identical to the first
     character of the decimal string the SQL oracle reads); rows with a
-    null value or ``x < 1`` have no leading integer digit and are
-    dropped by contract. ``observed_micro = n_d * 10^6 // N`` (integer
-    floor both sides); ``expected_micro = floor(log10((d+1)/d)*10^6
-    + 0.5)`` — one libm log10 of a small-integer ratio, identical in
-    CPython and DuckDB on this platform.
+    null or non-finite value or ``x < 1`` have no leading integer digit
+    and are dropped by contract. ``observed_micro = n_d * 10^6 // N``
+    (integer floor both sides); ``expected_micro =
+    floor(log10((d+1)/d)*10^6 + 0.5)`` — one libm log10 of a
+    small-integer ratio, identical in CPython and DuckDB on this
+    platform.
 
     Shape: a per-batch ``np.bincount`` partial (nine int64 cells per
     batch — the smallest combiner in the engine) and a driver fold over
@@ -1500,7 +1503,7 @@ def benford_digits(ds: "rd.Dataset", col: str) -> pd.DataFrame:
 
     def partial(t: pa.Table) -> pa.Table:
         x = t[col].to_numpy(zero_copy_only=False).astype(np.float64)
-        x = x[~np.isnan(x)]
+        x = x[np.isfinite(x)]
         x = x[x >= 1.0]
         f = np.floor(x).astype(np.int64)
         # vectorized leading digit: strip trailing decimal digits
@@ -1516,6 +1519,8 @@ def benford_digits(ds: "rd.Dataset", col: str) -> pd.DataFrame:
 
     parts = (ds.select_columns([col])
                .map_batches(partial, batch_format="pyarrow").to_pandas())
+    if "digit" not in parts.columns:
+        parts = pd.DataFrame({"digit": [], "__pn": []}, dtype="int64")
     cnt = parts.groupby("digit")["__pn"].sum().reindex(
         range(1, 10), fill_value=0)
     n_total = int(cnt.sum())

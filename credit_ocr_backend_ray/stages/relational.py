@@ -3228,13 +3228,14 @@ def theil_index(ds: "rd.Dataset", val_col: str, group_col: str,
     one bounded per-group (n, Σc) combiner fixes n, A and μ = A/n,
     then a per-row floored-contribution pass sums per batch — three
     integers per batch reach the driver. Rows with a null or
-    non-positive value drop by contract (ln needs x > 0).
+    non-positive value drop by contract (ln needs x > 0); a null group
+    is a group of its own, as in the oracle's GROUP BY.
 
     Output: one row (n, sum_scaled, theil_pico, between_pico)."""
     import math
 
     def totals(b: pd.DataFrame) -> pd.DataFrame:
-        f = b[[group_col, val_col]].dropna()
+        f = b[[group_col, val_col]].dropna(subset=[val_col])
         v = f[val_col].to_numpy(np.float64)
         c = np.floor(v * scale + 0.5).astype(np.int64)
         keep = c > 0
@@ -3252,7 +3253,7 @@ def theil_index(ds: "rd.Dataset", val_col: str, group_col: str,
         "between_pico": pd.array([None], dtype="Int64")})
     if "__n" not in tot.columns or not len(tot):
         return empty
-    grp = tot.groupby(group_col, as_index=False).agg(
+    grp = tot.groupby(group_col, as_index=False, dropna=False).agg(
         n_g=("__n", "sum"), s_g=("__s", "sum"))
     n = int(grp["n_g"].sum())
     a = int(grp["s_g"].sum())

@@ -590,6 +590,15 @@ def test_calibration_bins_exact(ray_session):
     assert out["pos_rate_micro"].tolist() == [500_000, 1_000_000]
     assert out["sum_score_micro"].tolist() == ["9", "29"]
 
+    # lo/hi come from the binned rows only: the null-label score 100
+    # must not stretch the range into one bin
+    df = pd.DataFrame({"s": [0, 9, 10, 19, 100], "y": [0, 1, 1, 1, None]})
+    out = calibration_bins(rd.from_pandas(df).repartition(3), "s", "y",
+                           n_bins=2)
+    assert out["bin"].tolist() == [0, 1]
+    assert out["n"].tolist() == [2, 2]
+    assert out["sum_score_micro"].tolist() == ["9", "29"]
+
     # negative log-odds scores: the shifted big-int sum un-shifts back
     # to the signed exact total
     df = pd.DataFrame({"s": [-10, -1, 5], "y": [0, 0, 1]})

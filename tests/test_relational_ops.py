@@ -2359,6 +2359,16 @@ def test_theil_index_exact(ray_session):
     assert out["n"].tolist() == [0]
     assert out["theil_pico"].isna().all()
 
+    # a null group is a group of its own (the oracle's GROUP BY keeps
+    # NULL): a=[1,3], NULL=[6] -> n=3, A=10
+    nul = pd.DataFrame({"g": ["a", None, "a"], "v": [1.0, 6.0, 3.0]})
+    out = theil_index(rd.from_pandas(nul).repartition(2), "v", "g",
+                      scale=1)
+    assert out["n"].tolist() == [3]
+    assert out["sum_scaled"].tolist() == [10]
+    assert out["theil_pico"].tolist() == [200666563810]
+    assert out["between_pico"].tolist() == [148341749434]
+
 
 def test_time_decayed_sum_exact(ray_session):
     import math

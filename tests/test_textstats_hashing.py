@@ -575,6 +575,25 @@ def test_benford_digits_exact(ray_session):
     assert all(out[c].dtype == "int64" for c in out.columns)
 
 
+def test_benford_digits_non_finite_and_empty(ray_session):
+    import pandas as pd
+    import ray.data as rd
+
+    from credit_ocr_backend_ray.stages.curate import benford_digits
+
+    # inf has no leading digit and drops like a null
+    ds = rd.from_pandas(pd.DataFrame({"v": [1.5, float("inf"), 23.0]}))
+    out = benford_digits(ds, "v")
+    assert out["n"].tolist() == [1, 1, 0, 0, 0, 0, 0, 0, 0]
+
+    # zero rows: still the nine-row frame, every count 0
+    ds = rd.from_pandas(pd.DataFrame({"v": [1.0]})).filter(lambda r: False)
+    out = benford_digits(ds, "v")
+    assert out["digit"].tolist() == list(range(1, 10))
+    assert out["n"].tolist() == [0] * 9
+    assert out["observed_micro"].tolist() == [0] * 9
+
+
 def test_source_js_divergence_exact(ray_session):
     import math
 

@@ -9,6 +9,8 @@ set -e
 cd "$(dirname "$0")/.."
 echo "== pytest =="
 python -m pytest tests/ -q
+echo "== QUERIES.md matches the registry =="
+python tools/gen_queries_md.py && git diff --exit-code QUERIES.md
 echo "== benchmark smoke test =="
 python -m pytest benchmark/test_smoke.py -q
 echo "== oracle gate sf0.01 =="

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import threading
 import time
 
 sys.path.insert(0, os.path.dirname(os.path.dirname(
@@ -35,6 +36,39 @@ _SHIFTS = {
     "documents": {"doc_id": 100_000},
 }
 _COPIES = 10
+
+
+class MemSampler:
+    """Peak host memory-in-use sampler (MemTotal - MemAvailable)."""
+
+    def __init__(self, period_s: float = 0.25):
+        self.period = period_s
+        self.peak_gb = 0.0
+        self._stop = threading.Event()
+        self._t = threading.Thread(target=self._run, daemon=True)
+
+    @staticmethod
+    def _used_gb() -> float:
+        info = {}
+        with open("/proc/meminfo") as f:
+            for line in f:
+                k, v = line.split(":", 1)
+                info[k] = int(v.split()[0])
+        return (info["MemTotal"] - info["MemAvailable"]) / 1e6
+
+    def _run(self):
+        while not self._stop.is_set():
+            self.peak_gb = max(self.peak_gb, self._used_gb())
+            self._stop.wait(self.period)
+
+    def __enter__(self):
+        self.base_gb = self._used_gb()
+        self._t.start()
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._t.join()
 
 
 def build_sf1_tables(src_dir: str = "/root/testdata/sf0.1") -> None:
@@ -104,8 +138,6 @@ def main() -> int:
     DataContext.get_current().enable_progress_bars = False
     import logging
     logging.getLogger("ray.data").setLevel(logging.ERROR)
-
-    from tools.stress_shuffle_ops import MemSampler
 
     build_sf1_tables()
     import __ray_entry__ as e
