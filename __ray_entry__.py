@@ -2722,7 +2722,8 @@ def _q_weekly_top_event_types(sf_dir: str):
 def _q_order_price_pctrank(sf_dir: str):
     """Global percent-rank normalization of o_totalprice — the
     quantile-normalized feature transform ((rn−1)·10^6 // (n−1) over
-    the (value, key) global order, exact integers, no global sort)."""
+    the (value, key) global order, exact integers, no global sort; 0
+    when n <= 1)."""
     import pandas as pd
 
     from credit_ocr_backend_ray.stages.relational import (
@@ -2736,7 +2737,7 @@ def _q_order_price_pctrank(sf_dir: str):
 
     def pct(b: pd.DataFrame) -> pd.DataFrame:
         b["pctrank_micro"] = ((b["rn"].astype("int64") - 1)
-                              * 1_000_000 // (n - 1)).astype("int64")
+                              * 1_000_000 // max(n - 1, 1)).astype("int64")
         return b.drop(columns="rn")
 
     return numbered.map_batches(pct, batch_format="pandas")
@@ -7029,10 +7030,10 @@ def oracle_sql() -> dict[str, str]:
         """,
         "order_price_pctrank": """
             -- exact integer percent-rank over the global
-            -- (o_totalprice, o_orderkey) order
+            -- (o_totalprice, o_orderkey) order; 0 when n <= 1
             SELECT o_orderkey, o_totalprice,
                    CAST((rn - 1) * 1000000
-                        // (count(*) OVER () - 1) AS BIGINT)
+                        // greatest(count(*) OVER () - 1, 1) AS BIGINT)
                        AS pctrank_micro
             FROM (SELECT o_orderkey, o_totalprice,
                          row_number() OVER (ORDER BY o_totalprice,

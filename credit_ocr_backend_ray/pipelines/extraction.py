@@ -7,16 +7,21 @@ plan — the five blob round-trips per document become Arrow columns flowing
 through the streaming executor:
 
     [dedup] latest_crawls(all shards)         url -> newest warc_ts (winners)
-    read_parquet(shards)                      url warc_ts html text lang
+    read_parquet(pending shards)              url warc_ts html lang path
       -> map_batches(prepass)                 [dedup] drop crawls older than
                                               the winner; n_bytes sha256
                                               size_bucket part_id
       -> map_batches(DocExtractor)            extracted_text fields ... status
-      -> write_parquet(out/group=K/)          + per-partition lineage manifest
+      -> map_batches(GroupWriter)             chunk -> out/group-K/part-*;
+                                              yields its lineage partial
+    driver: iter_batches(partials)            commit group K (manifest entry
+                                              + _lineage) once all its files
+                                              are written
 
-The read and both maps fuse into one task operator with or without
+The read and all three maps fuse into one task operator with or without
 dedup: the winners table ships with the prepass UDF, so there is no
-shuffle.
+shuffle. A run is ONE execution over every pending file of every
+incomplete shard group; groups are commit units, not executions.
 
 Resume: shard-group manifests (state/manifest.py). Skew: oversized payloads
 are flagged by ``size_bucket`` and the extract stage sub-batches each block
@@ -33,14 +38,17 @@ import time
 from dataclasses import dataclass
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data as rd
+from ray.data.datasource.path_util import _resolve_paths_and_filesystem
 
 from credit_ocr_backend_ray.stages.extract import DocExtractor
 from credit_ocr_backend_ray.stages.prepass import (
-    DEFAULT_NUM_PARTS, latest_crawls, make_prepass,
+    DEFAULT_NUM_PARTS, latest_crawls, latest_crawls_and_survivors,
+    make_prepass,
 )
 from credit_ocr_backend_ray.state.manifest import (
-    RunManifest, shard_groups, write_lineage,
+    LINEAGE_PARTIAL, GroupWriter, RunManifest, commit_lineage, shard_groups,
 )
 
 
@@ -65,7 +73,7 @@ def build_extraction_ds(paths: list[str] | str,
                         cfg: ExtractionConfig | None = None) -> "rd.Dataset":
     """The lazy extraction plan (no sink) — shared by entry(), queries()
     and tests. With ``cfg.dedup`` the newest crawl per url wins over
-    ``paths``."""
+    ``paths``. Rows carry their input file in a ``path`` column."""
     cfg = cfg or ExtractionConfig()
     files = _resolve_files(paths)
     return _plan(files, cfg, latest_crawls(files) if cfg.dedup else None)
@@ -82,9 +90,11 @@ def _plan(files: list[str], cfg: ExtractionConfig,
     # target_max_block_size dynamic splitting after the extract stage.
     # prune at the read: the extraction path never touches the pre-extracted
     # `text` column, so don't decode or ship it (input_hint schema keeps it
-    # for other consumers)
+    # for other consumers). The `path` column tells run_extraction's
+    # writer which shard group a row belongs to.
     ds = rd.read_parquet(files, override_num_blocks=max(len(files), 1),
-                         columns=["url", "warc_ts", "html", "lang"])
+                         columns=["url", "warc_ts", "html", "lang"],
+                         include_paths=True)
     ds = ds.map_batches(make_prepass(cfg.num_parts, latest),
                         batch_format="pyarrow")
 
@@ -108,12 +118,14 @@ def run_extraction(input_paths: list[str] | str, out_dir: str,
                    n_groups: int = 1) -> dict:
     """Execute with shard-group checkpointing; returns a run summary.
 
-    Groups run one after another, each a separate streaming Dataset run.
-    With ``cfg.dedup`` the winners (newest ``warc_ts`` per url) come from
-    ALL input files, not one group's, so the output per url does not
-    depend on how files are split into groups; a resumed run recomputes
-    them from the same file list. A group whose every crawl lost to a
-    newer one elsewhere writes 0 rows."""
+    One streaming execution covers every file of every incomplete group;
+    each group commits (``_lineage`` plus its manifest entry) as soon as
+    all of its files are written, so ``n_groups`` sets the commit
+    granularity, not the parallelism. With ``cfg.dedup`` the winners
+    (newest ``warc_ts`` per url) come from ALL input files, not one
+    group's, so the output per url does not depend on how files are split
+    into groups; a resumed run recomputes them from the same file list. A
+    group whose every crawl lost to a newer one elsewhere writes 0 rows."""
     cfg = cfg or ExtractionConfig()
     files = _resolve_files(input_paths)
 
@@ -129,7 +141,7 @@ def run_extraction(input_paths: list[str] | str, out_dir: str,
                # "resumed from checkpoint with metrics intact")
                "completed_wall_s": 0.0, "completed_docs_per_s": 0.0}
 
-    todo: list[tuple[str, list[str]]] = []
+    todo: dict[str, list[str]] = {}
     for k, group in enumerate(shard_groups(files, n_groups)):
         key = f"{k:05d}"
         summary["groups_total"] += 1
@@ -140,23 +152,11 @@ def run_extraction(input_paths: list[str] | str, out_dir: str,
             summary["completed_wall_s"] += entry.get("wall_s", 0.0)
             continue
         manifest.reset_incomplete(key)
-        todo.append((key, group))
+        todo[key] = group
 
     if todo:
         t_batch = time.perf_counter()
-        latest = latest_crawls(files) if cfg.dedup else None
-        for key, group in todo:
-            t0 = time.perf_counter()
-            gdir = manifest.group_dir(key)
-            _plan(group, cfg, latest).write_parquet(gdir)
-            lineage_dir, rows = write_lineage(gdir)
-            wall = time.perf_counter() - t0
-            manifest.mark_complete(key, {
-                "files": group, "rows": rows, "wall_s": wall,
-                "lineage": lineage_dir,
-            })
-            summary["groups_run"] += 1
-            summary["rows"] += rows
+        _run_groups(files, todo, manifest, cfg, summary, t_batch)
         summary["wall_s"] = time.perf_counter() - t_batch
         summary["completed_wall_s"] += summary["wall_s"]
 
@@ -164,3 +164,84 @@ def run_extraction(input_paths: list[str] | str, out_dir: str,
         summary["completed_docs_per_s"] = round(
             summary["rows"] / summary["completed_wall_s"], 1)
     return summary
+
+
+def _run_groups(files: list[str], todo: dict[str, list[str]],
+                manifest: RunManifest, cfg: ExtractionConfig,
+                summary: dict, t_start: float) -> None:
+    """Write and commit every ``todo`` group from one execution.
+
+    A file is written once the partials reported for it add up to the rows
+    it contributes: its footer row count, or with dedup its survivors of
+    the winners filter. A file contributing no rows is not read, and a
+    group of such files commits before the execution starts. Each manifest
+    entry's ``wall_s`` is the time since the previous commit, so one
+    invocation's entries sum to its wall."""
+    pending = [f for group in todo.values() for f in group]  # group-major
+    latest = None
+    if cfg.dedup and pending:
+        latest, survivors = latest_crawls_and_survivors(files)
+        expected = dict(zip(files, survivors))
+    else:
+        expected = {f: pq.ParquetFile(f).metadata.num_rows for f in pending}
+
+    index = {f: i for i, f in enumerate(sorted(files))}
+    group_of = {index[f]: key for key, group in todo.items() for f in group}
+    rows_due = {index[f]: expected[f] for f in pending}
+    left = {key: {index[f] for f in group if expected[f]}
+            for key, group in todo.items()}
+    partials: dict[str, list[dict]] = {key: [] for key in todo}
+    last = t_start
+
+    def commit(key: str) -> None:
+        nonlocal last
+        lineage_dir, rows = commit_lineage(
+            manifest.group_dir(key),
+            pa.Table.from_pylist(partials.pop(key), schema=LINEAGE_PARTIAL))
+        now = time.perf_counter()
+        manifest.mark_complete(key, {
+            "files": todo[key], "rows": rows, "wall_s": now - last,
+            "lineage": lineage_dir,
+        })
+        last = now
+        del left[key]
+        summary["groups_run"] += 1
+        summary["rows"] += rows
+
+    for key in [k for k, files_left in left.items() if not files_left]:
+        commit(key)
+    live = [f for f in pending if expected[f]]
+    if live:
+        # a row's `path` is its file as Ray's path resolver names it
+        ray_paths, _ = _resolve_paths_and_filesystem(live)
+        targets = {}
+        for f, p in zip(live, ray_paths):
+            gdir = manifest.group_dir(group_of[index[f]])
+            os.makedirs(gdir, exist_ok=True)
+            targets[p] = (index[f], gdir)
+        ds = _plan(live, cfg, latest).map_batches(
+            GroupWriter(targets), batch_format="pyarrow", batch_size=None,
+            num_cpus=1)
+        seen: set[tuple[int, str]] = set()
+        for part in ds.iter_batches(batch_size=None, batch_format="pyarrow"):
+            chunks: dict[tuple[int, str], list[dict]] = {}
+            for row in part.to_pylist():
+                chunks.setdefault((row["file"], row["digest"]), []).append(row)
+            for chunk, rows in chunks.items():
+                if chunk in seen:  # re-reported by a retried task
+                    continue
+                seen.add(chunk)
+                file = chunk[0]
+                key = group_of[file]
+                partials[key].extend(rows)
+                rows_due[file] -= sum(r["rows"] for r in rows)
+                if rows_due[file] < 0:
+                    raise RuntimeError(
+                        f"input file #{file} wrote more rows than it holds")
+                if rows_due[file] == 0:
+                    left[key].discard(file)
+                    if not left[key]:
+                        commit(key)
+    if left:
+        raise RuntimeError(
+            f"extraction ended with shard groups {sorted(left)} incomplete")

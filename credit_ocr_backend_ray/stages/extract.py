@@ -44,8 +44,10 @@ EXTRACT_COLUMNS = pa.schema([
     ("error", pa.string()),
 ])
 
+# ``path`` (the input file, when the read includes it) routes each row to
+# its shard group's directory; the group writer drops it before writing
 PASSTHROUGH = ["url", "warc_ts", "lang", "n_bytes", "content_sha256",
-               "size_bucket", "part_id"]
+               "size_bucket", "part_id", "path"]
 
 
 class DocExtractor:

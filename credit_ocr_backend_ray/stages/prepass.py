@@ -36,21 +36,31 @@ def latest_crawls(files: list[str]) -> pa.Table:
     no Ray execution. Memory bound: one ``(url, ts)`` pair per distinct
     url, held on the driver and shipped with the prepass UDF to every
     task."""
+    return latest_crawls_and_survivors(files)[0]
+
+
+def latest_crawls_and_survivors(files: list[str]
+                                ) -> tuple[pa.Table, list[int]]:
+    """``latest_crawls(files)`` plus, per file, the number of its rows the
+    prepass filter keeps, from the same key-column read."""
     keys = [pq.read_table(f, columns=["url", "warc_ts"]) for f in files]
-    return (pa.concat_tables(keys).group_by("url")
-            .aggregate([("warc_ts", "max")]))
+    latest = (pa.concat_tables(keys).group_by("url")
+              .aggregate([("warc_ts", "max")]))
+    return latest, [k.filter(newest_mask(k, latest)).num_rows for k in keys]
+
+
+def newest_mask(batch: pa.Table, latest: pa.Table) -> pa.ChunkedArray:
+    """True where a row is at its url's max ``warc_ts``: ties all survive;
+    a null url or null warc_ts compares null, and filter drops nulls."""
+    idx = pc.index_in(batch["url"], value_set=latest["url"], skip_nulls=True)
+    return pc.equal(batch["warc_ts"], pc.take(latest["warc_ts_max"], idx))
 
 
 def prepass_batch(batch: pa.Table, *,
                   num_parts: int = DEFAULT_NUM_PARTS,
                   latest: pa.Table | None = None) -> pa.Table:
     if latest is not None:
-        # keep rows at their url's max warc_ts: ties all survive; a null
-        # url or null warc_ts compares null, and filter drops nulls
-        idx = pc.index_in(batch["url"], value_set=latest["url"],
-                          skip_nulls=True)
-        newest = pc.take(latest["warc_ts_max"], idx)
-        batch = batch.filter(pc.equal(batch["warc_ts"], newest))
+        batch = batch.filter(newest_mask(batch, latest))
     n_bytes = pc.binary_length(batch["html"]).cast(pa.int64())
 
     payloads = batch["html"].to_pylist()

@@ -1,25 +1,33 @@
-"""Checkpoint / resume bookkeeping: shard-group manifests + per-partition
-lineage.
+"""Checkpoint / resume bookkeeping: shard-group manifests, the fused
+group writer and per-partition lineage.
 
 The reference checkpoints implicitly — every stage persists one blob per
 document and re-runs are guarded by ``blob_exists``
 (/root/reference/src/creditsystem/storage.py:177-194). The Parquet analogue
-at 100 TB: the input file list is split into shard groups; each group is one
-streaming Dataset execution writing ``out/group=K/``; a group's manifest
-entry is written only after its write completes, so a restarted job skips
-complete groups and wipes+redoes incomplete ones (atomic at group
-granularity). Inside each group the output carries the canonical url-hash
-``part_id``, and a ``groupby(part_id).aggregate(...)`` over the (cheap,
-column-pruned) read-back produces the per-partition lineage metrics the
-north rule requires: row counts, payload bytes, error counts, field counts.
+at 100 TB: the input file list is split into shard groups, and a group is
+the unit of commit, not of execution. One streaming Dataset execution runs
+over every pending file; its last fused step (``GroupWriter``) writes each
+output chunk into its file's ``out/group-K/`` directory and returns the
+chunk's lineage partial. A group's manifest entry is written only after
+all of its files' rows are written, so a restarted job skips complete
+groups and wipes+redoes incomplete ones (atomic at group granularity).
+The output carries the canonical url-hash ``part_id``; the per-partition
+lineage the north rule requires (row counts, payload bytes, error counts,
+line counts) is the per-group merge of the chunk partials
+(``commit_lineage``), equal to ``write_lineage``'s read-back of the group.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shutil
 import time
+
+import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 
 
 def shard_groups(files: list[str], n_groups: int) -> list[list[str]]:
@@ -72,9 +80,7 @@ def write_lineage(group_dir: str) -> tuple[str, int]:
     construction, so driver-side stays cheap at scale."""
     import glob as _glob
 
-    import pyarrow as pa
     import pyarrow.dataset as pads
-    import pyarrow.parquet as pq
 
     files = sorted(_glob.glob(os.path.join(group_dir, "*.parquet")))
     # an explicit schema: a group with no output rows has no files to
@@ -89,12 +95,114 @@ def write_lineage(group_dir: str) -> tuple[str, int]:
         lines=("n_lines", "sum"),
         errors=("is_error", "sum"),
         max_payload_bytes=("n_bytes", "max"))
+    return _write_lineage_table(group_dir, final)
 
+
+def _write_lineage_table(group_dir: str, final) -> tuple[str, int]:
     lineage_dir = os.path.join(group_dir, "_lineage")
     os.makedirs(lineage_dir, exist_ok=True)
     pq.write_table(pa.Table.from_pandas(final, preserve_index=False),
                    os.path.join(lineage_dir, "part-0.parquet"))
     return lineage_dir, int(final["rows"].sum())
+
+
+# One output chunk's lineage, per part_id: the sums and max
+# ``write_lineage`` takes over a group, keyed by the chunk's input file
+# and name digest. ``null_bytes`` counts null payloads: pandas reads a
+# null ``n_bytes`` as NaN, which makes write_lineage's byte columns
+# float64, and ``commit_lineage`` must match that.
+LINEAGE_PARTIAL = pa.schema([
+    ("file", pa.int32()), ("digest", pa.string()), ("part_id", pa.int32()),
+    ("rows", pa.int64()), ("payload_bytes", pa.int64()),
+    ("lines", pa.int32()), ("errors", pa.int64()),
+    ("max_payload_bytes", pa.int64()), ("null_bytes", pa.int64()),
+])
+
+
+def _lineage_partial(chunk: pa.Table, file: int, digest: str) -> pa.Table:
+    """``chunk``'s ``LINEAGE_PARTIAL`` rows, one per ``part_id``."""
+    n_bytes = chunk["n_bytes"]
+    light = pa.table({
+        "part_id": chunk["part_id"], "n_bytes": n_bytes,
+        "n_lines": chunk["n_lines"],
+        "is_error": pc.fill_null(pc.equal(chunk["status"], "Fehlerhaft"),
+                                 False).cast(pa.int64()),
+        "is_null": pc.is_null(n_bytes).cast(pa.int64()),
+    })
+    # pandas sums skip NaN and give 0 for none left: min_count=0
+    agg = light.group_by("part_id").aggregate([
+        ("part_id", "count", pc.CountOptions(mode="all")),
+        ("n_bytes", "sum", pc.ScalarAggregateOptions(min_count=0)),
+        ("n_lines", "sum"), ("is_error", "sum"), ("n_bytes", "max"),
+        ("is_null", "sum"),
+    ])
+    n = agg.num_rows
+    return pa.table([
+        pa.array([file] * n, pa.int32()), pa.array([digest] * n, pa.string()),
+        agg["part_id"], agg["part_id_count"], agg["n_bytes_sum"],
+        agg["n_lines_sum"].cast(pa.int32()), agg["is_error_sum"],
+        agg["n_bytes_max"], agg["is_null_sum"],
+    ], schema=LINEAGE_PARTIAL)
+
+
+def commit_lineage(group_dir: str, partials: pa.Table) -> tuple[str, int]:
+    """Merge a group's ``LINEAGE_PARTIAL`` rows into the ``_lineage`` table
+    ``write_lineage`` would read back from the group's files: same values,
+    dtypes and ``part_id`` order. Returns ``(lineage_dir, total_rows)``."""
+    if partials.num_rows == 0:
+        return write_lineage(group_dir)  # no data files: the empty lineage
+    df = partials.to_pandas()
+    final = df.groupby("part_id", as_index=False).agg(
+        rows=("rows", "sum"),
+        payload_bytes=("payload_bytes", "sum"),
+        lines=("lines", "sum"),
+        errors=("errors", "sum"),
+        max_payload_bytes=("max_payload_bytes", "max"))
+    if df["null_bytes"].any():
+        final = final.astype({"payload_bytes": "float64",
+                              "max_payload_bytes": "float64"})
+    return _write_lineage_table(group_dir, final)
+
+
+class GroupWriter:
+    """The last fused step of ``run_extraction``'s plan, run inside each
+    task: writes every output chunk into its input file's group directory
+    and returns the chunk's ``LINEAGE_PARTIAL`` rows (the only data that
+    reaches the driver).
+
+    ``targets`` maps each input file, as Ray's ``path`` column names it
+    (Ray's path resolver normalizes it: a ``file://`` URI loses its
+    scheme, a relative path stays relative), to ``(file index, group
+    dir)``. A chunk lands at
+    ``part-{file:05d}-{digest}.parquet``, the digest taken over its
+    ``url`` and ``warc_ts`` values, through a ``.tmp`` name and
+    ``os.replace``: a retried task rewrites the same names instead of
+    adding files."""
+
+    def __init__(self, targets: dict[str, tuple[int, str]]):
+        self.targets = targets
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        out = [LINEAGE_PARTIAL.empty_table()]
+        paths = pc.unique(batch["path"]).to_pylist()
+        for path in paths:
+            chunk = batch if len(paths) == 1 else batch.filter(
+                pc.equal(batch["path"], path))
+            chunk = chunk.drop_columns(["path"])
+            file, group_dir = self.targets[path]
+            digest = _chunk_digest(chunk)
+            dest = os.path.join(group_dir,
+                                f"part-{file:05d}-{digest}.parquet")
+            pq.write_table(chunk, dest + ".tmp")
+            os.replace(dest + ".tmp", dest)
+            out.append(_lineage_partial(chunk, file, digest))
+        return pa.concat_tables(out)
+
+
+def _chunk_digest(chunk: pa.Table) -> str:
+    keys = (chunk["url"].to_pylist(),
+            pc.cast(chunk["warc_ts"], pa.int64()).to_pylist())
+    return hashlib.sha256(repr(keys).encode()).hexdigest()[:16]
 
 
 def cascade_delete(out_dir: str, urls: set[str] | list[str]) -> dict:

@@ -434,6 +434,199 @@ def test_run_extraction_dedup_across_groups(ray_session, tmp_path):
     assert written() == want
 
 
+def _write_crawl_files(base, with_null_payload: bool = True) -> str:
+    """Three input files: page rows plus re-crawls of one url across
+    files; file 0's crawls all lose to newer ones elsewhere, file 1 holds
+    a poisoned and (optionally) a null payload."""
+    import datetime
+    import pyarrow as pa
+    from credit_ocr_backend_ray.sources.synth import INPUT_SCHEMA, page_row
+
+    def later(row: dict, days: int, html) -> dict:
+        return {**row, "warc_ts": row["warc_ts"]
+                + datetime.timedelta(days=days), "html": html}
+
+    rows = [page_row(i) for i in range(9)]
+    poison = b'{"doc_kind": "layout", "pages": [{"page_number": 1'
+    files = [
+        [rows[0], rows[1]],
+        [later(rows[0], 1, rows[5]["html"]), later(rows[1], 2, poison),
+         rows[2], rows[3]]
+        + ([later(rows[2], 0, None)] if with_null_payload else []),
+        [rows[4], rows[5], rows[6], later(rows[3], 3, rows[7]["html"])],
+    ]
+    base.mkdir()
+    for k, f in enumerate(files):
+        pq.write_table(pa.Table.from_pylist(f, schema=INPUT_SCHEMA),
+                       str(base / f"f{k}.parquet"))
+    return str(base)
+
+
+def _per_url(out: str) -> list:
+    return sorted(
+        ((r["url"], r["extracted_text"], repr(r["fields"]), r["status"])
+         for f in glob.glob(os.path.join(out, "group-*", "*.parquet"))
+         for r in pq.read_table(f).to_pylist()), key=repr)
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_run_extraction_empty_input(ray_session, tmp_path, monkeypatch,
+                                    dedup):
+    """An empty input directory commits its one (empty) shard group with
+    0 rows and an empty ``_lineage``, and starts no Ray execution."""
+    import ray.data as rd
+    from credit_ocr_backend_ray.pipelines.extraction import (
+        ExtractionConfig, run_extraction)
+    from credit_ocr_backend_ray.state.manifest import RunManifest
+
+    reads, read_parquet = [], rd.read_parquet
+    monkeypatch.setattr(
+        rd, "read_parquet",
+        lambda *a, **k: reads.append(a) or read_parquet(*a, **k))
+    inp = tmp_path / "in"
+    inp.mkdir()
+    out = str(tmp_path / "out")
+    s = run_extraction(str(inp), out, ExtractionConfig(dedup=dedup),
+                       n_groups=3)
+    assert (s["groups_total"], s["groups_run"], s["rows"]) == (1, 1, 0)
+    assert reads == []
+    m = RunManifest(out)
+    assert [e["rows"] for e in m.entries.values()] == [0]
+    lineage = pq.read_table(os.path.join(m.group_dir("00000"), "_lineage",
+                                         "part-0.parquet"))
+    assert lineage.num_rows == 0 and "part_id" in lineage.column_names
+    assert glob.glob(os.path.join(out, "group-*", "*.parquet")) == []
+
+
+def test_run_extraction_is_one_execution(ray_session, tmp_path, monkeypatch):
+    """Three shard groups run as ONE Ray execution: one read, and one
+    fused task operator that starts with the extraction plan's."""
+    import ray.data as rd
+    from ray.data._internal.logical.optimizers import get_execution_plan
+
+    from credit_ocr_backend_ray.pipelines.extraction import run_extraction
+
+    reads, plans = [], []
+    read_parquet, iter_batches = rd.read_parquet, rd.Dataset.iter_batches
+
+    def counted_read(*args, **kwargs):
+        reads.append(args)
+        return read_parquet(*args, **kwargs)
+
+    def recorded_iter(self, *args, **kwargs):
+        plans.append(get_execution_plan(self._logical_plan).dag)
+        return iter_batches(self, *args, **kwargs)
+
+    monkeypatch.setattr(rd, "read_parquet", counted_read)
+    monkeypatch.setattr(rd.Dataset, "iter_batches", recorded_iter)
+    inp = _write_crawl_files(tmp_path / "in", with_null_payload=False)
+    s = run_extraction(inp, str(tmp_path / "out"), n_groups=3)
+    assert s["groups_run"] == 3 and s["rows"] == 10
+    assert len(reads) == 1
+    (op,) = plans
+    assert type(op).__name__ == "TaskPoolMapOperator"
+    assert op.name.startswith("ReadParquet->MapBatches(prepass_batch)"
+                              "->MapBatches(DocExtractor)"), op.name
+    assert [type(d).__name__ for d in op.input_dependencies] == [
+        "InputDataBuffer"]
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_run_extraction_output_independent_of_groups(ray_session, tmp_path,
+                                                     dedup):
+    """Per url, ``extracted_text``, ``fields`` and ``status`` with three
+    shard groups equal those with one."""
+    from credit_ocr_backend_ray.pipelines.extraction import (
+        ExtractionConfig, run_extraction)
+
+    inp = _write_crawl_files(tmp_path / "in")
+    cfg = ExtractionConfig(dedup=dedup)
+    outs = {}
+    for n in (1, 3):
+        out = str(tmp_path / f"out{n}")
+        assert run_extraction(inp, out, cfg, n_groups=n)["groups_run"] == n
+        outs[n] = _per_url(out)
+    assert outs[3] == outs[1]
+    assert len(outs[1]) == (8 if dedup else 11)
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_committed_lineage_equals_read_back(ray_session, tmp_path, dedup):
+    """Each group's ``_lineage``, merged from the writer's per-chunk
+    partials, equals ``write_lineage`` over a copy of the group's data
+    files, schema included: with a null payload (float byte columns),
+    a poisoned one, and, with dedup, a group that writes 0 rows."""
+    import shutil
+    from credit_ocr_backend_ray.pipelines.extraction import (
+        ExtractionConfig, run_extraction)
+    from credit_ocr_backend_ray.state.manifest import RunManifest, write_lineage
+
+    inp = _write_crawl_files(tmp_path / "in")
+    out = str(tmp_path / "out")
+    run_extraction(inp, out, ExtractionConfig(dedup=dedup), n_groups=3)
+    m = RunManifest(out)
+    rows = [m.entries[k]["rows"] for k in sorted(m.entries)]
+    assert rows == ([0, 4, 4] if dedup else [2, 5, 4])
+    for key in sorted(m.entries):
+        gdir = m.group_dir(key)
+        copy = tmp_path / f"copy-{key}"
+        copy.mkdir()
+        for f in glob.glob(os.path.join(gdir, "*.parquet")):
+            shutil.copy(f, copy)
+        want_dir, want_rows = write_lineage(str(copy))
+        got = pq.read_table(os.path.join(gdir, "_lineage", "part-0.parquet"))
+        want = pq.read_table(os.path.join(want_dir, "part-0.parquet"))
+        assert got.schema.equals(want.schema, check_metadata=True), key
+        assert got.equals(want), key
+        assert want_rows == m.entries[key]["rows"]
+    # the null payload lives in group 1
+    null_group = pq.read_schema(os.path.join(
+        m.group_dir("00001"), "_lineage", "part-0.parquet"))
+    assert str(null_group.field("payload_bytes").type) == "double"
+
+
+def test_group_writer_retry_overwrites(tmp_path):
+    """A retried chunk rewrites its own file: calling the writer twice on
+    the same chunk leaves one data file, no ``.tmp`` file, and the same
+    lineage partial."""
+    import pyarrow as pa
+    from credit_ocr_backend_ray.sources.synth import page_row
+    from credit_ocr_backend_ray.stages.extract import DocExtractor
+    from credit_ocr_backend_ray.stages.prepass import prepass_batch
+    from credit_ocr_backend_ray.state.manifest import GroupWriter
+
+    t = prepass_batch(pa.Table.from_pylist([page_row(i) for i in range(4)]))
+    t = t.append_column("path", pa.array(["/in/f.parquet"] * 4))
+    (chunk,) = DocExtractor()(t)
+    gdir = tmp_path / "group-00000"
+    gdir.mkdir()
+    writer = GroupWriter({"/in/f.parquet": (2, str(gdir))})
+    first, second = writer(chunk), writer(chunk)
+    assert first.equals(second) and sum(first["rows"].to_pylist()) == 4
+    names = sorted(os.listdir(gdir))
+    assert len(names) == 1 and names[0].startswith("part-00002-")
+    written = pq.read_table(str(gdir / names[0]))
+    assert written.column_names == [c for c in chunk.column_names
+                                    if c != "path"]
+    assert written["url"].to_pylist() == chunk["url"].to_pylist()
+
+
+def test_survivors_match_prepass_filter(tmp_path):
+    """The per-file survivor counts the driver waits for are the row
+    counts ``prepass_batch``'s winners filter keeps."""
+    import pyarrow as pa
+    from credit_ocr_backend_ray.stages.prepass import (
+        latest_crawls_and_survivors, prepass_batch)
+
+    inp = _write_crawl_files(tmp_path / "in")
+    files = sorted(glob.glob(os.path.join(inp, "*.parquet")))
+    latest, survivors = latest_crawls_and_survivors(files)
+    kept = [prepass_batch(pq.read_table(f), latest=latest).num_rows
+            for f in files]
+    assert survivors == kept == [0, 4, 4]
+    assert latest.num_rows == 7 and isinstance(latest, pa.Table)
+
+
 def test_page_renderer_ppm_output(ray_session):
     """Annotated-page raster: valid P6 PPM, colored border pixels where a
     field bbox sits, white elsewhere."""

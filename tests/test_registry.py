@@ -22,7 +22,7 @@ def test_query_order_digest():
 
 def test_oracle_sql_digest():
     assert _sha(list(entry.oracle_sql().items())) == (
-        "211275d4464e41eab4b600a23bc50b3672da81383d9b7c3173b91d2038b0f9b2")
+        "c875eee1c712b68294413bffa2d41468782eacdce06bb9631bb1419e4ac69a4a")
 
 
 def test_every_query_function_is_registered():

@@ -2455,3 +2455,31 @@ def test_gini_and_calibration_guards(ray_session):
     with pytest.raises(Exception, match="0/1"):
         calibration_bins(rd.from_pandas(
             pd.DataFrame({"s": [1, 2], "y": [0, 3]})), "s", "y")
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_order_price_pctrank_tiny_orders_matches_oracle(ray_session, tmp_path,
+                                                        n):
+    """``order_price_pctrank`` on a 1-row and a 3-row ``orders`` table:
+    the kernel and DuckDB running its oracle SQL agree, and a lone row
+    ranks 0 on both sides (no division by n - 1 = 0)."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    import __ray_entry__ as entry
+
+    orders = pd.DataFrame({"o_orderkey": [7, 3, 5][:n],
+                           "o_totalprice": [10.5, 99.25, 10.5][:n]})
+    pq.write_table(pa.Table.from_pandas(orders, preserve_index=False),
+                   str(tmp_path / "orders.parquet"))
+    got = (entry.queries()["order_price_pctrank"](str(tmp_path))
+           .to_pandas().sort_values("o_orderkey"))
+    con = duckdb.connect()
+    con.register("orders", orders)
+    want = (con.execute(entry.oracle_sql()["order_price_pctrank"]).df()
+            .sort_values("o_orderkey"))
+    cols = ["o_orderkey", "o_totalprice", "pctrank_micro"]
+    assert got[cols].values.tolist() == want[cols].values.tolist()
+    if n == 1:
+        assert want["pctrank_micro"].tolist() == [0]

@@ -1,7 +1,10 @@
 """Fault-tolerance probe: SIGKILL an extraction task's worker process
 mid-run and verify the job still completes with every row present and
-correct (Ray retries the killed worker's tasks; our per-group
-manifests only mark completion after a group's write finishes).
+correct. Ray retries the killed worker's task; the task's fused writer
+names each chunk file by its input file and a digest of its keys, so the
+retry overwrites what the killed attempt wrote instead of adding to it,
+and the driver counts a re-reported chunk once. A group commits only
+after all of its files' rows are written.
 
 Usage: python tools/chaos_probe.py [n_pages]
 Prints one JSON line: {"probe": "chaos", "rows": ..., "killed_pid": ...,
@@ -46,8 +49,9 @@ def main() -> int:
     def _extract_worker_pids() -> list[int]:
         """Ray titles a worker process ray::<task name> while it executes;
         scan /proc (the dashboard state API is off). The extract stage runs
-        fused with the read and prepass, as
-        ray::ReadParquet->MapBatches(prepass_batch)->MapBatches(DocExtractor)."""
+        fused with the read, prepass and group writer, as
+        ray::ReadParquet->MapBatches(prepass_batch)->MapBatches(DocExtractor)
+        ->MapBatches(GroupWriter)."""
         pids = []
         for p in os.listdir("/proc"):
             if not p.isdigit():

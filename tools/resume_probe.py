@@ -1,8 +1,10 @@
 """Driver-failure resume probe: SIGKILL the whole extraction DRIVER
 mid-run, then re-submit and verify the output is complete, duplicate-free
 and byte-correct — the end-to-end proof of the shard-group checkpoint
-design (manifest commits only after a group's write; incomplete groups
-are wiped and redone).
+design. The run is one streaming execution over all 8 groups; the driver
+commits a group to the manifest once all of its files are written, and
+the probe kills it after 1-6 groups have committed. The re-submit skips
+the committed groups and wipes and redoes the rest.
 
 Usage: python tools/resume_probe.py [n_pages]
 Prints one JSON line.

@@ -21,5 +21,8 @@ echo "== extract-worker-kill probe =="
 python tools/chaos_probe.py 20000
 echo "== driver-kill resume probe =="
 python tools/resume_probe.py 20000
+echo "== store integrity after the two probes =="
+python tools/validate_store.py /tmp/chaos_out
+python tools/validate_store.py /tmp/resume_probe_out
 echo "== historical bench.py run (32-cpu figures, sf0.1) =="
 python bench.py
