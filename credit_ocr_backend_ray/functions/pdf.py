@@ -104,99 +104,130 @@ def build_pdf(pages: list[list[dict[str, Any]]]) -> bytes:
 # ------------------------------------------------------------------ reader
 
 _STREAM_RE = re.compile(rb"stream\r?\n(.*?)\r?\nendstream", re.S)
-_NUM_RE = re.compile(rb"[-+]?\d*\.?\d+")
 
 _STR_ESCAPES = {b"n": b"\n", b"r": b"\r", b"t": b"\t", b"b": b"\b",
                 b"f": b"\f", b"(": b"(", b")": b")", b"\\": b"\\"}
+# the bytes a literal string treats specially; everything between two of
+# them is copied in one slice
+_STR_SPECIAL_RE = re.compile(rb"[()\\]")
+_OCTAL_RE = re.compile(rb"[0-7]{1,3}")
+
+# one content-stream token per match, after whitespace (which includes
+# NUL): a string, array or hex/dict opener, a number, an operator run
+# (NUL is part of a run), or one stray delimiter. The number comes before
+# the operator run, so "-5" is a number and "-x" an operator. The
+# whitespace run is possessive: trailing NULs never turn into an operator.
+_TOKEN_RE = re.compile(
+    rb"[ \t\r\n\x00]*+(?:(\()|(\[)|(<)|([-+]?\d*\.?\d+)"
+    rb"|([^ \t\r\n()\[\]<>/%]+)|.)", re.S)
+_T_STR, _T_ARR, _T_HEX, _T_NUM, _T_OP = 1, 2, 3, 4, 5
+# inside a TJ array: skip every byte that is no '(', ']' or number start
+# (whitespace included), then a string, the closing ']', a number, or one
+# stray number-start byte
+_ARRAY_RE = re.compile(
+    rb"[^(\]\-+.0-9]*+(?:(\()|(\])|([-+]?\d*\.?\d+)|.)?", re.S)
 
 
 def _parse_string(data: bytes, i: int) -> tuple[bytes, int]:
     """Parse a ``(...)`` literal starting at ``data[i] == '('``; returns
-    (decoded bytes, index past the closing paren). Handles \\-escapes,
-    octal codes, and balanced nested parens per the PDF spec."""
+    (decoded bytes, index past the closing paren). Balanced nested parens
+    are kept; escapes follow ISO 32000-1 7.3.4.2: ``\\n \\r \\t \\b \\f
+    \\( \\) \\\\``, one to three octal digits (0-7, value mod 256), a
+    backslash before CR, LF or CR LF drops them all (line continuation),
+    and a backslash before any other byte is dropped and the byte kept.
+    An unterminated string runs to the end of ``data``."""
     out = bytearray()
     depth = 1
     i += 1
     n = len(data)
-    while i < n and depth:
-        c = data[i:i + 1]
-        if c == b"\\":
-            nxt = data[i + 1:i + 2]
-            if nxt in _STR_ESCAPES:
-                out += _STR_ESCAPES[nxt]
-                i += 2
-            elif nxt.isdigit():  # octal \d{1,3}
-                j = i + 1
-                while j < min(i + 4, n) and data[j:j + 1].isdigit():
-                    j += 1
-                out.append(int(data[i + 1:j], 8) & 0xFF)
-                i = j
+    search = _STR_SPECIAL_RE.search
+    while depth:
+        m = search(data, i)
+        if m is None:  # unterminated (a trailing "\\" steps past the end)
+            out += data[i:]
+            return bytes(out), max(i, n)
+        j = m.start()
+        out += data[i:j]
+        c = data[j]
+        if c == 0x5C:  # backslash
+            nxt = data[j + 1:j + 2]
+            esc = _STR_ESCAPES.get(nxt)
+            if esc is not None:
+                out += esc
+                i = j + 2
+            elif (mo := _OCTAL_RE.match(data, j + 1)) is not None:
+                out.append(int(mo.group(), 8) & 0xFF)
+                i = mo.end()
+            elif nxt == b"\r":
+                i = j + 3 if data[j + 2:j + 3] == b"\n" else j + 2
+            elif nxt == b"\n":
+                i = j + 2
             else:
-                i += 2  # line continuation or unknown escape: drop
-        elif c == b"(":
+                out += nxt
+                i = j + 2
+        elif c == 0x28:  # (
             depth += 1
-            out += c
-            i += 1
-        elif c == b")":
+            out.append(c)
+            i = j + 1
+        else:  # )
             depth -= 1
             if depth:
-                out += c
-            i += 1
-        else:
-            out += c
-            i += 1
+                out.append(c)
+            i = j + 1
     return bytes(out), i
+
+
+def _parse_array(data: bytes, i: int) -> tuple[list[tuple[str, Any]], int]:
+    """Parse a TJ array whose ``[`` ends just before ``data[i]``: strings
+    and kerning numbers until ``]``; any other byte is skipped. Returns
+    (items, index past the ``]``)."""
+    arr: list[tuple[str, Any]] = []
+    n = len(data)
+    match = _ARRAY_RE.match
+    while i < n:
+        m = match(data, i)
+        kind = m.lastindex
+        if kind == 1:  # (
+            s, i = _parse_string(data, m.start(1))
+            arr.append(("str", s))
+        elif kind == 2:  # ]
+            return arr, m.end()
+        elif kind == 3:  # number
+            arr.append(("num", float(m[3])))
+            i = m.end()
+        else:  # skipped bytes only
+            i = m.end()
+    return arr, i + 1
 
 
 def _tokenize_content(data: bytes):
     """Yield ('str', bytes) | ('num', float) | ('op', bytes) | ('arr',
-    list) tokens from a decoded content stream."""
+    list) tokens from a decoded content stream. Hex strings and dicts
+    (``<`` up to the first ``>``) and stray delimiters yield nothing."""
     i, n = 0, len(data)
+    finditer = _TOKEN_RE.finditer
     while i < n:
-        c = data[i:i + 1]
-        if c in b" \t\r\n\x00":
-            i += 1
-        elif c == b"(":
-            s, i = _parse_string(data, i)
-            yield ("str", s)
-        elif c == b"[":
-            # TJ array: strings + kerning numbers until ]
-            arr: list[tuple[str, Any]] = []
-            i += 1
-            while i < n and data[i:i + 1] != b"]":
-                c2 = data[i:i + 1]
-                if c2 == b"(":
-                    s, i = _parse_string(data, i)
-                    arr.append(("str", s))
-                elif c2 in b" \t\r\n":
-                    i += 1
-                else:
-                    m = _NUM_RE.match(data, i)
-                    if m:
-                        arr.append(("num", float(m.group())))
-                        i = m.end()
-                    else:
-                        i += 1
-            i += 1
-            yield ("arr", arr)
-        elif c == b"<":
-            # hex string / dict — skip (our scope shows literal strings)
-            end = data.find(b">", i)
-            i = (end + 1) if end >= 0 else n
+        # numbers and operators stream from one scan; a string, array or
+        # hex/dict opener ends it, and the scan resumes past that item
+        for m in finditer(data, i):
+            kind = m.lastindex
+            if kind == _T_OP:
+                yield ("op", m[_T_OP])
+            elif kind == _T_NUM:
+                yield ("num", float(m[_T_NUM]))
+            elif kind is not None:
+                break
         else:
-            m = _NUM_RE.match(data, i)
-            if m:
-                yield ("num", float(m.group()))
-                i = m.end()
-            else:
-                j = i
-                while j < n and data[j:j + 1] not in b" \t\r\n()[]<>/%":
-                    j += 1
-                if j == i:
-                    i += 1
-                    continue
-                yield ("op", data[i:j])
-                i = j
+            return
+        if kind == _T_STR:
+            s, i = _parse_string(data, m.start(1))
+            yield ("str", s)
+        elif kind == _T_ARR:
+            arr, i = _parse_array(data, m.end())
+            yield ("arr", arr)
+        else:
+            end = data.find(b">", m.end())
+            i = (end + 1) if end >= 0 else n
 
 
 _OBJ_HDR_RE = re.compile(rb"(\d+)\s+\d+\s+obj")
@@ -231,6 +262,23 @@ def _iter_objects(pdf: bytes):
         pos = end + len(b"endobj")
 
 
+_LENGTH_RE = re.compile(rb"/Length\s+(\d+)(?:\s+\d+\s+(R))?")
+_INT_OBJ_RE = re.compile(rb"\s*(\d+)\s*")
+
+
+def _stream_length(body: bytes, objects: dict[int, bytes]) -> int | None:
+    """The /Length of a stream object: direct, or through the object an
+    indirect reference names when that object is an integer; None when
+    there is none to use (the caller falls back to ``endstream``)."""
+    m = _LENGTH_RE.search(body)
+    if m is None:
+        return None
+    if m.group(2) is None:
+        return int(m.group(1))
+    ref = _INT_OBJ_RE.fullmatch(objects.get(int(m.group(1)), b""))
+    return int(ref.group(1)) if ref else None
+
+
 def _page_content_streams(pdf: bytes) -> list[bytes]:
     """Decoded content stream per page, in page-tree order (the simple
     linear /Kids order our scope covers)."""
@@ -252,10 +300,11 @@ def _page_content_streams(pdf: bytes) -> list[bytes]:
         # honor /Length (the spec's framing): a delimiter regex would
         # truncate compressed payloads whose last byte happens to be \r
         # (it gets eaten as part of "\r?\nendstream") — found by the
-        # hypothesis round-trip property
-        mlen = re.search(rb"/Length\s+(\d+)", body)
-        if mlen:
-            raw = body[start:start + int(mlen.group(1))]
+        # hypothesis round-trip property. An indirect /Length (``9 0 R``)
+        # is read from its object when that holds an integer.
+        length = _stream_length(body, objects)
+        if length is not None:
+            raw = body[start:start + length]
         else:
             m = _STREAM_RE.search(body)
             raw = m.group(1) if m else b""

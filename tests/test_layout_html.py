@@ -6,6 +6,8 @@ import json
 import math
 import random
 
+import pytest
+
 from credit_ocr_backend_ray.functions.html_extract import (
     extracted_text_from_lines, html_to_lines, link_stats, node_text, parse_dom,
 )
@@ -190,3 +192,24 @@ def test_flatten_outcomes_match_all_words_scan():
             out = f"{type(e).__name__}: {e}"
         h.update(hashlib.sha256(out.encode()).digest())
     assert h.hexdigest() == _PARITY_DIGEST
+
+
+def test_flatten_polygon_errors_raise_at_the_first_bad_point():
+    """Polygon coordinates are read lazily in point order: a string ``x``
+    at point 1 fails before the missing ``x`` at point 2 is reached,
+    for a word's center and for a line's envelope alike."""
+    bad = [{"x": 0.5, "y": 1.0}, {"x": "0.7", "y": 1.0}, {"y": 1.1},
+           {"x": 0.5, "y": 1.1}]
+    word = _word("w", 0.5, 1.05, 0.9)
+    docs = [
+        ({"content": "w", "confidence": 0.9, "polygon": bad}, None,
+         "unsupported operand type(s) for +: 'float' and 'str'"),
+        (word, {"content": "l", "polygon": bad},
+         "'<' not supported between instances of 'str' and 'float'"),
+    ]
+    for w, line, msg in docs:
+        doc = {"pages": [{"page_number": 1, "words": [w],
+                          "lines": [line] if line else []}]}
+        with pytest.raises(TypeError) as err:
+            flatten_layout(doc)
+        assert str(err.value) == msg

@@ -6,6 +6,7 @@ identical pairs — the reference's M1 seam consuming actual
 application/pdf payloads (src/ocr/extraction.py:405-413)."""
 
 import json
+import re
 import zlib
 
 import pytest
@@ -147,3 +148,89 @@ def test_object_scan_survives_endobj_in_stream_payload():
              b"endobj\n")
     objs2 = dict(P._iter_objects(body2))
     assert b"abc" in objs2[5]
+
+
+def _one_page_pdf(content: bytes) -> bytes:
+    """A one-page PDF around a hand-written (uncompressed) content
+    stream."""
+    return (b"%PDF-1.4\n"
+            b"1 0 obj\n<< /Type /Catalog /Pages 2 0 R >>\nendobj\n"
+            b"2 0 obj\n<< /Type /Pages /Kids [4 0 R] /Count 1 >>\nendobj\n"
+            b"4 0 obj\n<< /Type /Page /Parent 2 0 R /Contents 5 0 R >>\n"
+            b"endobj\n"
+            + b"5 0 obj\n<< /Length %d >>\nstream\n" % len(content)
+            + content + b"\nendstream\nendobj\n%%EOF\n")
+
+
+@pytest.mark.parametrize("literal, decoded", [
+    (rb"(a\8b)", b"a8b"),            # not octal: the backslash is dropped
+    (rb"(a\9)", b"a9"),
+    (rb"(a\qb)", b"aqb"),            # unknown escape keeps the byte
+    (b"(a\\\r\nb)", b"ab"),          # line continuation drops CR LF
+    (b"(a\\\rb)", b"ab"),
+    (b"(a\\\nb)", b"ab"),
+    (rb"(\18)", b"\x018"),           # octal reads only the digits 0-7
+    (rb"(\78)", b"\x078"),
+    (rb"(\0053)", b"\x053"),         # at most three octal digits
+    (rb"(\101\x)", b"Ax"),
+    (rb"(\777)", b"\xff"),           # value mod 256
+    (rb"(a(b\)c)d)", b"a(b)c)d"),    # nesting and escaped parens
+])
+def test_parse_string_escapes_follow_iso_32000(literal, decoded):
+    from credit_ocr_backend_ray.functions.pdf import _parse_string
+
+    assert _parse_string(literal + b" Tj", 0) == (decoded, len(literal))
+
+
+def test_non_octal_escape_does_not_fail_the_document():
+    from credit_ocr_backend_ray.config import default_config
+    from credit_ocr_backend_ray.functions.document import extract_document
+
+    pdf = _one_page_pdf(
+        b"BT /F1 12 Tf 1 0 0 1 72 700 Tm (Kredit\\8 Nr\\q1) Tj ET")
+    assert extract_pdf_layout(pdf)["pages"][0]["lines"][0]["content"] == (
+        "Kredit8 Nrq1")
+    out = extract_document(pdf, default_config()["credit_request"])
+    assert out["status"] == "Fertig"
+
+
+_TWO_LINES = [
+    {"text": "Kreditbetrag", "x_in": 0.4, "y_top_in": 0.91, "h_in": 0.18},
+    {"text": "700.000 Euro", "x_in": 2.9, "y_top_in": 0.92, "h_in": 0.18}]
+
+
+def _indirect_length_pdf(length_obj: bytes | None) -> bytes:
+    """The two-line ``build_pdf`` page with its content dict naming its
+    /Length as object 9, followed by ``9 0 obj <length_obj> endobj``
+    (no object 9 when ``length_obj`` is None)."""
+    pdf = build_pdf([_TWO_LINES])
+    pdf, n_sub = re.subn(rb"<< /Length \d+ /Filter /FlateDecode >>",
+                         b"<< /Length 9 0 R /Filter /FlateDecode >>", pdf)
+    assert n_sub == 1
+    if length_obj is None:
+        return pdf
+    at = pdf.index(b"xref")
+    return pdf[:at] + b"9 0 obj\n" + length_obj + b"\nendobj\n" + pdf[at:]
+
+
+def _stream_length() -> int:
+    m = re.search(rb"/Length (\d+)", build_pdf([_TWO_LINES]))
+    return int(m.group(1))
+
+
+def test_indirect_length_page_is_not_fehlerhaft():
+    from credit_ocr_backend_ray.config import default_config
+    from credit_ocr_backend_ray.functions.document import extract_document
+
+    pdf = _indirect_length_pdf(b"%d" % _stream_length())
+    out = extract_document(pdf, default_config()["credit_request"])
+    assert out["status"] == "Fertig", out.get("error")
+    assert out["n_lines"] == 2
+
+
+def test_indirect_length_resolves_or_falls_back_to_endstream():
+    direct = extract_pdf_layout(build_pdf([_TWO_LINES]))
+    n = _stream_length()
+    for length_obj in (b"%d" % n, b"  %d " % n,  # resolved through obj 9
+                       b"/NotANumber", None):    # endstream delimiter
+        assert extract_pdf_layout(_indirect_length_pdf(length_obj)) == direct

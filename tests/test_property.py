@@ -180,7 +180,8 @@ def test_extract_document_handles_jsonish_payloads(payload):
 
 @given(st.lists(
     st.tuples(
-        st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126),
+        st.text(alphabet=st.characters(min_codepoint=32, max_codepoint=126)
+                | st.sampled_from("ÄÖÜäöüß€"),
                 min_size=1, max_size=20).filter(lambda s: s.strip()),
         st.floats(min_value=0.1, max_value=7.0, allow_nan=False),
         st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
@@ -188,8 +189,9 @@ def test_extract_document_handles_jsonish_payloads(payload):
     min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_pdf_roundtrip_property(runs):
-    """Any printable-ASCII single-page PDF we can write, we can read back
-    with exact text and Courier-metric geometry."""
+    """Any single-page PDF of printable ASCII and the cp1252 letters the
+    writer emits (umlauts, sharp s, Euro sign) we can read back with
+    exact text and Courier-metric geometry."""
     from credit_ocr_backend_ray.functions.pdf import (
         build_pdf, extract_pdf_layout)
 
