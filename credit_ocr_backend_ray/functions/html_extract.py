@@ -21,8 +21,9 @@ lxml in this environment):
    row, 44 rows per page (8.5x11in page model, matching the reference's
    inch-based geometry — /root/reference/src/visualization/pdf_visualizer.py:44-49).
 
-The per-url byte-identity deliverable ``extracted_text`` is the newline-join
-of the emitted line texts in reading order.
+The per-url byte-identity deliverable ``extracted_text`` is
+``functions.document.reading_order_text`` over these records, which arrive
+in strictly increasing (page, y) order.
 
 Replaces the reference's FastAPI-era HTML-less ingest (it only accepted
 PDFs/images, /root/reference/src/api/main.py:331-338) with the web-page path
@@ -320,9 +321,3 @@ def html_to_lines(html: str) -> list[dict[str, Any]]:
                 "bounding_box": _box(LABEL_X, y, 1.8), "confidence": 1.0,
             })
     return records
-
-
-def extracted_text_from_lines(lines: list[dict[str, Any]]) -> str:
-    """The byte-identity deliverable: reading-order newline-join of line
-    texts (records already arrive in reading order from both paths)."""
-    return "\n".join(r["text"] for r in lines if r["type"] == "line")

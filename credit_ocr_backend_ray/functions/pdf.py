@@ -239,8 +239,9 @@ def _iter_objects(pdf: bytes):
     stream-carrying objects by their /Length framing FIRST — a compressed
     (or raw) payload that happens to contain the byte sequence ``endobj``
     must not terminate the object early, so ``endobj`` is only searched
-    after the framed payload. Objects without a direct /Length fall back
-    to the delimiter scan (indirect-length refs are out of scope)."""
+    after the framed payload. A stream object without a direct /Length
+    (an indirect ``9 0 R`` one included) ends at the first ``endobj``
+    after the ``endstream`` that follows its ``stream`` line."""
     pos, n = 0, len(pdf)
     while True:
         m = _OBJ_HDR_RE.search(pdf, pos)
@@ -256,6 +257,10 @@ def _iter_objects(pdf: bytes):
                              pdf[start:ms.start()])
             if mlen:
                 end = pdf.find(b"endobj", ms.end() + int(mlen.group(1)))
+            else:
+                es = pdf.find(b"endstream", ms.end())
+                if es != -1:
+                    end = pdf.find(b"endobj", es + len(b"endstream"))
         if end == -1:
             end = n
         yield int(m.group(1)), pdf[start:end]

@@ -21,7 +21,9 @@ through the streaming executor:
 The read and all three maps fuse into one task operator with or without
 dedup: the winners table ships with the prepass UDF, so there is no
 shuffle. A run is ONE execution over every pending file of every
-incomplete shard group; groups are commit units, not executions.
+incomplete shard group; groups are commit units, not executions. A
+group's ``_lineage`` is ``commit_lineage``'s Arrow reduction of its
+chunks' partials, written with the one fixed ``LINEAGE`` schema.
 
 Resume: shard-group manifests (state/manifest.py). Skew: oversized payloads
 are flagged by ``size_bucket`` and the extract stage sub-batches each block

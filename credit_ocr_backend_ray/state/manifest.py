@@ -13,12 +13,15 @@ all of its files' rows are written, so a restarted job skips complete
 groups and wipes+redoes incomplete ones (atomic at group granularity).
 The output carries the canonical url-hash ``part_id``; the per-partition
 lineage the north rule requires (row counts, payload bytes, error counts,
-line counts) is the per-group merge of the chunk partials
-(``commit_lineage``), equal to ``write_lineage``'s read-back of the group.
+line counts) is one Arrow reduction (``_reduce_lineage``) written with one
+fixed schema, ``LINEAGE``: it turns a chunk's rows into its partial and a
+group's partials into its ``_lineage`` (``commit_lineage``);
+``write_lineage`` re-derives that table from the group's files.
 """
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
@@ -69,99 +72,73 @@ class RunManifest:
         os.replace(tmp, self.path)
 
 
-def write_lineage(group_dir: str) -> tuple[str, int]:
-    """Per-partition lineage over a completed group's output; returns
-    ``(lineage_dir, total_rows)`` so callers don't re-read footers for the
-    row count. The read-back is a threaded pyarrow columnar scan of FOUR
-    small columns driver-side — launching a Ray execution for this 64-row
-    result measured 1-3 s of pure task/scheduler overhead per group (and
-    a full distributed groupby 11 s); the scan is proportional to row
-    count, not payload bytes, and a shard group's output is bounded by
-    construction, so driver-side stays cheap at scale."""
-    import glob as _glob
+# A group's per-partition lineage, one row per ``part_id`` in ``part_id``
+# order, at ``group-K/_lineage/part-0.parquet``. ``max_payload_bytes`` is
+# null for a partition whose payloads are all null.
+LINEAGE = pa.schema([
+    ("part_id", pa.int32()), ("rows", pa.int64()),
+    ("payload_bytes", pa.int64()), ("lines", pa.int32()),
+    ("errors", pa.int64()), ("max_payload_bytes", pa.int64()),
+])
 
-    import pyarrow.dataset as pads
-
-    files = sorted(_glob.glob(os.path.join(group_dir, "*.parquet")))
-    # an explicit schema: a group with no output rows has no files to
-    # infer one from, and still gets an (empty) lineage of the same shape
-    columns = pa.schema([("part_id", pa.int32()), ("n_bytes", pa.int64()),
-                         ("n_lines", pa.int32()), ("status", pa.string())])
-    light = pads.dataset(files, schema=columns).to_table().to_pandas()
-    light["is_error"] = (light["status"] == "Fehlerhaft").astype("int64")
-    final = light.groupby("part_id", as_index=False).agg(
-        rows=("part_id", "size"),
-        payload_bytes=("n_bytes", "sum"),
-        lines=("n_lines", "sum"),
-        errors=("is_error", "sum"),
-        max_payload_bytes=("n_bytes", "max"))
-    return _write_lineage_table(group_dir, final)
-
-
-def _write_lineage_table(group_dir: str, final) -> tuple[str, int]:
-    lineage_dir = os.path.join(group_dir, "_lineage")
-    os.makedirs(lineage_dir, exist_ok=True)
-    pq.write_table(pa.Table.from_pandas(final, preserve_index=False),
-                   os.path.join(lineage_dir, "part-0.parquet"))
-    return lineage_dir, int(final["rows"].sum())
-
-
-# One output chunk's lineage, per part_id: the sums and max
-# ``write_lineage`` takes over a group, keyed by the chunk's input file
-# and name digest. ``null_bytes`` counts null payloads: pandas reads a
-# null ``n_bytes`` as NaN, which makes write_lineage's byte columns
-# float64, and ``commit_lineage`` must match that.
+# One output chunk's ``LINEAGE`` rows, keyed by its input file and digest.
 LINEAGE_PARTIAL = pa.schema([
-    ("file", pa.int32()), ("digest", pa.string()), ("part_id", pa.int32()),
-    ("rows", pa.int64()), ("payload_bytes", pa.int64()),
-    ("lines", pa.int32()), ("errors", pa.int64()),
-    ("max_payload_bytes", pa.int64()), ("null_bytes", pa.int64()),
+    pa.field("file", pa.int32()), pa.field("digest", pa.string()), *LINEAGE,
 ])
 
 
+def _reduce_lineage(rows: pa.Table) -> pa.Table:
+    """The ``LINEAGE`` table of ``rows``, which carry ``LINEAGE``'s columns
+    with any number of rows per ``part_id``: per ``part_id``, in
+    ``part_id`` order, the max of ``max_payload_bytes`` and the sums of
+    the rest."""
+    aggs = [(c, "max" if c == "max_payload_bytes" else "sum")
+            for c in LINEAGE.names[1:]]
+    return (rows.group_by("part_id").aggregate(aggs).sort_by("part_id")
+            .select(["part_id"] + [f"{c}_{f}" for c, f in aggs])
+            .rename_columns(LINEAGE.names).cast(LINEAGE))
+
+
 def _lineage_partial(chunk: pa.Table, file: int, digest: str) -> pa.Table:
-    """``chunk``'s ``LINEAGE_PARTIAL`` rows, one per ``part_id``."""
+    """``chunk``'s ``LINEAGE_PARTIAL`` rows, one per ``part_id``; a null
+    payload counts as a row of 0 bytes."""
     n_bytes = chunk["n_bytes"]
-    light = pa.table({
-        "part_id": chunk["part_id"], "n_bytes": n_bytes,
-        "n_lines": chunk["n_lines"],
-        "is_error": pc.fill_null(pc.equal(chunk["status"], "Fehlerhaft"),
-                                 False).cast(pa.int64()),
-        "is_null": pc.is_null(n_bytes).cast(pa.int64()),
-    })
-    # pandas sums skip NaN and give 0 for none left: min_count=0
-    agg = light.group_by("part_id").aggregate([
-        ("part_id", "count", pc.CountOptions(mode="all")),
-        ("n_bytes", "sum", pc.ScalarAggregateOptions(min_count=0)),
-        ("n_lines", "sum"), ("is_error", "sum"), ("n_bytes", "max"),
-        ("is_null", "sum"),
-    ])
-    n = agg.num_rows
-    return pa.table([
-        pa.array([file] * n, pa.int32()), pa.array([digest] * n, pa.string()),
-        agg["part_id"], agg["part_id_count"], agg["n_bytes_sum"],
-        agg["n_lines_sum"].cast(pa.int32()), agg["is_error_sum"],
-        agg["n_bytes_max"], agg["is_null_sum"],
-    ], schema=LINEAGE_PARTIAL)
+    lin = _reduce_lineage(pa.table({
+        "part_id": chunk["part_id"], "rows": pa.repeat(1, chunk.num_rows),
+        "payload_bytes": pc.fill_null(n_bytes, 0), "lines": chunk["n_lines"],
+        "errors": pc.fill_null(pc.equal(chunk["status"], "Fehlerhaft"),
+                               False).cast(pa.int64()),
+        "max_payload_bytes": n_bytes,
+    }))
+    n = lin.num_rows
+    return pa.table([pa.repeat(pa.scalar(file, pa.int32()), n),
+                     pa.repeat(digest, n), *lin.columns],
+                    schema=LINEAGE_PARTIAL)
 
 
 def commit_lineage(group_dir: str, partials: pa.Table) -> tuple[str, int]:
-    """Merge a group's ``LINEAGE_PARTIAL`` rows into the ``_lineage`` table
-    ``write_lineage`` would read back from the group's files: same values,
-    dtypes and ``part_id`` order. Returns ``(lineage_dir, total_rows)``."""
-    if partials.num_rows == 0:
-        return write_lineage(group_dir)  # no data files: the empty lineage
-    df = partials.to_pandas()
-    final = df.groupby("part_id", as_index=False).agg(
-        rows=("rows", "sum"),
-        payload_bytes=("payload_bytes", "sum"),
-        lines=("lines", "sum"),
-        errors=("errors", "sum"),
-        max_payload_bytes=("max_payload_bytes", "max"))
-    if df["null_bytes"].any():
-        final = final.astype({"payload_bytes": "float64",
-                              "max_payload_bytes": "float64"})
-    return _write_lineage_table(group_dir, final)
+    """Reduce a group's ``LINEAGE_PARTIAL`` rows to its ``LINEAGE`` table
+    and write it to ``group_dir/_lineage/part-0.parquet`` (no partials: the
+    empty table). Returns ``(lineage_dir, total_rows)``."""
+    final = _reduce_lineage(partials)
+    lineage_dir = os.path.join(group_dir, "_lineage")
+    os.makedirs(lineage_dir, exist_ok=True)
+    pq.write_table(final, os.path.join(lineage_dir, "part-0.parquet"))
+    return lineage_dir, pc.sum(final["rows"]).as_py() or 0
+
+
+def write_lineage(group_dir: str) -> tuple[str, int]:
+    """``commit_lineage`` over per-file partials of a group's output, read
+    back driver-side (four columns; a Ray execution for it measured 1-3 s
+    of scheduling per group): the lineage of a group whose files changed
+    after its commit."""
+    files = sorted(glob.glob(os.path.join(group_dir, "*.parquet")))
+    partials = [LINEAGE_PARTIAL.empty_table()] + [
+        _lineage_partial(pq.read_table(
+            f, columns=["part_id", "n_bytes", "n_lines", "status"]),
+            i, os.path.basename(f))
+        for i, f in enumerate(files)]
+    return commit_lineage(group_dir, pa.concat_tables(partials))
 
 
 class GroupWriter:
@@ -226,8 +203,6 @@ def cascade_delete(out_dir: str, urls: set[str] | list[str]) -> dict:
       (so resume semantics are unchanged).
 
     Returns ``{files_scanned, files_rewritten, rows_deleted}``."""
-    import glob as _glob
-
     import ray
 
     targets = set(urls)
@@ -257,7 +232,7 @@ def cascade_delete(out_dir: str, urls: set[str] | list[str]) -> dict:
     stats = {"files_scanned": 0, "files_rewritten": 0, "rows_deleted": 0}
     for key in list(man.entries):
         gdir = man.group_dir(key)
-        files = sorted(_glob.glob(os.path.join(gdir, "*.parquet")))
+        files = sorted(glob.glob(os.path.join(gdir, "*.parquet")))
         stats["files_scanned"] += len(files)
         deleted = ray.get([_delete_in_file.remote(f) for f in files])
         g_deleted = sum(deleted)

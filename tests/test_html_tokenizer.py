@@ -3,14 +3,14 @@
 (equivalence was verified against the old builder on the full synth corpus
 plus these edge cases; this file keeps that contract)."""
 
+from credit_ocr_backend_ray.functions.document import reading_order_text
 from credit_ocr_backend_ray.functions.html_extract import (
-    extracted_text_from_lines, html_to_lines, link_stats, node_text,
-    parse_dom,
+    html_to_lines, link_stats, node_text, parse_dom,
 )
 
 
 def _text(html):
-    return extracted_text_from_lines(html_to_lines(html))
+    return reading_order_text(html_to_lines(html))
 
 
 def test_self_closing_tag_inside_dropped_subtree():

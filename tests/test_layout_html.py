@@ -8,8 +8,9 @@ import random
 
 import pytest
 
+from credit_ocr_backend_ray.functions.document import reading_order_text
 from credit_ocr_backend_ray.functions.html_extract import (
-    extracted_text_from_lines, html_to_lines, link_stats, node_text, parse_dom,
+    html_to_lines, link_stats, node_text, parse_dom,
 )
 from credit_ocr_backend_ray.functions.layout import flatten_layout
 from credit_ocr_backend_ray.sources.synth import _form_html, _layout_doc, form_rows
@@ -57,7 +58,7 @@ def test_synth_layout_doc_flattens_to_44_lines():
 
 def test_html_boilerplate_is_stripped():
     lines = html_to_lines(_form_html(2))
-    text = extracted_text_from_lines(lines)
+    text = reading_order_text(lines)
     assert "Cookies" not in text
     assert "Rubrik" not in text          # nav link farm
     assert "Impressum" not in text       # footer

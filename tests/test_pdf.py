@@ -234,3 +234,25 @@ def test_indirect_length_resolves_or_falls_back_to_endstream():
     for length_obj in (b"%d" % n, b"  %d " % n,  # resolved through obj 9
                        b"/NotANumber", None):    # endstream delimiter
         assert extract_pdf_layout(_indirect_length_pdf(length_obj)) == direct
+
+
+@pytest.mark.parametrize("length_obj", [b"%d", None])
+def test_indirect_length_stream_containing_endobj_is_not_cut(length_obj):
+    """A stream with an indirect /Length whose payload holds the bytes
+    ``endobj`` ends at its ``endstream``, not at that ``endobj``: its
+    text survives whether the length object resolves or not."""
+    from credit_ocr_backend_ray.config import default_config
+    from credit_ocr_backend_ray.functions import pdf as P
+    from credit_ocr_backend_ray.functions.document import extract_document
+
+    content = b"BT /F1 12 Tf 1 0 0 1 72 700 Tm (endobj) Tj ET"
+    pdf = _one_page_pdf(content).replace(
+        b"<< /Length %d >>" % len(content), b"<< /Length 9 0 R >>")
+    if length_obj is not None:
+        pdf = pdf.replace(b"%%EOF", b"9 0 obj\n" + length_obj % len(content)
+                          + b"\nendobj\n%%EOF")
+    assert content in dict(P._iter_objects(pdf))[5]
+    out = extract_document(pdf, default_config()["credit_request"])
+    assert out["status"] == "Fertig", out.get("error")
+    assert out["n_lines"] == 1
+    assert out["extracted_text"] == "endobj"

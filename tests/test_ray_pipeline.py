@@ -550,23 +550,13 @@ def test_run_extraction_output_independent_of_groups(ray_session, tmp_path,
     assert len(outs[1]) == (8 if dedup else 11)
 
 
-@pytest.mark.parametrize("dedup", [False, True])
-def test_committed_lineage_equals_read_back(ray_session, tmp_path, dedup):
-    """Each group's ``_lineage``, merged from the writer's per-chunk
-    partials, equals ``write_lineage`` over a copy of the group's data
-    files, schema included: with a null payload (float byte columns),
-    a poisoned one, and, with dedup, a group that writes 0 rows."""
+def _assert_lineage_is_read_back(m, tmp_path) -> None:
+    """Every group's ``_lineage`` has the ``LINEAGE`` schema and equals
+    ``write_lineage`` over a copy of the group's data files; its total is
+    the manifest's row count."""
     import shutil
-    from credit_ocr_backend_ray.pipelines.extraction import (
-        ExtractionConfig, run_extraction)
-    from credit_ocr_backend_ray.state.manifest import RunManifest, write_lineage
+    from credit_ocr_backend_ray.state.manifest import LINEAGE, write_lineage
 
-    inp = _write_crawl_files(tmp_path / "in")
-    out = str(tmp_path / "out")
-    run_extraction(inp, out, ExtractionConfig(dedup=dedup), n_groups=3)
-    m = RunManifest(out)
-    rows = [m.entries[k]["rows"] for k in sorted(m.entries)]
-    assert rows == ([0, 4, 4] if dedup else [2, 5, 4])
     for key in sorted(m.entries):
         gdir = m.group_dir(key)
         copy = tmp_path / f"copy-{key}"
@@ -576,13 +566,58 @@ def test_committed_lineage_equals_read_back(ray_session, tmp_path, dedup):
         want_dir, want_rows = write_lineage(str(copy))
         got = pq.read_table(os.path.join(gdir, "_lineage", "part-0.parquet"))
         want = pq.read_table(os.path.join(want_dir, "part-0.parquet"))
-        assert got.schema.equals(want.schema, check_metadata=True), key
+        assert got.schema.equals(LINEAGE, check_metadata=True), key
+        assert want.schema.equals(LINEAGE, check_metadata=True), key
         assert got.equals(want), key
         assert want_rows == m.entries[key]["rows"]
-    # the null payload lives in group 1
-    null_group = pq.read_schema(os.path.join(
-        m.group_dir("00001"), "_lineage", "part-0.parquet"))
-    assert str(null_group.field("payload_bytes").type) == "double"
+
+
+@pytest.mark.parametrize("dedup", [False, True])
+def test_committed_lineage_equals_read_back(ray_session, tmp_path, dedup):
+    """Each group's ``_lineage``, merged from the writer's per-chunk
+    partials, equals ``write_lineage`` over a copy of the group's data
+    files, and both have the ``LINEAGE`` schema: with a null payload
+    (group 1), a poisoned one, and, with dedup, a group that writes 0
+    rows."""
+    from credit_ocr_backend_ray.pipelines.extraction import (
+        ExtractionConfig, run_extraction)
+    from credit_ocr_backend_ray.state.manifest import RunManifest
+
+    inp = _write_crawl_files(tmp_path / "in")
+    out = str(tmp_path / "out")
+    run_extraction(inp, out, ExtractionConfig(dedup=dedup), n_groups=3)
+    m = RunManifest(out)
+    rows = [m.entries[k]["rows"] for k in sorted(m.entries)]
+    assert rows == ([0, 4, 4] if dedup else [2, 5, 4])
+    _assert_lineage_is_read_back(m, tmp_path)
+
+
+def test_cascade_delete_lineage_with_null_payload(ray_session, tmp_path):
+    """A cascade delete whose surviving rows include a null payload
+    re-derives ``_lineage`` with the ``LINEAGE`` schema: equal to
+    ``write_lineage`` over the surviving files, the null payload counted
+    as a row of 0 bytes."""
+    import pyarrow.compute as pc
+    from credit_ocr_backend_ray.pipelines.extraction import run_extraction
+    from credit_ocr_backend_ray.sources.synth import page_row
+    from credit_ocr_backend_ray.state.manifest import RunManifest, cascade_delete
+
+    inp = _write_crawl_files(tmp_path / "in")
+    out = str(tmp_path / "out")
+    run_extraction(inp, out, n_groups=3)
+    # page 3 is crawled in files 1 and 2; file 1 keeps its null payload
+    stats = cascade_delete(out, {page_row(3)["url"]})
+    assert stats["rows_deleted"] == 2 and stats["files_rewritten"] == 2
+    m = RunManifest(out)
+    assert [m.entries[k]["rows"] for k in sorted(m.entries)] == [2, 4, 3]
+    _assert_lineage_is_read_back(m, tmp_path)
+    gdir = m.group_dir("00001")
+    data = pq.read_table(glob.glob(os.path.join(gdir, "*.parquet")))
+    lineage = pq.read_table(os.path.join(gdir, "_lineage", "part-0.parquet"))
+    assert data["n_bytes"].null_count == 1
+    assert pc.sum(lineage["rows"]).as_py() == data.num_rows
+    assert (pc.sum(lineage["payload_bytes"]).as_py()
+            == pc.sum(data["n_bytes"]).as_py())
 
 
 def test_group_writer_retry_overwrites(tmp_path):

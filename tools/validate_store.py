@@ -6,7 +6,8 @@ cycle:
   (no ``*.tmp`` leftovers from an interrupted atomic replace);
 - parquet FOOTER row counts per group match the manifest's recorded
   ``rows`` (metadata-only — no data I/O for the count check);
-- the per-group ``_lineage`` roll-up totals match the footers;
+- the per-group ``_lineage`` roll-up totals match the footers, and its
+  schema (metadata removed) is ``state.manifest.LINEAGE``;
 - urls are globally unique (one DuckDB aggregation over the url column
   only — the single column-read pass in the tool).
 
@@ -22,11 +23,15 @@ import json
 import os
 import sys
 
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
 
 def main() -> int:
     out_dir = sys.argv[1]
     import duckdb
     import pyarrow.parquet as pq
+
+    from credit_ocr_backend_ray.state.manifest import LINEAGE
 
     problems: list[str] = []
     man_path = os.path.join(out_dir, "manifest.json")
@@ -68,6 +73,12 @@ def main() -> int:
             if int(lrows or 0) != rows:
                 problems.append(
                     f"group {key}: lineage total {lrows} != {rows}")
+            for f in lin:
+                schema = pq.read_schema(f).remove_metadata()
+                if not schema.equals(LINEAGE):
+                    problems.append(
+                        f"group {key}: lineage schema is not LINEAGE: "
+                        + ", ".join(f"{c.name} {c.type}" for c in schema))
 
     all_files = sorted(glob.glob(os.path.join(out_dir, "group-*",
                                               "*.parquet")))
