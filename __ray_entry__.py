@@ -937,6 +937,7 @@ def _q_epoch_packed_sequences(sf_dir: str):
     import hashlib
     import pyarrow as pa
     from credit_ocr_backend_ray.stages.chunking import pack_sequences
+    from credit_ocr_backend_ray.stages.relational import shuffle_join
 
     def _ekeys(ids: list) -> list[int]:
         return [int(hashlib.md5(f"{d}-ep1".encode()).hexdigest()[:15], 16)
@@ -966,8 +967,7 @@ def _q_epoch_packed_sequences(sf_dir: str):
                             id_col="ekey")
     ids_map = (_rp(_t(sf_dir, "documents"), columns=["doc_id"])
                .map_batches(key_map, batch_format="pyarrow"))
-    out = packed.join(ids_map, join_type="inner", num_partitions=8,
-                      on=("ekey",))
+    out = shuffle_join(packed, ids_map, "ekey", num_partitions=8)
     return out.select_columns(["doc_id", "ekey", "n_tokens", "pack_id",
                                "pack_offset"])
 

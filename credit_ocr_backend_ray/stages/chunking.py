@@ -82,24 +82,17 @@ def chunk_dedup(ds: "rd.Dataset", window: int, text_col: str = "text",
         .select_columns([id_col, "chunk_idx", "chunk_text"])
     order = [id_col, "chunk_idx"]
 
-    from credit_ocr_backend_ray.stages.relational import _with_shard
+    from credit_ocr_backend_ray.stages.relational import shard_cogroup
 
-    def local_first(b: pd.DataFrame) -> pd.DataFrame:
-        out = (b.sort_values(order)
-                .groupby("chunk_text", as_index=False, sort=False).head(1))
-        return _with_shard(out, "chunk_text", 64)
-
-    def first_of(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__shard"])
-        return (g.sort_values(order)
+    def first_of(b: pd.DataFrame) -> pd.DataFrame:
+        return (b.sort_values(order)
                  .groupby("chunk_text", as_index=False, sort=False).head(1))
 
     # coarse-shard co-group, not per-chunk-text map_groups: distinct
     # chunks ~ corpus size, and Ray prices groupby(key) by distinct-key
     # count (measured 64-78 s at 400k keys vs ~3 s for 64 shards)
-    return (chunks.map_batches(local_first, batch_format="pandas")
-                  .groupby("__shard")
-                  .map_groups(first_of, batch_format="pandas"))
+    return shard_cogroup(chunks.map_batches(first_of, batch_format="pandas"),
+                         "chunk_text", first_of)
 
 
 def dedup_chunks_in_doc(toks: list[str], window: int) \

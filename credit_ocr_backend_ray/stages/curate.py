@@ -41,7 +41,9 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-from credit_ocr_backend_ray.stages.relational import global_topk, grouped_agg
+from credit_ocr_backend_ray.stages.relational import (
+    global_topk, grouped_agg, shard_cogroup,
+)
 from credit_ocr_backend_ray.stages.sketch import bloom_semi_join
 
 _WS = re.compile(r"\s+")
@@ -68,25 +70,19 @@ def quota_sample_per_key(ds: "rd.Dataset", key_col: str, id_col: str,
     rationale as ``deterministic_sample``: the contract is DuckDB's
     ``md5()`` and no vectorized md5 kernel exists in numpy/pyarrow)."""
 
-    from credit_ocr_backend_ray.stages.relational import _with_shard
+    def top_n(b: pd.DataFrame) -> pd.DataFrame:
+        return (b.sort_values(["__h", id_col])
+                 .groupby(key_col, sort=False).head(n))
 
     def local(b: pd.DataFrame) -> pd.DataFrame:
         h = [hashlib.md5(str(k).encode()).hexdigest() for k in b[id_col]]
-        out = (b.assign(__h=h).sort_values(["__h", id_col])
-                .groupby(key_col, sort=False).head(n))
-        return _with_shard(out, key_col, 64)
-
-    def final(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.drop(columns="__shard")
-                 .sort_values(["__h", id_col])
-                 .groupby(key_col, sort=False).head(n)
-                 .drop(columns="__h"))
+        return top_n(b.assign(__h=h))
 
     # coarse-shard co-group, not per-key map_groups: the quota key is
     # per-domain — unbounded at crawl scale, and Ray prices groupby(key)
     # by distinct-key count (measured 64-78 s at 400k keys)
-    return (ds.map_batches(local, batch_format="pandas")
-              .groupby("__shard").map_groups(final, batch_format="pandas"))
+    return shard_cogroup(ds.map_batches(local, batch_format="pandas"),
+                         key_col, top_n).drop_columns(["__h"])
 
 
 def ngram_pairs(ds: "rd.Dataset", n: int, text_col: str = "text",
@@ -401,8 +397,6 @@ def duplicate_gram_stats(ds: "rd.Dataset", n: int = 8,
     (exactness contract shared with ``decontamination_stats``); at
     extreme scale swap the key for a 128-bit gram hash and accept the
     astronomically-small collision odds."""
-    from credit_ocr_backend_ray.functions.hashing import hash_strings_u64
-
     def local_counts(t: pa.Table) -> pa.Table:
         from collections import Counter
         c: Counter = Counter()
@@ -410,15 +404,10 @@ def duplicate_gram_stats(ds: "rd.Dataset", n: int = 8,
             toks = _tokens(txt)
             for j in range(len(toks) - n + 1):
                 c[(" ".join(toks[j:j + n]), i)] += 1
-        grams = [k[0] for k in c]
-        ids = [k[1] for k in c]
-        shard = (hash_strings_u64(grams) % np.uint64(n_shards)).astype(
-            np.int64) if grams else np.array([], np.int64)
         return pa.table({
-            "gram": pa.array(grams, pa.string()),
-            id_col: pa.array(ids, pa.int64()),
+            "gram": pa.array([k[0] for k in c], pa.string()),
+            id_col: pa.array([k[1] for k in c], pa.int64()),
             "__c": pa.array(list(c.values()), pa.int64()),
-            "__shard": pa.array(shard, pa.int64()),
         })
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
@@ -431,9 +420,9 @@ def duplicate_gram_stats(ds: "rd.Dataset", n: int = 8,
         return (out.groupby(id_col, as_index=False)
                    .agg(__pos=("__pos", "sum"), __dup=("__dup", "sum")))
 
-    parted = (ds.map_batches(local_counts, batch_format="pyarrow")
-                .groupby("__shard").map_groups(per_shard,
-                                               batch_format="pandas"))
+    parted = shard_cogroup(
+        ds.map_batches(local_counts, batch_format="pyarrow"), "gram",
+        per_shard, n_shards)
     return grouped_agg(parted, [id_col],
                        {"__pos": "n_grams", "__dup": "n_dup_grams"},
                        count_alias=None, combine="cogroup")
@@ -464,7 +453,6 @@ def substring_dedup(ds: "rd.Dataset", n: int = 8,
     from the uncovered positions. No stage holds more than a shard.
 
     Output: (doc_id, n_tokens, n_dup_tokens, text_cut)."""
-    from credit_ocr_backend_ray.functions.hashing import hash_strings_u64
     from credit_ocr_backend_ray.stages.relational import _with_shard
 
     def emit(t: pa.Table) -> pa.Table:
@@ -477,13 +465,10 @@ def substring_dedup(ds: "rd.Dataset", n: int = 8,
                 grams.append(" ".join(toks[j:j + n]))
                 ids.append(i)
                 starts.append(j)
-        shard = (hash_strings_u64(grams) % np.uint64(n_shards)).astype(
-            np.int64) if grams else np.array([], np.int64)
         return pa.table({
             "gram": pa.array(grams, pa.string()),
             id_col: pa.array(ids, pa.int64()),
             "__start": pa.array(starts, pa.int64()),
-            "__shard": pa.array(shard, pa.int64()),
         })
 
     def dup_starts(g: pd.DataFrame) -> pd.DataFrame:
@@ -492,9 +477,8 @@ def substring_dedup(ds: "rd.Dataset", n: int = 8,
         return (out.astype({id_col: "int64", "__start": "int64"})
                    .reset_index(drop=True))
 
-    dups = (ds.map_batches(emit, batch_format="pyarrow")
-              .groupby("__shard").map_groups(dup_starts,
-                                             batch_format="pandas"))
+    dups = shard_cogroup(ds.map_batches(emit, batch_format="pyarrow"),
+                         "gram", dup_starts, n_shards)
 
     def tag_docs(b: pd.DataFrame) -> pd.DataFrame:
         # positional arrays throughout: incoming blocks may carry a
@@ -918,8 +902,6 @@ def k_anonymity(ds: "rd.Dataset", qi_cols: list[str],
     then ONE shard co-group on the leading QI column finishes exact
     per-group totals and distinct-sensitive counts (``nunique``
     excludes nulls, matching SQL ``count(DISTINCT ...)``)."""
-    from credit_ocr_backend_ray.stages.relational import shard_cogroup
-
     cols = list(qi_cols) + [sensitive_col]
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:
@@ -1093,8 +1075,6 @@ def budget_select(ds: "rd.Dataset", score_col: str, cost_col: str,
     holistic limit).
 
     Output: (id, score, cost, cum_cost) for the selected rows."""
-    from credit_ocr_backend_ray.stages.relational import shard_cogroup
-
     lo = ds.min(score_col)
     hi = ds.max(score_col)
     span = float(hi) - float(lo)
@@ -1189,8 +1169,6 @@ def roc_auc(ds: "rd.Dataset", score_col: str, pos_col: str,
       computes the rank-sum per key (grouped_quantile's holistic limit,
       but on the DISTINCT-SCORE table, not the rows). Returns a Dataset
       of (keys..., n_pos, n_neg, auc_micro)."""
-    from credit_ocr_backend_ray.stages.relational import shard_cogroup
-
     gkeys = list(keys or [])
 
     def partial(b: pd.DataFrame) -> pd.DataFrame:

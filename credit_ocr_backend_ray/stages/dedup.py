@@ -37,6 +37,9 @@ import ray.data as rd
 from credit_ocr_backend_ray.functions.hashing import (
     jaccard, minhash_band_keys_for_texts, shingle_hashes_batch, simhash64,
 )
+from credit_ocr_backend_ray.stages.relational import (
+    global_row_number, grouped_agg, shard_cogroup, shuffle_join,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -54,20 +57,12 @@ def dedup_latest(ds: "rd.Dataset", key: str = "url",
     partitioning)."""
     # coarse-shard co-group (see dedup_exact): the per-shard pass is one
     # vectorized transform, never per-key group machinery
-    from credit_ocr_backend_ray.stages.relational import _with_shard
-
-    def local_max(b: pd.DataFrame) -> pd.DataFrame:
+    def keep_max(b: pd.DataFrame) -> pd.DataFrame:
         mx = b.groupby(key, sort=False)[order_col].transform("max")
-        return _with_shard(b[b[order_col] == mx], key, 64)
+        return b[b[order_col] == mx]
 
-    def shard_max(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__shard"])
-        mx = g.groupby(key, sort=False)[order_col].transform("max")
-        return g[g[order_col] == mx]
-
-    pruned = ds.map_batches(local_max, batch_format="pandas")
-    return pruned.groupby("__shard").map_groups(shard_max,
-                                               batch_format="pandas")
+    return shard_cogroup(ds.map_batches(keep_max, batch_format="pandas"),
+                         key, keep_max)
 
 
 def dedup_exact(ds: "rd.Dataset", hash_col: str, tie_col: str,
@@ -81,25 +76,12 @@ def dedup_exact(ds: "rd.Dataset", hash_col: str, tie_col: str,
     machinery (measured 55 s of a 70 s web-corpus run at 100k mostly-
     unique pages); the 64-shard co-group plus a vectorized per-shard
     groupby-head cut it to ~1/5."""
-    def local_first(b: pd.DataFrame) -> pd.DataFrame:
-        out = (b.sort_values(tie_col, ascending=True)
-                .groupby(hash_col, as_index=False, sort=False).head(1))
-        out = out.copy()
-        from credit_ocr_backend_ray.functions.hashing import (
-            hash_strings_u64)
-        out["__shard"] = (hash_strings_u64(
-            [str(x) for x in out[hash_col]])
-            % np.uint64(n_shards)).astype(np.int64)
-        return out
-
-    def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__shard"])
-        return (g.sort_values(tie_col, ascending=True)
+    def first(b: pd.DataFrame) -> pd.DataFrame:
+        return (b.sort_values(tie_col, ascending=True)
                  .groupby(hash_col, as_index=False, sort=False).head(1))
 
-    pruned = ds.map_batches(local_first, batch_format="pandas")
-    return pruned.groupby("__shard").map_groups(per_shard,
-                                               batch_format="pandas")
+    return shard_cogroup(ds.map_batches(first, batch_format="pandas"),
+                         hash_col, first, n_shards)
 
 
 def dedup_exact_sparse(ds: "rd.Dataset", hash_col: str,
@@ -123,7 +105,6 @@ def dedup_exact_sparse(ds: "rd.Dataset", hash_col: str,
         g = b.groupby(hash_col, as_index=False, sort=False).size()
         return g.rename(columns={"size": "__kn"})
 
-    from credit_ocr_backend_ray.stages.relational import grouped_agg
     # the key scan reads ONE column of the cached blocks (zero-copy
     # Arrow projection) — the wide payload never enters this pass.
     # combine="cogroup": the hash column's cardinality is ~the corpus
@@ -385,9 +366,8 @@ def _verify_pairs_by_join(cands: "rd.Dataset", ds: "rd.Dataset",
 
         ta = texts_needed.map_batches(as_side("a"), batch_format="pyarrow")
         tb = texts_needed.map_batches(as_side("b"), batch_format="pyarrow")
-        joined = cands.join(ta, join_type="inner",
-                            num_partitions=num_partitions,
-                            on=("id_a",), right_on=("__rid_a",))
+        joined = shuffle_join(cands, ta, "id_a", "__rid_a",
+                              num_partitions=num_partitions)
         # same empty-first-block guard between the joins: join-1 partitions
         # that matched nothing emit empty blocks, which would again suppress
         # the schema broadcast of join-2's left side
@@ -395,9 +375,8 @@ def _verify_pairs_by_join(cands: "rd.Dataset", ds: "rd.Dataset",
         n_j = max(1, joined.count())
         joined = joined.repartition(
             max(1, min(num_partitions, -(-n_j // 64))))
-        joined = joined.join(tb, join_type="inner",
-                             num_partitions=num_partitions,
-                             on=("id_b",), right_on=("__rid_b",))
+        joined = shuffle_join(joined, tb, "id_b", "__rid_b",
+                              num_partitions=num_partitions)
 
     out = joined.map_batches(verify, batch_format="pyarrow").to_pandas()
     if out.empty:
@@ -797,8 +776,6 @@ def corpus_overlap(ds: "rd.Dataset", text_col: str = "text",
     rows are O(distinct texts), 64 hex bytes + source each."""
     import hashlib
 
-    from credit_ocr_backend_ray.stages.relational import grouped_agg
-
     def local_pairs(t: pa.Table) -> pa.Table:
         seen: set = set()
         hs: list[str] = []
@@ -818,21 +795,15 @@ def corpus_overlap(ds: "rd.Dataset", text_col: str = "text",
         # text: Ray's per-key map_groups prices by distinct-key count
         # (the r5 sf1 measurement — 64-78 s at 400k keys vs ~3 s for 64
         # coarse shards), and distinct texts ~ corpus size at 100 TB
-        g = g.drop(columns="__shard").drop_duplicates(["th", group_col])
+        g = g.drop_duplicates(["th", group_col])
         n_src = g.groupby("th")[group_col].transform("nunique")
         return pd.DataFrame({
             group_col: g[group_col],
             "__shared": (n_src > 1).to_numpy().astype(np.int64),
         })
 
-    from credit_ocr_backend_ray.stages.relational import _with_shard
     pairs = ds.map_batches(local_pairs, batch_format="pyarrow")
-    flagged = (pairs.map_batches(
-                   lambda b: _with_shard(b, "th", 64),
-                   batch_format="pandas")
-               .repartition(64)
-               .groupby("__shard").map_groups(shared_flags,
-                                              batch_format="pandas"))
+    flagged = shard_cogroup(pairs.repartition(64), "th", shared_flags)
     return grouped_agg(flagged, [group_col], {"__shared": "n_shared"},
                        count_alias="n_texts")
 
@@ -1123,9 +1094,6 @@ def snm_pairs(ds: "rd.Dataset", key_col: str, id_col: str,
     Nulls in ``key_col`` drop by contract (they have no sort
     position). Output: (a_id, b_id, gap) with a_id the lower-RANK
     row's id and ``gap`` the rank distance in [1, window]."""
-    from credit_ocr_backend_ray.stages.relational import (
-        global_row_number)
-
     if window < 1:
         raise ValueError("snm_pairs: window must be >= 1")
     if bucket_size <= window:

@@ -59,7 +59,9 @@ class DocExtractor:
     block of ordinary ~40 KB pages processes in a few large chunks, while
     a run of multi-MB outliers is cut into small ones, so peak worker heap
     and output block size are bounded by the BYTE budget, not a row count
-    that assumes uniform pages."""
+    that assumes uniform pages. Batches are prepassed
+    (``stages.prepass.prepass_batch``): its ``n_bytes`` column sizes
+    each row."""
 
     def __init__(self, doc_type: str = "credit_request",
                  with_result_json: bool = False,
@@ -69,12 +71,7 @@ class DocExtractor:
         self.budget = chunk_budget_mb << 20
 
     def __call__(self, batch: pa.Table):
-        import pyarrow.compute as pc
-        if "n_bytes" in batch.column_names:
-            sizes = batch["n_bytes"].to_pylist()
-        else:
-            sizes = pc.binary_length(batch["html"]).to_pylist()
-
+        sizes = batch["n_bytes"].to_pylist()
         start = 0
         acc = 0
         for i, s in enumerate(sizes):

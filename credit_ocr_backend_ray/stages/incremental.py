@@ -106,14 +106,11 @@ def dedup_against_index(ds: "rd.Dataset", index_dir: str,
 
         return ds.map_batches(filt, batch_format="pyarrow")
 
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = max(4, min(cpus, 64))
     from credit_ocr_backend_ray.sources.pq_read import read_parquet_clean
+    from credit_ocr_backend_ray.stages.relational import shuffle_join
     idx = read_parquet_clean(files, columns=["hash"])
-    return ds.join(idx, join_type="left_anti",
-                   num_partitions=num_partitions,
-                   on=(hash_col,), right_on=("hash",))
+    return shuffle_join(ds, idx, hash_col, "hash", join_type="left_anti",
+                        num_partitions=num_partitions)
 
 
 def incremental_dedup_run(ds: "rd.Dataset", index_dir: str, run_id: str,
@@ -246,7 +243,8 @@ def minhash_index_query(new_ds: "rd.Dataset", index_dir: str,
     # (candidate-pair count is unbounded; Ray's per-key count prices by
     # distinct keys), then strip the pandas-block schema metadata before
     # the join shuffle (unhashable metadata defeats Ray's schema dedup).
-    from credit_ocr_backend_ray.stages.relational import shard_cogroup
+    from credit_ocr_backend_ray.stages.relational import (
+        shard_cogroup, shuffle_join)
     cands = (shard_cogroup(
                   probe.groupby("bucket")
                        .map_groups(match_bucket, batch_format="pandas"),
@@ -264,8 +262,7 @@ def minhash_index_query(new_ds: "rd.Dataset", index_dir: str,
                  .map_batches(lambda t: t.rename_columns(
                      ["new_id", "__new_text"]).replace_schema_metadata(
                      None), batch_format="pyarrow"))
-    paired = cands.join(new_texts, join_type="inner", num_partitions=8,
-                        on=("new_id",))
+    paired = shuffle_join(cands, new_texts, "new_id", num_partitions=8)
 
     def tag_tbucket(t: pa.Table) -> pa.Table:
         ids = np.asarray(t["idx_id"].to_pylist(), dtype=np.int64)

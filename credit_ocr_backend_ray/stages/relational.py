@@ -15,7 +15,16 @@ scale-conscious shapes:
 - ``windowed_agg``: event-time tumbling windows as a derived window key +
   grouped aggregate (Ray Data has no event-time machinery; SURVEY §2.9).
 - ``shuffle_join``: large-large hash-shuffle join via ``Dataset.join``
-  (both sides too big to broadcast; the one all-to-all the plan pays).
+  (both sides too big to broadcast). It is the package's ONLY caller of
+  ``Dataset.join``: it owns the default partition count and the
+  aggregator resources (no CPU reserved, so a 1-CPU cluster can still
+  schedule the read tasks that feed the join).
+- ``shard_cogroup``: the ONLY single-key co-group — tag rows with
+  ``shard_ids`` (the one coarse shard hash: Fibonacci mix for numbers,
+  ``hash_strings_u64`` otherwise) and fold each of 64 shards with
+  vectorized pandas. Combiners pass their per-batch prune as the fold
+  too; per-group kernels go through ``_groupwise``. Only operators that
+  replicate rows or shard on a composite key tag their own shards.
 - ``grouped_stats``: sum/avg/min/max/count per key, combiner-style.
 - ``sessionize``: gap-based session windows — hash-partition by user, one
   per-group sorted linear scan (the streaming-window analogue, SURVEY §2.9).
@@ -52,7 +61,7 @@ def grouped_agg(ds: "rd.Dataset", keys: Sequence[str],
     machinery prices it by DISTINCT-KEY count: measured 64-78 s for a
     400k-distinct-key fold at sf-bench scale regardless of block count.
     ``combine="cogroup"`` finishes with a coarse key-hash shard co-group
-    instead (``_with_shard`` on the first key + one vectorized pandas
+    instead (``shard_cogroup`` on the first key: one vectorized pandas
     fold per shard — the dedup_exact/latest_per_key pattern): identical
     results, 3.3 s on the same 400k-key fold, and the sort only ever
     sees ``n_shards`` groups. Prefer it whenever key cardinality is
@@ -101,11 +110,7 @@ def grouped_agg(ds: "rd.Dataset", keys: Sequence[str],
     if combine == "cogroup":
         aliases = list(sum_cols.values())
 
-        def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-            return _with_shard(b, keys[0], n_shards)
-
-        def shard_fold(g: pd.DataFrame) -> pd.DataFrame:
-            g = g.drop(columns=["__shard"])
+        def fold(g: pd.DataFrame) -> pd.DataFrame:
             # dropna=False: the Arrow partial keeps null keys as a null
             # group; the pandas fold must not silently drop those rows
             return g.groupby(keys, as_index=False, sort=False,
@@ -117,10 +122,8 @@ def grouped_agg(ds: "rd.Dataset", keys: Sequence[str],
         # shard shuffle: the co-group's residual cost is per-input-block
         # machinery (measured 33 s over 783 near-empty blocks), and an
         # extraction-shaped upstream yields many small blocks
-        out = (partials.map_batches(add_shard, batch_format="pandas")
-               .repartition(n_shards)
-               .groupby("__shard").map_groups(shard_fold,
-                                              batch_format="pandas"))
+        out = shard_cogroup(partials.repartition(n_shards), keys[0], fold,
+                            n_shards)
         if count_alias is None:
             out = out.drop_columns([cnt])
         return out
@@ -145,38 +148,48 @@ def broadcast_join(ds: "rd.Dataset", small: pd.DataFrame, on: str,
     return ds.map_batches(join_batch, batch_format="pandas")
 
 
+# Fibonacci multiplier of every shard mix in this module
+_MIX = np.uint64(0x9E3779B97F4A7C15)
+
+
+def shard_ids(keys: np.ndarray, n_shards: int) -> np.ndarray:
+    """The one coarse shard hash: int64 shard id in ``[0, n_shards)`` of
+    every key of a numpy array. Numbers take a Fibonacci mix
+    (same constant as bucket_store/graph) before the mod — an identity
+    mod collapses stride-patterned keys (e.g. all multiples of 64) into
+    one hot shard. Integer keys hash by value, so the two sides of a
+    co-group still co-locate equal keys when their columns differ in
+    width. Everything else hashes ``str(key)`` with
+    ``hash_strings_u64``."""
+    if np.issubdtype(keys.dtype, np.number):
+        mixed = (keys.astype(np.int64).view(np.uint64) * _MIX
+                 ) >> np.uint64(40)
+        return (mixed % np.uint64(n_shards)).astype(np.int64)
+    from credit_ocr_backend_ray.functions.hashing import hash_strings_u64
+    return (hash_strings_u64([str(x) for x in keys])
+            % np.uint64(n_shards)).astype(np.int64)
+
+
 def _with_shard(b: pd.DataFrame, key: str, n_shards: int) -> pd.DataFrame:
-    """Append a coarse key-hash shard column (the co-group granularity:
-    a per-KEY groupby pays fine-grained sort machinery per distinct key;
-    64 shards keep each group a vectorized pandas pass)."""
-    a = b[key].to_numpy()
-    if np.issubdtype(a.dtype, np.number):
-        # Fibonacci mix (same constant as bucket_store/graph) before the
-        # mod: identity mod collapses stride-patterned keys (e.g. all
-        # multiples of 64) into one hot shard.
-        mixed = (a.astype(np.int64).view(np.uint64)
-                 * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(40)
-        s = (mixed % np.uint64(n_shards)).astype(np.int64)
-    else:
-        from credit_ocr_backend_ray.functions.hashing import (
-            hash_strings_u64)
-        s = (hash_strings_u64([str(x) for x in a])
-             % np.uint64(n_shards)).astype(np.int64)
+    """Append the ``__shard`` column (``shard_ids`` of ``key``)."""
     b = b.copy()
-    b["__shard"] = s
+    b["__shard"] = shard_ids(b[key].to_numpy(), n_shards)
     return b
 
 
 def shard_cogroup(ds: "rd.Dataset", key: str, fold, n_shards: int = 64
                   ) -> "rd.Dataset":
-    """Coarse key-hash shard co-group: tag each row with
-    ``hash(key) % n_shards`` and run ``fold`` once per SHARD (the frame
-    arrives without the ``__shard`` column). The replacement for
-    ``ds.groupby(key).map_groups(...)`` whenever key cardinality is
-    unbounded — Ray's per-key machinery prices by distinct-key count
-    (measured 64-78 s at 400k keys vs ~3 s for 64 shards, r5);
-    ``fold`` keeps exact per-key semantics by grouping WITHIN the shard
-    with vectorized pandas ops."""
+    """Coarse key-hash shard co-group — the one single-key co-group of
+    this package: tag each row with ``shard_ids(key)`` and run ``fold``
+    once per SHARD (the frame arrives without the ``__shard`` column).
+    The replacement for ``ds.groupby(key).map_groups(...)`` whenever key
+    cardinality is unbounded — Ray's per-key machinery prices by
+    distinct-key count (measured 64-78 s at 400k keys vs ~3 s for 64
+    shards, r5); ``fold`` keeps exact per-key semantics by grouping
+    WITHIN the shard with vectorized pandas ops. A combiner-shaped
+    caller whose per-batch prune equals its per-shard fold (top-1,
+    top-k, first or max per key) maps ``ds`` with that function and
+    passes it again as ``fold``."""
 
     def tag(b: pd.DataFrame) -> pd.DataFrame:
         return _with_shard(b, key, n_shards)
@@ -250,19 +263,12 @@ def latest_per_key(ds: "rd.Dataset", key: str, order_cols: list[str],
     groupby-head per shard) instead of paying per-key group machinery."""
     asc = ascending if ascending is not None else [False] * len(order_cols)
 
-    def local_winners(b: pd.DataFrame) -> pd.DataFrame:
-        out = (b.sort_values(order_cols, ascending=asc)
-                .groupby(key, as_index=False, sort=False).head(1))
-        return _with_shard(out, key, n_shards)
-
-    def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__shard"])
-        return (g.sort_values(order_cols, ascending=asc)
+    def top1(b: pd.DataFrame) -> pd.DataFrame:
+        return (b.sort_values(order_cols, ascending=asc)
                  .groupby(key, as_index=False, sort=False).head(1))
 
-    pruned = ds.map_batches(local_winners, batch_format="pandas")
-    return pruned.groupby("__shard").map_groups(per_shard,
-                                               batch_format="pandas")
+    return shard_cogroup(ds.map_batches(top1, batch_format="pandas"), key,
+                         top1, n_shards)
 
 
 def windowed_agg(ds: "rd.Dataset", ts_col: str, keys: Sequence[str],
@@ -364,15 +370,26 @@ def broadcast_anti_join(ds: "rd.Dataset", keys: set, on: str) -> "rd.Dataset":
     return ds.map_batches(filt, batch_format="pandas")
 
 
-def shuffle_join(left: "rd.Dataset", right: "rd.Dataset", on: str,
-                 right_on: str | None = None, join_type: str = "inner",
+def shuffle_join(left: "rd.Dataset", right: "rd.Dataset",
+                 on: str | tuple[str, ...],
+                 right_on: str | tuple[str, ...] | None = None,
+                 join_type: str = "inner",
                  num_partitions: int | None = None) -> "rd.Dataset":
-    """Large-large hash-shuffle join (``Dataset.join``). Both sides are
-    hash-partitioned on the key — use ``broadcast_join`` whenever one side
+    """Large-large hash-shuffle join (``Dataset.join``) — the package's
+    ONE join entry. Both sides are hash-partitioned on the key (a column
+    name or a tuple of them) — use ``broadcast_join`` whenever one side
     fits in the object store; this is for the fact-fact case (e.g.
     lineitem x orders). ``num_partitions`` is the shuffle fan-out; each
     partition is an aggregator actor, so default it to the cluster's CPU
     count (at 100 TB: blocks-per-core x nodes, set explicitly).
+
+    The aggregator actors reserve no CPU. By default Ray 2.49.2 reserves
+    a fraction of a CPU per aggregator for the join's whole lifetime, so
+    on a 1-CPU cluster (or wherever the reservations leave less than one
+    free CPU) the 1-CPU tasks that feed the join are never scheduled and
+    the join hangs. Unreserved, the aggregators share the CPUs with the
+    tasks that feed them; SPREAD keeps Ray's default placement over
+    nodes.
 
     Empty-block schema race: ray 2.49.2's hash-shuffle loses a side's
     schema broadcast when the first-scheduled block of that side is empty
@@ -385,12 +402,16 @@ def shuffle_join(left: "rd.Dataset", right: "rd.Dataset", on: str,
     test: tests/test_relational_ops.py::test_shuffle_join_empty_leading_blocks.
     A side empty in EVERY block still cannot broadcast (upstream
     limitation) — join output is empty/left-only then anyway."""
+    on, right_on = ((c,) if isinstance(c, str) else tuple(c)
+                    for c in (on, right_on or on))
     if num_partitions is None:
         cpus = int(ray.cluster_resources().get("CPU", 8))
         num_partitions = max(4, cpus)
     return left.join(right, join_type=join_type,
                      num_partitions=num_partitions,
-                     on=(on,), right_on=(right_on or on,))
+                     on=on, right_on=right_on,
+                     aggregator_ray_remote_args={
+                         "num_cpus": 0, "scheduling_strategy": "SPREAD"})
 
 
 def grouped_stats(ds: "rd.Dataset", keys: Sequence[str], col: str,
@@ -513,21 +534,14 @@ def topk_per_group(ds: "rd.Dataset", key: str, order_cols: list[str], k: int,
     cut is deterministic."""
     asc = ascending if ascending is not None else [False] * len(order_cols)
 
-    def local_topk(b: pd.DataFrame) -> pd.DataFrame:
-        # combiner pre-prune: a global top-k row is a local top-k row in
-        # its batch, so at most k rows per (key, batch) cross the shuffle
-        out = (b.sort_values(order_cols, ascending=asc)
-                .groupby(key, as_index=False, sort=False).head(k))
-        return _with_shard(out, key, 64)
-
-    def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__shard"])
-        return (g.sort_values(order_cols, ascending=asc)
+    # combiner pre-prune: a global top-k row is a local top-k row in its
+    # batch, so at most k rows per (key, batch) cross the shuffle
+    def topk(b: pd.DataFrame) -> pd.DataFrame:
+        return (b.sort_values(order_cols, ascending=asc)
                  .groupby(key, as_index=False, sort=False).head(k))
 
-    pruned = ds.map_batches(local_topk, batch_format="pandas")
-    return pruned.groupby("__shard").map_groups(per_shard,
-                                               batch_format="pandas")
+    return shard_cogroup(ds.map_batches(topk, batch_format="pandas"), key,
+                         topk)
 
 
 def sessionize(ds: "rd.Dataset", key: str, ts_col: str, gap_s: float,
@@ -577,6 +591,23 @@ def session_assign(ds: "rd.Dataset", key: str, ts_col: str, gap_s: float,
     return shard_cogroup(ds, key, assign)
 
 
+def _arrow_types(ds: "rd.Dataset", cols: list[str]) -> dict[str, pa.DataType]:
+    """Arrow type of each of ``cols`` in ``ds``'s schema; a pandas-block
+    schema maps numpy dtypes (object -> string). The two-sided co-groups
+    pin their typed-null payload columns with it."""
+    s = ds.schema().base_schema
+    if isinstance(s, pa.Schema):
+        return {c: s.field(c).type for c in cols}
+    out = {}
+    for name, dt in zip(s.names, s.types):
+        if name in cols:
+            try:
+                out[name] = pa.from_numpy_dtype(dt)
+            except (pa.ArrowNotImplementedError, TypeError):
+                out[name] = pa.string()
+    return out
+
+
 def asof_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
               right_key: str, left_ts: str, right_ts: str,
               left_cols: list[str], right_cols: list[str],
@@ -594,29 +625,6 @@ def asof_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
     if direction not in ("backward", "forward"):
         raise ValueError(f"unknown direction: {direction}")
     all_payload = left_cols + right_cols
-    n_shards = 64
-
-    def _shards_of(arr) -> np.ndarray:
-        a = arr.to_numpy(zero_copy_only=False)
-        if np.issubdtype(a.dtype, np.number):
-            return ((a.astype(np.int64) % n_shards) + n_shards) % n_shards
-        from credit_ocr_backend_ray.functions.hashing import hash_strings_u64
-        return (hash_strings_u64([str(x) for x in a])
-                % np.uint64(n_shards)).astype(np.int64)
-
-    def _arrow_types(ds_: "rd.Dataset", cols: list[str]) -> dict[str, pa.DataType]:
-        s = ds_.schema().base_schema
-        if isinstance(s, pa.Schema):
-            return {c: s.field(c).type for c in cols}
-        # pandas-block schema: numpy dtypes (object -> string)
-        out = {}
-        for name, dt in zip(s.names, s.types):
-            if name in cols:
-                try:
-                    out[name] = pa.from_numpy_dtype(dt)
-                except (pa.ArrowNotImplementedError, TypeError):
-                    out[name] = pa.string()
-        return out
 
     types = {**_arrow_types(left, left_cols), **_arrow_types(right, right_cols)}
 
@@ -629,7 +637,6 @@ def asof_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
                 "__key": t[key],
                 "__ts": t[ts],
                 "__side": pa.array(np.full(n, side, dtype=np.int8)),
-                "__shard": pa.array(_shards_of(t[key])),
             }
             for c in all_payload:
                 cols[c] = t[c] if c in cols_present else pa.nulls(n, types[c])
@@ -673,8 +680,7 @@ def asof_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
             return empty
         return out[out_cols].astype(out_dtypes)
 
-    return (l.union(r).groupby("__shard")
-            .map_groups(merge, batch_format="pandas"))
+    return shard_cogroup(l.union(r), "__key", merge)
 
 
 def asof_join_broadcast(left: "rd.Dataset", right: pd.DataFrame,
@@ -1372,98 +1378,31 @@ def rollup_agg(ds: "rd.Dataset", keys: Sequence[str],
                combine: str = "shuffle") -> "rd.Dataset":
     """GROUP BY ROLLUP(keys): aggregates at every key-prefix level (finest,
     each coarser prefix, grand total), NULL-filling the rolled-up key
-    columns. One full combiner shuffle computes the finest level; every
-    coarser level re-aggregates the (already tiny) finest result, so the
-    raw data is read and shuffled exactly once. Keys must be string-typed
-    so the NULL fill is type-stable across levels."""
+    columns — ``grouping_sets_agg`` over the prefixes, longest first, so
+    the raw data is read and shuffled exactly once. Keys must be
+    string-typed so the NULL fill is type-stable across levels."""
     keys = list(keys)
-    finest = grouped_agg(ds, keys, sum_cols, count_alias=count_alias,
-                         combine=combine)
-    vals = [*sum_cols.values(), count_alias]
-    levels = [finest]
-    for k in range(len(keys) - 1, -1, -1):
-        sub_sums = {v: v for v in vals}
-        if k == 0:
-            # grand total: per-block partial totals, then one final sum
-            def total_partial(b: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame({v: [b[v].sum()] for v in vals})
-
-            def total_final(b: pd.DataFrame) -> pd.DataFrame:
-                out = pd.DataFrame({v: [b[v].sum()] for v in vals})
-                for c in keys:
-                    out[c] = None
-                return out[keys + vals]
-
-            lvl = (finest.map_batches(total_partial, batch_format="pandas")
-                   .repartition(1)
-                   .map_batches(total_final, batch_format="pandas"))
-        else:
-            lvl = grouped_agg(finest, keys[:k], sub_sums,
-                              count_alias="__lvl", combine=combine)
-
-            def fill(b: pd.DataFrame, _k=k) -> pd.DataFrame:
-                b = b.drop(columns=["__lvl"])
-                for c in keys[_k:]:
-                    b[c] = None
-                return b[keys + vals]
-            lvl = lvl.map_batches(fill, batch_format="pandas")
-        levels.append(lvl)
-    out = levels[0]
-    for lvl in levels[1:]:
-        out = out.union(lvl)
-    return out
+    return grouping_sets_agg(ds, keys,
+                             [keys[:k] for k in range(len(keys), -1, -1)],
+                             sum_cols, count_alias=count_alias,
+                             combine=combine)
 
 
 def cube_agg(ds: "rd.Dataset", keys: Sequence[str],
              sum_cols: dict[str, str], count_alias: str = "n",
              combine: str = "shuffle") -> "rd.Dataset":
     """GROUP BY CUBE(keys): aggregates at EVERY subset of the key set
-    (2^k levels), NULL-filling the cubed-away columns. Same shape rule
-    as ``rollup_agg``: the raw data is read and shuffled exactly once
-    for the finest level; every other subset re-aggregates the (tiny)
-    finest result. Keys must be string-typed for a type-stable NULL
-    fill."""
+    (2^k levels), NULL-filling the cubed-away columns —
+    ``grouping_sets_agg`` over all subsets, largest first. Keys must be
+    string-typed for a type-stable NULL fill."""
     from itertools import combinations
 
     keys = list(keys)
-    finest = grouped_agg(ds, keys, sum_cols, count_alias=count_alias,
-                         combine=combine)
-    vals = [*sum_cols.values(), count_alias]
-    levels = [finest]
-    for r in range(len(keys) - 1, -1, -1):
-        for subset in combinations(keys, r):
-            sub = list(subset)
-            if not sub:
-                def total_partial(b: pd.DataFrame) -> pd.DataFrame:
-                    return pd.DataFrame({v: [b[v].sum()] for v in vals})
-
-                def total_final(b: pd.DataFrame) -> pd.DataFrame:
-                    out = pd.DataFrame({v: [b[v].sum()] for v in vals})
-                    for c in keys:
-                        out[c] = None
-                    return out[keys + vals]
-
-                lvl = (finest.map_batches(total_partial,
-                                          batch_format="pandas")
-                       .repartition(1)
-                       .map_batches(total_final, batch_format="pandas"))
-            else:
-                lvl = grouped_agg(finest, sub, {v: v for v in vals},
-                                  count_alias="__lvl", combine=combine)
-
-                def fill(b: pd.DataFrame, _sub=tuple(sub)) -> pd.DataFrame:
-                    b = b.drop(columns=["__lvl"])
-                    for c in keys:
-                        if c not in _sub:
-                            b[c] = None
-                    return b[keys + vals]
-
-                lvl = lvl.map_batches(fill, batch_format="pandas")
-            levels.append(lvl)
-    out = levels[0]
-    for lvl in levels[1:]:
-        out = out.union(lvl)
-    return out
+    return grouping_sets_agg(
+        ds, keys,
+        [sub for r in range(len(keys), -1, -1)
+         for sub in combinations(keys, r)],
+        sum_cols, count_alias=count_alias, combine=combine)
 
 
 def grouping_sets_agg(ds: "rd.Dataset", keys: Sequence[str],
@@ -1670,7 +1609,6 @@ def interval_self_join(ds: "rd.Dataset", key_col: str, id_col: str,
 
     Output: (key, id_a, id_b, overlap_us) with ``id_a < id_b`` and
     ``overlap_us = min(e) - max(s) >= 0``."""
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
 
     def bucketize(b: pd.DataFrame) -> pd.DataFrame:
         s = b[s_col].to_numpy("datetime64[us]").astype(np.int64)
@@ -1884,37 +1822,6 @@ def mode_per_key(ds: "rd.Dataset", key: str, col: str,
         lambda b: b.rename(columns={col: alias}), batch_format="pandas")
 
 
-def _sharded_per_key(ds: "rd.Dataset", key: str, scan,
-                     n_shards: int = 64) -> "rd.Dataset":
-    """Coarse-shard a per-key scan: hash the key into ``n_shards`` groups
-    so Ray co-groups ~keys/n_shards keys per task, then run ``scan`` per
-    key INSIDE the shard — per-group Ray task overhead dominates wall time
-    at high key cardinality (measured ~5x on 15k keys for the as-of join;
-    same shape here). The scan still sees exactly one whole key at a time,
-    so semantics match a per-key map_groups."""
-    def add_shard(b: pd.DataFrame) -> pd.DataFrame:
-        a = b[key].to_numpy()
-        if np.issubdtype(a.dtype, np.number):
-            s = ((a.astype(np.int64) % n_shards) + n_shards) % n_shards
-        else:
-            from credit_ocr_backend_ray.functions.hashing import (
-                hash_strings_u64)
-            s = (hash_strings_u64([str(x) for x in a])
-                 % np.uint64(n_shards)).astype(np.int64)
-        b = b.copy()
-        b["__shard"] = s
-        return b
-
-    def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__shard"])
-        outs = [scan(grp) for _, grp in g.groupby(key, sort=False)]
-        return pd.concat(outs, ignore_index=True)
-
-    return (ds.map_batches(add_shard, batch_format="pandas")
-              .groupby("__shard").map_groups(per_shard,
-                                             batch_format="pandas"))
-
-
 def rolling_agg(ds: "rd.Dataset", key: str, order_cols: list[str],
                 val_col: str, window_rows: int, how: str = "sum",
                 alias: str | None = None) -> "rd.Dataset":
@@ -1933,7 +1840,7 @@ def rolling_agg(ds: "rd.Dataset", key: str, order_cols: list[str],
         g[a] = getattr(r, how)()
         return g
 
-    return _sharded_per_key(ds, key, scan)
+    return shard_cogroup(ds, key, _groupwise([key], scan))
 
 
 def rank_per_key(ds: "rd.Dataset", key: str, order_cols: list[str],
@@ -1966,7 +1873,7 @@ def rank_per_key(ds: "rd.Dataset", key: str, order_cols: list[str],
                              / np.int64(n))
         return g
 
-    return _sharded_per_key(ds, key, scan)
+    return shard_cogroup(ds, key, _groupwise([key], scan))
 
 
 def first_last_per_key(ds: "rd.Dataset", key: str, order_cols: list[str],
@@ -2038,32 +1945,13 @@ def semi_join_cogroup(left: "rd.Dataset", right: "rd.Dataset", on: str,
     unlike ``Dataset.join``), and keep each shard's left rows whose key
     appears on the right. One all-to-all of left payload + right keys."""
     right_on = right_on or on
-    s = left.schema().base_schema
-    left_cols = list(s.names)
-    if isinstance(s, pa.Schema):
-        types = {c: s.field(c).type for c in left_cols}
-    else:  # pandas-block schema: numpy dtypes (object -> string)
-        types = {}
-        for name, dt in zip(s.names, s.types):
-            try:
-                types[name] = pa.from_numpy_dtype(dt)
-            except (pa.ArrowNotImplementedError, TypeError):
-                types[name] = pa.string()
-
-    def _shards(arr) -> np.ndarray:
-        a = arr.to_numpy(zero_copy_only=False)
-        if np.issubdtype(a.dtype, np.number):
-            return ((a.astype(np.int64) % n_shards) + n_shards) % n_shards
-        from credit_ocr_backend_ray.functions.hashing import (
-            hash_strings_u64)
-        return (hash_strings_u64([str(x) for x in a])
-                % np.uint64(n_shards)).astype(np.int64)
+    left_cols = list(left.schema().names)
+    types = _arrow_types(left, left_cols)
 
     def tag_left(t: pa.Table) -> pa.Table:
         cols = {c: t[c] for c in left_cols}
         cols["__key"] = t[on]
         cols["__side"] = pa.array(np.zeros(t.num_rows, np.int8))
-        cols["__shard"] = pa.array(_shards(t[on]))
         return pa.table(cols)
 
     def tag_right(t: pa.Table) -> pa.Table:
@@ -2071,7 +1959,6 @@ def semi_join_cogroup(left: "rd.Dataset", right: "rd.Dataset", on: str,
         cols = {c: pa.nulls(n, types[c]) for c in left_cols}
         cols["__key"] = t[right_on].cast(types[on])
         cols["__side"] = pa.array(np.ones(n, np.int8))
-        cols["__shard"] = pa.array(_shards(t[right_on]))
         return pa.table(cols)
 
     l = left.map_batches(tag_left, batch_format="pyarrow")
@@ -2088,8 +1975,7 @@ def semi_join_cogroup(left: "rd.Dataset", right: "rd.Dataset", on: str,
         out = g[(g["__side"] == 0) & g["__key"].isin(keys)]
         return out[left_cols].astype(out_dtypes)
 
-    return l.union(r).groupby("__shard").map_groups(
-        per_shard, batch_format="pandas")
+    return shard_cogroup(l.union(r), "__key", per_shard, n_shards)
 
 
 def grouped_linreg(ds: "rd.Dataset", keys: Sequence[str], x: str, y: str,
@@ -2153,11 +2039,6 @@ def salted_shuffle_join(left: "rd.Dataset", right: "rd.Dataset", on: str,
     build side is modest (but too big / too wide to broadcast). Verified
     hash-identical to the unsalted join by sharing its SQL oracle
     (``orders_lineitem_join_salted``)."""
-    right_on = right_on or on
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = max(4, cpus)
-
     def salt_left(t: pa.Table) -> pa.Table:
         return t.append_column(
             "__salt", pa.array(np.arange(t.num_rows, dtype=np.int64)
@@ -2171,8 +2052,8 @@ def salted_shuffle_join(left: "rd.Dataset", right: "rd.Dataset", on: str,
 
     l = left.map_batches(salt_left, batch_format="pyarrow")
     r = right.map_batches(replicate_right, batch_format="pyarrow")
-    out = l.join(r, join_type="inner", num_partitions=num_partitions,
-                 on=(on, "__salt"), right_on=(right_on, "__salt"))
+    out = shuffle_join(l, r, (on, "__salt"), (right_on or on, "__salt"),
+                       num_partitions=num_partitions)
     return out.drop_columns(["__salt"])
 
 
@@ -2197,7 +2078,7 @@ def rolling_time_agg(ds: "rd.Dataset", key: str, ts_col: str,
         g[alias] = csum[hi] - csum[lo]
         return g
 
-    return _sharded_per_key(ds, key, scan)
+    return shard_cogroup(ds, key, _groupwise([key], scan))
 
 
 def funnel_steps(ds: "rd.Dataset", key: str, ts_col: str, step_col: str,
@@ -2219,8 +2100,7 @@ def funnel_steps(ds: "rd.Dataset", key: str, ts_col: str, step_col: str,
     stepset = list(steps)
 
     def prefilter(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b[step_col].isin(stepset)][[key, step_col, ts_col]]
-        return _with_shard(b, key, n_shards)
+        return b[b[step_col].isin(stepset)][[key, step_col, ts_col]]
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         prev = None
@@ -2242,9 +2122,8 @@ def funnel_steps(ds: "rd.Dataset", key: str, ts_col: str, step_col: str,
             "__pn": pd.Series(counts, dtype="int64"),
         })
 
-    partials = (ds.map_batches(prefilter, batch_format="pandas")
-                  .groupby("__shard").map_groups(per_shard,
-                                                 batch_format="pandas"))
+    partials = shard_cogroup(ds.map_batches(prefilter, batch_format="pandas"),
+                             key, per_shard, n_shards)
     return grouped_agg(partials, ["step_idx", "step"], {"__pn": "n_users"},
                        count_alias=None, combine="driver")
 
@@ -2272,7 +2151,7 @@ def trimmed_mean_per_key(ds: "rd.Dataset", key: str, val_col: str,
             "n_kept": pd.Series([len(vv)], dtype="int64"),
         })
 
-    return _sharded_per_key(ds, key, scan)
+    return shard_cogroup(ds, key, _groupwise([key], scan))
 
 
 def skyline(ds: "rd.Dataset", minimize: Sequence[str],
@@ -2316,9 +2195,6 @@ def retention_cohorts(ds: "rd.Dataset", key: str, ts_col: str,
     users inside the shard; per-shard partial counts are disjoint by
     construction and sum in a driver fold over calendar-bounded keys
     (#days × #offsets rows)."""
-    def prefilter(b: pd.DataFrame) -> pd.DataFrame:
-        return _with_shard(b[[key, ts_col]], key, n_shards)
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         fmin = g.groupby(key, sort=False)[ts_col].transform("min")
         cohort = fmin.dt.floor("D")
@@ -2333,9 +2209,8 @@ def retention_cohorts(ds: "rd.Dataset", key: str, ts_col: str,
         out["__pn"] = out["__pn"].astype("int64")
         return out
 
-    partials = (ds.map_batches(prefilter, batch_format="pandas")
-                  .groupby("__shard").map_groups(per_shard,
-                                                 batch_format="pandas"))
+    partials = shard_cogroup(ds.select_columns([key, ts_col]), key,
+                             per_shard, n_shards)
     return grouped_agg(partials, ["cohort_day", "offset_days"],
                        {"__pn": "n_users"}, count_alias=None,
                        combine="driver")
@@ -2351,10 +2226,6 @@ def transition_matrix(ds: "rd.Dataset", key: str, ts_col: str,
     (vectorized across keys — a key's first row is masked out by the
     key-change test, never a per-key loop); per-shard partial counts
     sum in a bounded-key fold (#states² rows)."""
-    def prefilter(b: pd.DataFrame) -> pd.DataFrame:
-        return _with_shard(b[[key, ts_col, id_col, state_col]], key,
-                           n_shards)
-
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key, ts_col, id_col], kind="mergesort")
         st = g[state_col].to_numpy()
@@ -2372,9 +2243,9 @@ def transition_matrix(ds: "rd.Dataset", key: str, ts_col: str,
         c["__pn"] = c["__pn"].astype("int64")
         return c
 
-    partials = (ds.map_batches(prefilter, batch_format="pandas")
-                  .groupby("__shard").map_groups(per_shard,
-                                                 batch_format="pandas"))
+    partials = shard_cogroup(
+        ds.select_columns([key, ts_col, id_col, state_col]), key,
+        per_shard, n_shards)
     return grouped_agg(partials, ["from_state", "to_state"],
                        {"__pn": "n"}, count_alias=None, combine="driver")
 
@@ -2394,7 +2265,6 @@ def grouped_entropy(ds: "rd.Dataset", key: str, state_col: str,
                          combine="cogroup")
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["__shard"])
         tot = g.groupby(key, sort=False)["__n"].transform("sum")
         p = g["__n"].to_numpy(np.float64) / tot.to_numpy(np.float64)
         g = g.assign(__h=-p * np.log(p))
@@ -2403,10 +2273,7 @@ def grouped_entropy(ds: "rd.Dataset", key: str, state_col: str,
         out["n_events"] = out["n_events"].astype("int64")
         return out
 
-    return (counts.map_batches(lambda b: _with_shard(b, key, n_shards),
-                               batch_format="pandas")
-                  .groupby("__shard").map_groups(per_shard,
-                                                 batch_format="pandas"))
+    return shard_cogroup(counts, key, per_shard, n_shards)
 
 
 def band_self_join(ds: "rd.Dataset", ts_col: str, id_col: str,
@@ -2449,7 +2316,6 @@ def band_self_join(ds: "rd.Dataset", ts_col: str, id_col: str,
     are identical to the unsalted path (pinned by test)."""
     s = int(n_salt)
     ncells = s * (s + 1) // 2 if s > 1 else 1
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
 
     def bucketize(b: pd.DataFrame) -> pd.DataFrame:
         ts = b[ts_col].to_numpy("datetime64[us]").astype(np.int64)
@@ -2723,7 +2589,6 @@ def time_band_join(left: "rd.Dataset", right: "rd.Dataset",
     every pair appears once and the hottest worker holds ~2/s of the hot
     key's rows. Cost: s copies per row. Results identical to unsalted
     (pinned by test)."""
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
     lcols = list(left_cols)
     rcols = list(right_cols)
     s = int(n_salt)

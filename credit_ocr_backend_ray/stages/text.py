@@ -580,15 +580,14 @@ def winnow_overlap(ds, k: int = 4, w: int = 4, min_shared: int = 2,
     import pandas as pd
 
     from credit_ocr_backend_ray.stages.relational import (
-        _with_shard, grouped_agg)
+        grouped_agg, shard_cogroup)
 
     fps = winnow_fingerprints(ds, k=k, w=w, id_col=id_col,
                               text_col=text_col)
 
     def local_distinct(b: pd.DataFrame) -> pd.DataFrame:
-        out = (b[[id_col, "fp"]].drop_duplicates()
-               .reset_index(drop=True))
-        return _with_shard(out, "fp", 64)
+        return (b[[id_col, "fp"]].drop_duplicates()
+                .reset_index(drop=True))
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
         a_out: list[int] = []
@@ -609,9 +608,8 @@ def winnow_overlap(ds, k: int = 4, w: int = 4, min_shared: int = 2,
                              "doc_b": pd.array(b_out, dtype="int64"),
                              "__n": np.ones(len(a_out), np.int64)})
 
-    pair_rows = (fps.map_batches(local_distinct, batch_format="pandas")
-                    .groupby("__shard")
-                    .map_groups(pairs, batch_format="pandas"))
+    pair_rows = shard_cogroup(
+        fps.map_batches(local_distinct, batch_format="pandas"), "fp", pairs)
     counted = grouped_agg(pair_rows, ["doc_a", "doc_b"],
                           {"__n": "n_shared"}, count_alias=None,
                           combine="cogroup")
@@ -890,8 +888,8 @@ def source_vocab_jaccard(ds, text_col: str = "text",
 
     import pandas as pd
 
-    from credit_ocr_backend_ray.functions.hashing import hash_strings_u64
-    from credit_ocr_backend_ray.stages.relational import grouped_agg
+    from credit_ocr_backend_ray.stages.relational import (
+        grouped_agg, shard_cogroup)
 
     ws = re.compile(r"\s+")
 
@@ -904,14 +902,9 @@ def source_vocab_jaccard(ds, text_col: str = "text",
             for tok in ws.split(txt.strip()):
                 if tok:
                     seen.add((tok, src))
-        toks = [p[0] for p in seen]
-        srcs = [p[1] for p in seen]
-        shard = (hash_strings_u64(toks) % np.uint64(n_shards)).astype(
-            np.int64) if toks else np.array([], np.int64)
         return pa.table({
-            "token": pa.array(toks, pa.string()),
-            "src": pa.array(srcs, pa.string()),
-            "shard": pa.array(shard, pa.int64()),
+            "token": pa.array([p[0] for p in seen], pa.string()),
+            "src": pa.array([p[1] for p in seen], pa.string()),
         })
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
@@ -924,9 +917,8 @@ def source_vocab_jaccard(ds, text_col: str = "text",
         c["__pn"] = c["__pn"].astype("int64")
         return c
 
-    parted = (ds.map_batches(local_pairs, batch_format="pyarrow")
-                .groupby("shard").map_groups(per_shard,
-                                             batch_format="pandas"))
+    parted = shard_cogroup(ds.map_batches(local_pairs, batch_format="pyarrow"),
+                           "token", per_shard, n_shards)
     counts = grouped_agg(parted, ["src_a", "src_b"], {"__pn": "n_common"},
                          count_alias=None, combine="driver")
 
@@ -1044,7 +1036,8 @@ def bigram_lift(ds, k: int = 30, min_count: int = 5,
 
     import pandas as pd
 
-    from credit_ocr_backend_ray.stages.relational import grouped_agg
+    from credit_ocr_backend_ray.stages.relational import (
+        grouped_agg, shuffle_join)
 
     ws = re.compile(r"\s+")
 
@@ -1075,11 +1068,8 @@ def bigram_lift(ds, k: int = 30, min_count: int = 5,
     m2 = grouped_agg(counts, ["w2"], {"n": "ny"}, count_alias=None,
                      combine="cogroup")
     filtered = counts.filter(expr=f"n >= {min_count}")
-    joined = (filtered.join(m1, join_type="inner", num_partitions=8,
-                            on=("w1",))
-                      .join(m2, join_type="inner", num_partitions=8,
-                            on=("w2",))
-                      .to_pandas())
+    joined = shuffle_join(shuffle_join(filtered, m1, "w1", num_partitions=8),
+                          m2, "w2", num_partitions=8).to_pandas()
     lifts = [
         (int(r.n) * 1_000_000 * big_n) // (int(r.nx) * int(r.ny))
         for r in joined.itertuples(index=False)]

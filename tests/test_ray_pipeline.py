@@ -257,14 +257,15 @@ def test_extractor_byte_budget_chunking(credit_cfg):
     back to the full input, in order."""
     import pyarrow as pa
     from credit_ocr_backend_ray.stages.extract import DocExtractor
+    from credit_ocr_backend_ray.stages.prepass import prepass_batch
 
     htmls = [b"<html><body><main><p>" + (b"x" * (1 << 20)) + b"</p></main></body></html>"
              for _ in range(5)]
     htmls += [b"<html><body><main><p>small page</p></main></body></html>"] * 10
-    t = pa.table({
+    t = prepass_batch(pa.table({
         "url": [f"u{i}" for i in range(15)],
         "html": htmls,
-    })
+    }))
     ex = DocExtractor(chunk_budget_mb=2)
     chunks = list(ex(t))
     assert len(chunks) > 1                      # oversized run was split

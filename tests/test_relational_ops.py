@@ -104,6 +104,19 @@ def test_asof_join_backward(ray_session):
     assert out["eid"].tolist() == [100, 101]
     assert out["oid"].tolist() == [7, 9]
 
+    # equal keys share a shard when the key columns differ in width
+    n = 200
+    left = pd.DataFrame({"k": np.arange(n, dtype=np.int64),
+                         "lts": pd.Timestamp("2024-01-02"),
+                         "eid": np.arange(n)})
+    right = pd.DataFrame({"rk": np.arange(n, dtype=np.int32),
+                          "rts": pd.Timestamp("2024-01-01"),
+                          "oid": np.arange(n)})
+    out = asof_join(_ds(left), _ds(right), left_key="k", right_key="rk",
+                    left_ts="lts", right_ts="rts", left_cols=["eid"],
+                    right_cols=["oid"]).to_pandas()
+    assert sorted(out["oid"].tolist()) == list(range(n))
+
 
 def test_distinct(ray_session):
     from credit_ocr_backend_ray.stages.relational import distinct
@@ -643,6 +656,58 @@ def test_rolling_agg_matches_pandas(ray_session):
                   .transform(lambda s: s.rolling(3, min_periods=1).sum()))
     assert (out["rs"].to_numpy() == want["rs"].to_numpy()).all()
 
+    # null partition keys form their own partition
+    nk = pd.DataFrame({"k": ["a", None, "a", None, None],
+                       "o": [0, 1, 2, 3, 4], "v": [1, 10, 2, 20, 30]})
+    out = (rolling_agg(_ds(nk), "k", ["o"], "v", 2, how="sum", alias="rs")
+           .to_pandas().sort_values("o"))
+    assert out["rs"].tolist() == [1, 10, 3, 30, 50]
+
+
+_ONE_CPU_JOIN = """
+import logging
+import ray
+ray.init(address="local", num_cpus=1, include_dashboard=False,
+         logging_level="ERROR")
+import ray.data as rd
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+logging.getLogger("ray.data").setLevel(logging.ERROR)
+from credit_ocr_backend_ray.stages.relational import shuffle_join
+left = rd.range(40).map_batches(
+    lambda t: t.append_column("a", t["id"]), batch_format="pyarrow")
+right = rd.range(20).map_batches(
+    lambda t: t.append_column("b", t["id"]), batch_format="pyarrow")
+print("rows", shuffle_join(left, right, "id", num_partitions=2).count())
+ray.shutdown()
+"""
+
+
+def test_shuffle_join_finishes_on_one_cpu_cluster():
+    """A join's aggregator actors reserve no CPU, so on a 1-CPU cluster
+    the 1-CPU read tasks feeding the join still get scheduled (with
+    Ray's default reservation this join never finishes)."""
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    proc = subprocess.Popen([sys.executable, "-c", _ONE_CPU_JOIN],
+                            cwd=root, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True,
+                            start_new_session=True,
+                            env={**os.environ, "PYTHONPATH": root})
+    try:
+        out, _ = proc.communicate(timeout=90)
+    except subprocess.TimeoutExpired:
+        # the child's own session holds its Ray head: end all of it
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("shuffle_join did not finish in 90 s on 1 CPU")
+    assert proc.returncode == 0, out
+    assert "rows 20" in out
+
 
 def test_rank_per_key_sql_tie_semantics(ray_session):
     from credit_ocr_backend_ray.stages.relational import rank_per_key
@@ -660,6 +725,18 @@ def test_rank_per_key_sql_tie_semantics(ray_session):
     assert k1["d"].tolist() == [1, 1, 2, 3]       # DENSE_RANK
     assert k1["p"].tolist() == [0.0, 0.0, 2 / 3, 1.0]  # PERCENT_RANK
     assert out[out["k"] == 2]["p"].tolist() == [0.0]   # single-row group
+
+    # null partition keys form their own partition, as in DuckDB
+    import duckdb
+    nk = pd.DataFrame({"k": ["a", "a", None, None], "id": [1, 2, 3, 4],
+                       "v": [2.0, 1.0, 7.0, 7.0]})
+    got = (rank_per_key(_ds(nk), "k", ["v"], alias="r", dense_alias="d")
+           .to_pandas().sort_values("id")[["id", "r", "d"]])
+    want = duckdb.sql(
+        "SELECT id, rank() OVER (PARTITION BY k ORDER BY v) AS r, "
+        "dense_rank() OVER (PARTITION BY k ORDER BY v) AS d "
+        "FROM nk ORDER BY id").df()
+    assert got.values.tolist() == want.values.tolist()
 
 
 def test_first_last_per_key_combiner(ray_session):

@@ -1,0 +1,63 @@
+"""Guard for the one shuffle layer (no Ray session): ``Dataset.join`` is
+called only from ``relational.shuffle_join``, and the coarse-shard
+co-group ``groupby("__shard")`` appears only in ``shard_cogroup`` and
+in the operators that replicate rows or shard on something other than
+one key's hash."""
+
+import ast
+import functools
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# (file, top-level function) pairs allowed to tag and group their own
+# shards: row-replicating joins, the two-sided substring cut, the
+# id-range prefix-sum shards and the WARC file shards
+OWN_SHARDS = {
+    ("relational.py", "shard_cogroup"),
+    ("relational.py", "interval_self_join"),
+    ("relational.py", "band_self_join"),
+    ("relational.py", "time_band_join"),
+    ("curate.py", "substring_dedup"),
+    ("chunking.py", "pack_sequences"),
+    ("__ray_entry__.py", "_q_documents_from_warc"),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _calls():
+    """(kind, file, top-level def, line) of every ``Dataset.join`` call
+    (a ``.join(`` with ``join_type=``) and every ``groupby("__shard")``."""
+    files = sorted((ROOT / "credit_ocr_backend_ray").rglob("*.py"))
+    files.append(ROOT / "__ray_entry__.py")
+    out = []
+    for f in files:
+        for top in ast.parse(f.read_text(encoding="utf-8")).body:
+            for n in ast.walk(top):
+                if not (isinstance(n, ast.Call)
+                        and isinstance(n.func, ast.Attribute)):
+                    continue
+                if (n.func.attr == "join"
+                        and any(k.arg == "join_type" for k in n.keywords)):
+                    kind = "join"
+                elif (n.func.attr == "groupby" and n.args
+                        and isinstance(n.args[0], ast.Constant)
+                        and n.args[0].value == "__shard"):
+                    kind = "shard"
+                else:
+                    continue
+                out.append((kind, f.name, getattr(top, "name", None),
+                            n.lineno))
+    return out
+
+
+def test_dataset_join_only_in_shuffle_join():
+    joins = [c for c in _calls() if c[0] == "join"]
+    assert joins and {c[1:3] for c in joins} == {
+        ("relational.py", "shuffle_join")}, joins
+
+
+def test_shard_groupby_only_in_shard_cogroup():
+    shards = [c for c in _calls() if c[0] == "shard"]
+    stray = [c for c in shards if c[1:3] not in OWN_SHARDS]
+    assert shards and not stray, stray
