@@ -2760,9 +2760,8 @@ def _q_orders_systematic_sample(sf_dir: str):
                                  alias="rn")
 
     def keep(b: pd.DataFrame) -> pd.DataFrame:
-        b = b[b["rn"] % 100 == 1]
-        b["rn"] = b["rn"].astype("int64")
-        return b
+        kept = b.loc[b["rn"] % 100 == 1]
+        return kept.assign(rn=kept["rn"].astype("int64"))
 
     return numbered.map_batches(keep, batch_format="pandas")
 

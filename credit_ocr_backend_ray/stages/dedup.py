@@ -12,11 +12,16 @@ Scale notes (the partitioning assumptions, per north rule):
   key-hash shards keeps the global max rows — shuffle volume is at most
   one winner-candidate row per (key, batch), driver memory O(1). Ties on
   (key, order) all survive.
-- MinHash/SimHash banding shuffles only (band_key, id) pairs — signatures,
-  never text. Candidate verification joins the (small) candidate-pair set
-  back to the texts by id with two hash-shuffle joins — the corpus is
-  never materialized on the driver or broadcast; only rows whose id
-  appears in a candidate pair carry text past the join.
+- The near-dup pair families share one blocking layer. Each explodes its
+  rows to bucket keys (MinHash bands, bottom-k shingles, prefix grams,
+  signature or string chunks, deletion variants) — ids and keys, never
+  text — and pairs them in one ``shard_cogroup`` on the bucket key; the
+  fold groups by the full bucket inside the shard. Pairs found in several
+  buckets collapse in one more co-group on the left id
+  (``_dedup_pairs``). Text pairs are verified by one join back to the
+  texts by id (``_verify_pairs_by_join``, one scorer per family): the
+  corpus is never materialized on the driver or broadcast; only rows
+  whose id appears in a candidate pair carry text past the join.
 - Degenerate hot buckets are capped at ``_BUCKET_CAP`` ids; the number of
   dropped ids is carried through the pair stream (``n_trunc``) and
   surfaced as a logging.warning by every public entry point — no silent
@@ -35,10 +40,12 @@ import ray
 import ray.data as rd
 
 from credit_ocr_backend_ray.functions.hashing import (
-    jaccard, minhash_band_keys_for_texts, shingle_hashes_batch, simhash64,
+    hash_strings_u64, jaccard, minhash_band_keys_for_texts,
+    shingle_hashes_batch, simhash64,
 )
 from credit_ocr_backend_ray.stages.relational import (
-    global_row_number, grouped_agg, shard_cogroup, shuffle_join,
+    default_partitions, global_row_number, grouped_agg, shard_cogroup,
+    shuffle_join,
 )
 
 logger = logging.getLogger(__name__)
@@ -151,33 +158,32 @@ def dedup_exact_sparse(ds: "rd.Dataset", hash_col: str,
 
 # ---------------------------------------------------------------- minhash
 
-_BAND_SHARDS = 64  # shuffle granularity: bands x shards parallel units
 _BUCKET_CAP = 200  # max ids per LSH bucket fed to the O(n²) pair expansion
 
 
 def add_minhash(batch: pa.Table, text_col: str = "text",
                 id_col: str = "doc_id", bands: int = 16) -> pa.Table:
-    """(id, band_id, band_key, shard) exploded rows — bands*n output rows of
+    """(id, band_id, band_key) exploded rows — bands*n output rows of
     small columns; the LSH shuffle moves only these, never text."""
     ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
     texts = batch[text_col].to_pylist()
     # whole shingle->minhash->band pipeline in four vectorized kernels
     # (r5: the r4 shape looped docs for the signature + 16 blake2b/doc)
     keys = minhash_band_keys_for_texts(texts, bands=bands)  # (T, bands)
-    key_arr = keys.reshape(-1)
     return pa.table({
         id_col: pa.array(np.repeat(ids, bands), pa.int64()),
         "band_id": pa.array(np.tile(np.arange(bands, dtype=np.int32),
                                     len(texts)), pa.int32()),
-        "band_key": pa.array(key_arr, pa.uint64()),
-        "shard": pa.array((key_arr % _BAND_SHARDS).astype(np.int32), pa.int32()),
+        "band_key": pa.array(keys.reshape(-1), pa.uint64()),
     })
 
 
 def _shard_pairs(g: pd.DataFrame, id_col: str) -> pd.DataFrame:
-    """All in-bucket pairs for one (band_id, shard) group — pandas groupby
-    over band_key inside, so Ray sees few coarse groups instead of millions
-    of tiny ones (map_groups-per-bucket measured 20x slower).
+    """All in-bucket pairs of one ``shard_cogroup`` shard of (id,
+    band_id, band_key) rows. The shard is keyed by ``band_key``; the
+    bucket is (band_id, band_key), grouped inside the shard with pandas,
+    so Ray sees few coarse groups instead of millions of tiny ones
+    (map_groups-per-bucket measured 20x slower).
 
     Hot buckets are capped at ``_BUCKET_CAP`` ids; the FIRST pair emitted
     for a truncated bucket carries the dropped-id count in ``n_trunc``
@@ -186,7 +192,7 @@ def _shard_pairs(g: pd.DataFrame, id_col: str) -> pd.DataFrame:
     a_out: list[int] = []
     b_out: list[int] = []
     t_out: list[int] = []
-    for _, bucket in g.groupby("band_key", sort=False):
+    for _, bucket in g.groupby(["band_id", "band_key"], sort=False):
         ids = sorted(set(bucket[id_col].tolist()))
         dropped = max(0, len(ids) - _BUCKET_CAP)
         ids = ids[:_BUCKET_CAP]
@@ -202,72 +208,71 @@ def _shard_pairs(g: pd.DataFrame, id_col: str) -> pd.DataFrame:
                          "n_trunc": pd.Series(t_out, dtype="int64")})
 
 
-def minhash_candidate_pairs(ds: "rd.Dataset", text_col: str = "text",
-                            id_col: str = "doc_id", bands: int = 16,
-                            dedup: bool = True) -> "rd.Dataset":
-    """LSH candidate pairs (columns id_a, id_b, n_trunc). ``dedup=True``
-    removes cross-band duplicate pairs with one more coarse shuffle; pass
-    ``dedup=False`` when the CONSUMER dedups anyway — a pair found by b
-    bands is verified b times instead, which is cheaper than a full sort
-    shuffle whenever true-duplicate density is low."""
-    sig = ds.map_batches(
-        lambda b: add_minhash(b, text_col=text_col, id_col=id_col, bands=bands),
-        batch_format="pyarrow")
-    pairs = sig.groupby(["band_id", "shard"]).map_groups(
-        lambda g: _shard_pairs(g, id_col), batch_format="pandas")
-    if not dedup:
-        return pairs
-
-    # dedup cross-band duplicates: one more COARSE shuffle (256 pair-shards),
-    # drop_duplicates vectorized inside each; n_trunc survives as the max
-    # over duplicates of the same pair (the first-pair sentinel row wins)
-    def add_pair_shard(b: pd.DataFrame) -> pd.DataFrame:
-        b["pair_shard"] = ((b["id_a"] * 31 + b["id_b"]) % 256).astype("int32")
-        return b
-
-    def dedup_pairs(g: pd.DataFrame) -> pd.DataFrame:
+def _dedup_pairs(pairs: "rd.Dataset", left: str = "id_a",
+                 fold=None) -> "rd.Dataset":
+    """One row per pair: a pair found in several buckets (bands, chunks,
+    grams, deletion variants) collapses in one ``shard_cogroup`` on its
+    ``left`` id — every copy of a pair shares it, so they meet in one
+    shard. The default fold keeps one (id_a, id_b) row with the max
+    ``n_trunc`` (a truncated bucket's carrier row wins over its
+    duplicates)."""
+    def keep_max_trunc(g: pd.DataFrame) -> pd.DataFrame:
         return (g.groupby(["id_a", "id_b"], as_index=False, sort=False)
                  .agg(n_trunc=("n_trunc", "max")))
 
-    return (pairs.map_batches(add_pair_shard, batch_format="pandas")
-                 .groupby("pair_shard")
-                 .map_groups(dedup_pairs, batch_format="pandas"))
+    return shard_cogroup(pairs, left, fold or keep_max_trunc)
+
+
+def _band_pairs(rows: "rd.Dataset", id_col: str) -> "rd.Dataset":
+    """Candidate pairs (id_a, id_b, n_trunc) of (id, band_id, band_key)
+    rows: in-bucket pairs, then one row per pair."""
+    return _dedup_pairs(shard_cogroup(rows, "band_key",
+                                      lambda g: _shard_pairs(g, id_col)))
+
+
+def minhash_candidate_pairs(ds: "rd.Dataset", text_col: str = "text",
+                            id_col: str = "doc_id",
+                            bands: int = 16) -> "rd.Dataset":
+    """LSH candidate pairs (columns id_a, id_b, n_trunc), one row per
+    pair however many bands found it."""
+    sig = ds.map_batches(
+        lambda b: add_minhash(b, text_col=text_col, id_col=id_col, bands=bands),
+        batch_format="pyarrow")
+    return _band_pairs(sig, id_col)
+
+
+def _word_jaccard(n: int):
+    """The word-shingle ``jaccard(a, b, n)`` verify scorer."""
+    return lambda a, b: jaccard(a or "", b or "", n)
 
 
 _BROADCAST_VERIFY_BYTES = 256 << 20   # small-side cutoff for the verify
 
 
 def _verify_pairs_by_join(cands: "rd.Dataset", ds: "rd.Dataset",
-                          id_col: str, text_col: str, threshold: float,
-                          n: int = 3,
-                          num_partitions: int | None = None,
-                          scorer=None, score_col: str = "jaccard",
-                          score_type: "pa.DataType | None" = None,
-                          min_keep=None) -> pd.DataFrame:
-    """Resolve candidate pairs back to their texts BY ID, verify exact
-    Jaccard, and return the verified pairs driver-side. The corpus is never
-    collected or broadcast: one streaming semi-join pass prunes the texts
-    to candidate-referenced ids only, then — classic join-strategy
+                          id_col: str, text_col: str, scorer, min_keep,
+                          score_col: str = "jaccard",
+                          score_type: pa.DataType = pa.float64()
+                          ) -> pd.DataFrame:
+    """Resolve candidate pairs back to their texts BY ID, score each
+    pair with ``scorer(text_a, text_b)`` into ``score_col`` (of
+    ``score_type``), keep scores >= ``min_keep``, and return the verified
+    pairs driver-side. The corpus is never collected or broadcast: one
+    streaming semi-join pass prunes the texts to candidate-referenced
+    ids only, then — classic join-strategy
     selection — the pruned side is either broadcast (when it fits
     ``_BROADCAST_VERIFY_BYTES``; its size is bounded by the candidate set,
     not the corpus) or hash-shuffle-joined back to the pairs in two
     distributed joins. Also sums the ``n_trunc`` truncation counters and
-    logs a warning when any LSH bucket overflowed ``_BUCKET_CAP``.
+    logs a warning when any LSH bucket overflowed ``_BUCKET_CAP``."""
+    empty = pd.DataFrame({"id_a": pd.Series(dtype="int64"),
+                          "id_b": pd.Series(dtype="int64"),
+                          score_col: pd.Series(
+                              dtype=score_type.to_pandas_dtype())})
+    n_parts = default_partitions()
 
-    ``scorer(text_a, text_b) -> value`` overrides the default word-shingle
-    ``jaccard(a, b, n)`` (with ``score_col``/``score_type`` naming the
-    output column and ``min_keep`` the keep bound) so exact-verify joins
-    with integer-micro scores (``prefix_jaccard_join``) reuse this
-    scaffolding unchanged."""
-    if scorer is None:
-        scorer = lambda a, b: jaccard(a or "", b or "", n)  # noqa: E731
-    if score_type is None:
-        score_type = pa.float64()
-    if min_keep is None:
-        min_keep = threshold
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = max(4, min(cpus, 32))
+    def parts(n_rows: int) -> int:
+        return max(1, min(n_parts, -(-n_rows // 64)))
 
     # The hash-join shuffle broadcasts the left schema via the FIRST shuffle
     # task's empty shards — but an all-empty input block early-returns before
@@ -289,12 +294,8 @@ def _verify_pairs_by_join(cands: "rd.Dataset", ds: "rd.Dataset",
     cands = cands.map_batches(coerce, batch_format="pyarrow").materialize()
     n_cands = cands.count()
     if n_cands == 0:
-        return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                             "id_b": pd.Series(dtype="int64"),
-                             score_col: pd.Series(
-                                 dtype=score_type.to_pandas_dtype())})
-    cands = cands.repartition(max(1, min(num_partitions,
-                                         -(-n_cands // 64))))
+        return empty
+    cands = cands.repartition(parts(n_cands))
 
     # Prune the corpus to candidate ids with a broadcast semi-join BEFORE
     # the shuffle joins: one streaming filter pass over the texts (no
@@ -317,7 +318,6 @@ def _verify_pairs_by_join(cands: "rd.Dataset", ds: "rd.Dataset",
     texts_needed = (ds.select_columns([id_col, text_col])
                       .map_batches(keep_needed, batch_format="pyarrow")
                       .materialize())
-    n_texts = max(1, texts_needed.count())
 
     def verify(batch: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
@@ -356,7 +356,7 @@ def _verify_pairs_by_join(cands: "rd.Dataset", ds: "rd.Dataset",
         joined = cands.map_batches(attach, batch_format="pyarrow")
     else:
         texts_needed = texts_needed.repartition(
-            max(1, min(num_partitions, -(-n_texts // 64))))
+            parts(texts_needed.count()))
 
         def as_side(side: str):
             def fn(t: pa.Table) -> pa.Table:
@@ -366,24 +366,17 @@ def _verify_pairs_by_join(cands: "rd.Dataset", ds: "rd.Dataset",
 
         ta = texts_needed.map_batches(as_side("a"), batch_format="pyarrow")
         tb = texts_needed.map_batches(as_side("b"), batch_format="pyarrow")
-        joined = shuffle_join(cands, ta, "id_a", "__rid_a",
-                              num_partitions=num_partitions)
+        joined = shuffle_join(cands, ta, "id_a", "__rid_a")
         # same empty-first-block guard between the joins: join-1 partitions
         # that matched nothing emit empty blocks, which would again suppress
         # the schema broadcast of join-2's left side
         joined = joined.materialize()
-        n_j = max(1, joined.count())
-        joined = joined.repartition(
-            max(1, min(num_partitions, -(-n_j // 64))))
-        joined = shuffle_join(joined, tb, "id_b", "__rid_b",
-                              num_partitions=num_partitions)
+        joined = joined.repartition(parts(joined.count()))
+        joined = shuffle_join(joined, tb, "id_b", "__rid_b")
 
     out = joined.map_batches(verify, batch_format="pyarrow").to_pandas()
     if out.empty:
-        return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
-                             "id_b": pd.Series(dtype="int64"),
-                             score_col: pd.Series(
-                                 dtype=score_type.to_pandas_dtype())})
+        return empty
     total_trunc = int(out["n_trunc"].sum())
     if total_trunc:
         logger.warning(
@@ -392,7 +385,8 @@ def _verify_pairs_by_join(cands: "rd.Dataset", ds: "rd.Dataset",
             total_trunc, _BUCKET_CAP)
     out = out[out["__verified"]]
     out = out.drop(columns=["n_trunc", "__verified"])
-    # cross-band duplicates verify to identical rows; dedup driver-side on
+    # candidates arrive one row per pair, but an id repeated in the corpus
+    # joins to each of its texts: keep one row per pair driver-side on
     # the (verified, threshold-filtered, driver-sized) result
     return (out.drop_duplicates(["id_a", "id_b"])
                .sort_values(["id_a", "id_b"]).reset_index(drop=True))
@@ -405,8 +399,9 @@ def minhash_dedup_pairs(ds: "rd.Dataset", text_col: str = "text",
     DataFrame. Verification is a bucket-partitioned join back to the texts
     by id (see ``_verify_pairs_by_join``) — no driver-side or broadcast
     materialization of the corpus at any point."""
-    cands = minhash_candidate_pairs(ds, text_col, id_col, bands, dedup=True)
-    return _verify_pairs_by_join(cands, ds, id_col, text_col, threshold)
+    cands = minhash_candidate_pairs(ds, text_col, id_col, bands)
+    return _verify_pairs_by_join(cands, ds, id_col, text_col,
+                                 _word_jaccard(3), threshold)
 
 
 def cluster_pairs(pairs: pd.DataFrame) -> dict[int, int]:
@@ -436,12 +431,12 @@ def ngram_jaccard_pairs(ds: "rd.Dataset", text_col: str = "text",
                         bottom_k: int = 8, n: int = 3) -> pd.DataFrame:
     """Exact n-gram-Jaccard near-dup pairs via bottom-k sketch blocking:
     each doc's blocking keys are the ``bottom_k`` smallest shingle hashes
-    (a pair with J >= t shares a bottom-k key with prob ~1-(1-t)^k); one
-    coarse shuffle over (key-shard), in-bucket candidate pairs, then exact
-    Jaccard over the full shingle sets via the same join-back-by-id verify
-    as MinHash. Distinct from MinHash banding: no permutation bank, and the
-    verify step is the true Jaccard, so there are no false positives by
-    construction."""
+    (a pair with J >= t shares a bottom-k key with prob ~1-(1-t)^k) in
+    one band; from there the MinHash path — in-bucket candidate pairs,
+    one row per pair, then exact Jaccard over the full shingle sets via
+    the same join-back-by-id verify. Distinct from MinHash banding: no
+    permutation bank, and the verify step is the true Jaccard, so there
+    are no false positives by construction."""
     def add_blocks(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_pylist()
         texts = t[text_col].to_pylist()
@@ -451,31 +446,17 @@ def ngram_jaccard_pairs(ds: "rd.Dataset", text_col: str = "text",
             for h in np.sort(hs)[:bottom_k]:
                 out_id.append(i)
                 out_key.append(int(h))
-        key_arr = np.array(out_key, dtype=np.uint64)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
             "band_id": pa.array(np.zeros(len(out_id), dtype=np.int32)),
-            "band_key": pa.array(key_arr, pa.uint64()),
-            "shard": pa.array((key_arr % _BAND_SHARDS).astype(np.int32)),
+            "band_key": pa.array(np.array(out_key, dtype=np.uint64),
+                                 pa.uint64()),
         })
 
-    blocks = ds.map_batches(add_blocks, batch_format="pyarrow")
-    pairs = blocks.groupby(["band_id", "shard"]).map_groups(
-        lambda g: _shard_pairs(g, id_col), batch_format="pandas")
-
-    def add_pair_shard(b: pd.DataFrame) -> pd.DataFrame:
-        b["pair_shard"] = ((b["id_a"] * 31 + b["id_b"]) % 256).astype("int32")
-        return b
-
-    def dedup_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.groupby(["id_a", "id_b"], as_index=False, sort=False)
-                 .agg(n_trunc=("n_trunc", "max")))
-
-    cands = (pairs.map_batches(add_pair_shard, batch_format="pandas")
-                  .groupby("pair_shard")
-                  .map_groups(dedup_pairs, batch_format="pandas"))
-
-    return _verify_pairs_by_join(cands, ds, id_col, text_col, threshold, n)
+    cands = _band_pairs(ds.map_batches(add_blocks, batch_format="pyarrow"),
+                        id_col)
+    return _verify_pairs_by_join(cands, ds, id_col, text_col,
+                                 _word_jaccard(n), threshold)
 
 
 # ------------------------------------------------- exact prefix-filter join
@@ -485,6 +466,73 @@ def _char_gram_set(text: str | None, gram_n: int) -> set[str]:
     if len(t) < gram_n:
         return set()
     return {t[i:i + gram_n] for i in range(len(t) - gram_n + 1)}
+
+
+def _common_gram_rank(ds: "rd.Dataset", text_col: str, gram_n: int,
+                      common_k: int):
+    """The global gram order's frequent-gram table, broadcast: an
+    object ref to ``{gram: rank key}`` for the ``common_k`` most frequent
+    grams. Per-batch LOCAL top-(2·common_k) gram counts (combiner prune
+    — approximate heavy hitters; misranking only costs posting-list
+    length), summed driver-side, top common_k kept."""
+    def gram_count_partial(t: pa.Table) -> pa.Table:
+        counts: dict[str, int] = {}
+        for txt in t[text_col].to_pylist():
+            for g in _char_gram_set(txt, gram_n):
+                counts[g] = counts.get(g, 0) + 1
+        top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        top = top[:2 * common_k]
+        return pa.table({
+            "gram": pa.array([g for g, _ in top], pa.string()),
+            "n": pa.array([c for _, c in top], pa.int64())})
+
+    parts = (ds.map_batches(gram_count_partial, batch_format="pyarrow")
+               .to_pandas())
+    folded = (parts.groupby("gram", sort=False)["n"].sum()
+                   .sort_values(ascending=False, kind="stable"))
+    common = folded.index.to_numpy()[:common_k]
+    # common grams sort AFTER all rare grams (top bit set) and the
+    # MOST frequent gram gets the LARGEST key, so prefixes always hold
+    # each document's rarest grams and posting lists stay short
+    return ray.put({g: (1 << 63) + (common_k - i)
+                    for i, g in enumerate(common)})
+
+
+def _ordered_grams(text: str | None, gram_n: int, ranks: dict,
+                   threshold_micro: int) -> tuple[np.ndarray, int]:
+    """One document's gram set as sorted keys in the global order
+    (common-gram rank, else a stable 63-bit hash), and its prefix length
+    ``p = m - ceil(t·m) + 1`` (exact integer ceil) for ``m`` grams."""
+    grams = sorted(_char_gram_set(text, gram_n))
+    m = len(grams)
+    if m == 0:
+        return np.empty(0, np.uint64), 0
+    keys = hash_strings_u64(grams) & np.uint64((1 << 63) - 1)
+    for j, g in enumerate(grams):
+        r = ranks.get(g)
+        if r is not None:
+            keys[j] = r
+    p = m - (threshold_micro * m + 999_999) // 1_000_000 + 1
+    return np.sort(keys), p
+
+
+def _gram_set_scorer(gram_n: int, score):
+    """Verify scorer ``score(A, B)`` over two texts' gram sets. Each doc
+    appears in many candidate pairs — re-shingling the text per PAIR was
+    the 10M-candidate hot spot — so gram sets are cached per verify
+    worker process; the cache ships empty with the closure (a plain
+    dict: lru_cache wrappers don't cloudpickle)."""
+    cache: dict[str, frozenset] = {}
+
+    def gs(txt: str) -> frozenset:
+        s = cache.get(txt)
+        if s is None:
+            if len(cache) > 65536:
+                cache.clear()
+            s = cache[txt] = frozenset(_char_gram_set(txt, gram_n))
+        return s
+
+    return lambda a, b: score(gs(a or ""), gs(b or ""))
 
 
 def prefix_jaccard_join(ds: "rd.Dataset", text_col: str = "text",
@@ -519,33 +567,7 @@ def prefix_jaccard_join(ds: "rd.Dataset", text_col: str = "text",
     ``i·10^6 >= t_micro·u``). Unlike the approximate family, hot buckets
     are NOT truncated — truncation would break completeness — a posting
     list over ``bucket_cap`` raises with remediation guidance instead."""
-    from credit_ocr_backend_ray.functions.hashing import hash_strings_u64
-
-    # bounded frequent-gram table: per-batch LOCAL top-(2·common_k) gram
-    # counts (combiner prune — approximate heavy hitters; misranking only
-    # costs posting-list length), summed driver-side, top common_k kept
-    def gram_count_partial(t: pa.Table) -> pa.Table:
-        counts: dict[str, int] = {}
-        for txt in t[text_col].to_pylist():
-            for g in _char_gram_set(txt, gram_n):
-                counts[g] = counts.get(g, 0) + 1
-        top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        top = top[:2 * common_k]
-        return pa.table({
-            "gram": pa.array([g for g, _ in top], pa.string()),
-            "n": pa.array([c for _, c in top], pa.int64())})
-
-    parts = (ds.map_batches(gram_count_partial, batch_format="pyarrow")
-               .to_pandas())
-    folded = (parts.groupby("gram", sort=False)["n"].sum()
-                   .sort_values(ascending=False, kind="stable"))
-    common = folded.index.to_numpy()[:common_k]
-    # common grams sort AFTER all rare grams (top bit set) and the
-    # MOST frequent gram gets the LARGEST key, so prefixes always hold
-    # each document's rarest grams and posting lists stay short
-    common_rank = {g: (1 << 63) + (common_k - i) for i, g in
-                   enumerate(common)}
-    rank_ref = ray.put(common_rank)
+    rank_ref = _common_gram_rank(ds, text_col, gram_n, common_k)
 
     def postings(t: pa.Table) -> pa.Table:
         ranks = ray.get(rank_ref)
@@ -553,31 +575,17 @@ def prefix_jaccard_join(ds: "rd.Dataset", text_col: str = "text",
         out_id: list[int] = []
         out_n: list[int] = []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            grams = sorted(_char_gram_set(txt, gram_n))
-            m = len(grams)
-            if m == 0:
-                continue
-            keys = hash_strings_u64(grams) & np.uint64((1 << 63) - 1)
-            for j, g in enumerate(grams):
-                r = ranks.get(g)
-                if r is not None:
-                    keys[j] = r
-            keys = np.sort(keys)
-            # prefix length p = m - ceil(t*m) + 1, exact integer ceil
-            p = m - (threshold_micro * m + 999_999) // 1_000_000 + 1
+            keys, p = _ordered_grams(txt, gram_n, ranks, threshold_micro)
             for k in keys[:p]:
                 out_key.append(int(k))
                 out_id.append(i)
-                out_n.append(m)
-        key_arr = np.array(out_key, dtype=np.uint64)
+                out_n.append(len(keys))
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
             "__n": pa.array(out_n, pa.int64()),
-            "band_key": pa.array(key_arr, pa.uint64()),
-            "shard": pa.array((key_arr % _BAND_SHARDS).astype(np.int32)),
+            "band_key": pa.array(np.array(out_key, dtype=np.uint64),
+                                 pa.uint64()),
         })
-
-    posts = ds.map_batches(postings, batch_format="pyarrow")
 
     def sized_pairs(g: pd.DataFrame) -> pd.DataFrame:
         a_out: list[int] = []
@@ -609,47 +617,18 @@ def prefix_jaccard_join(ds: "rd.Dataset", text_col: str = "text",
                              "n_trunc": pd.Series(
                                  np.zeros(len(a_out), dtype=np.int64))})
 
-    pairs = posts.groupby("shard").map_groups(sized_pairs,
-                                              batch_format="pandas")
+    pairs = shard_cogroup(ds.map_batches(postings, batch_format="pyarrow"),
+                          "band_key", sized_pairs)
 
-    def add_pair_shard(b: pd.DataFrame) -> pd.DataFrame:
-        b["pair_shard"] = ((b["id_a"] * 31 + b["id_b"]) % 256).astype("int32")
-        return b
-
-    def dedup_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.groupby(["id_a", "id_b"], as_index=False, sort=False)
-                 .agg(n_trunc=("n_trunc", "max")))
-
-    cands = (pairs.map_batches(add_pair_shard, batch_format="pandas")
-                  .groupby("pair_shard")
-                  .map_groups(dedup_pairs, batch_format="pandas"))
-
-    # per-worker gram-set cache: one shingling per DOC, not per pair
-    # (the containment_join lesson — ships empty with the closure)
-    _gs_cache: dict[str, frozenset] = {}
-
-    def micro_scorer(a: str | None, b: str | None) -> int:
-        def gs(txt: str) -> frozenset:
-            s = _gs_cache.get(txt)
-            if s is None:
-                if len(_gs_cache) > 65536:
-                    _gs_cache.clear()
-                s = frozenset(_char_gram_set(txt, gram_n))
-                _gs_cache[txt] = s
-            return s
-
-        sa = gs(a or "")
-        sb = gs(b or "")
+    def jaccard_micro(sa: frozenset, sb: frozenset) -> int:
         inter = len(sa & sb)
         u = len(sa) + len(sb) - inter
-        if u == 0:
-            return 0
-        return inter * 1_000_000 // u
+        return inter * 1_000_000 // u if u else 0
 
     return _verify_pairs_by_join(
-        cands, ds, id_col, text_col, threshold=0.0,
-        scorer=micro_scorer, score_col="jaccard_micro",
-        score_type=pa.int64(), min_keep=threshold_micro)
+        _dedup_pairs(pairs), ds, id_col, text_col,
+        _gram_set_scorer(gram_n, jaccard_micro), threshold_micro,
+        "jaccard_micro", pa.int64())
 
 
 # ---------------------------------------------------------------- simhash
@@ -671,10 +650,11 @@ def signature_hamming_pairs(sigs: "rd.Dataset", id_col: str,
     ranges (default ``max_hamming + 1`` — the pigeonhole guarantee:
     two signatures within distance d differ in at most d chunks, so
     they SHARE at least one of d+1), explode each signature to its
-    chunk keys, ONE coarse shuffle over (chunk_id, shard), exact
-    full-signature verification in-bucket. Hot chunk buckets cap at
-    ``_BUCKET_CAP`` rows; the dropped count is reported via
-    logging.warning."""
+    chunk keys, ONE ``shard_cogroup`` on the chunk key, exact
+    full-signature verification in each (chunk_id, chunk_key) bucket
+    (the key is raw signature bits, so the bucket needs the chunk id).
+    Hot chunk buckets cap at ``_BUCKET_CAP`` rows; the dropped count is
+    reported via logging.warning."""
     n_chunks = n_chunks or max_hamming + 1
     if n_chunks < max_hamming + 1:
         raise ValueError(
@@ -702,13 +682,11 @@ def signature_hamming_pairs(sigs: "rd.Dataset", id_col: str,
             "simhash": pa.array(np.concatenate(out_sh), pa.uint64()),
             "chunk_id": pa.array(np.concatenate(out_chunk), pa.int32()),
             "chunk_key": pa.array(np.concatenate(out_key), pa.int64()),
-            "shard": pa.array(np.concatenate(out_key) % _BAND_SHARDS,
-                              pa.int32()),
         })
 
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
         a, b, h, t = [], [], [], []
-        for _, bucket in g.groupby("chunk_key", sort=False):
+        for _, bucket in g.groupby(["chunk_id", "chunk_key"], sort=False):
             rows = sorted(set(zip(bucket[id_col].astype("int64"),
                                   bucket["simhash"].astype("uint64"))))
             dropped = max(0, len(rows) - _BUCKET_CAP)
@@ -728,10 +706,9 @@ def signature_hamming_pairs(sigs: "rd.Dataset", id_col: str,
                              "hamming": pd.Series(h, dtype="int64"),
                              "n_trunc": pd.Series(t, dtype="int64")})
 
-    allp = (sigs.map_batches(explode_chunks, batch_format="pyarrow")
-                .groupby(["chunk_id", "shard"])
-                .map_groups(shard_pairs, batch_format="pandas")
-                .to_pandas())
+    allp = shard_cogroup(sigs.map_batches(explode_chunks,
+                                          batch_format="pyarrow"),
+                         "chunk_key", shard_pairs).to_pandas()
     if allp.empty:
         return allp.reindex(columns=["id_a", "id_b", "hamming"])
     total_trunc = int(allp["n_trunc"].sum())
@@ -810,6 +787,21 @@ def corpus_overlap(ds: "rd.Dataset", text_col: str = "text",
 
 # ------------------------------------------------------- hamming strings
 
+def _typo_finish(op: str):
+    """Pair-dedup fold of ``hamming_join`` and ``edit1_join``: log the
+    bucket-cap truncation, drop the ``-1`` sentinel rows (truncated
+    buckets with no pair), keep one row per (k_a, k_b)."""
+    def finish(b: pd.DataFrame) -> pd.DataFrame:
+        trunc = int(b["n_trunc"].sum())
+        if trunc:
+            logger.warning("%s: %d rows dropped by the %d-row bucket cap",
+                           op, trunc, _BUCKET_CAP)
+        b = b[b["k_a"] >= 0]
+        return b.drop(columns=["n_trunc"]).drop_duplicates(["k_a", "k_b"])
+
+    return finish
+
+
 def hamming_join(ds: "rd.Dataset", id_col: str, str_col: str,
                  max_dist: int = 1,
                  n_shards: int = 64) -> "rd.Dataset":
@@ -846,7 +838,6 @@ def hamming_join(ds: "rd.Dataset", id_col: str, str_col: str,
     n_chunks = max_dist + 1
 
     def explode(t: pa.Table) -> pa.Table:
-        from credit_ocr_backend_ray.functions.hashing import hash_strings_u64
         ids = t[id_col].to_pylist()
         strs = t[str_col].to_pylist()
         out_id, out_s, out_chunk, out_key = [], [], [], []
@@ -875,13 +866,11 @@ def hamming_join(ds: "rd.Dataset", id_col: str, str_col: str,
             str_col: pa.array(out_s, pa.string()),
             "chunk_id": pa.array(out_chunk, pa.int32()),
             "chunk_key": pa.array(keys, pa.uint64()),
-            "shard": pa.array((keys % np.uint64(_BAND_SHARDS)).astype(np.int32),
-                              pa.int32()),
         })
 
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
         a_out, b_out, d_out, t_out = [], [], [], []
-        for _, bucket in g.groupby("chunk_key", sort=False):
+        for _, bucket in g.groupby(["chunk_id", "chunk_key"], sort=False):
             rows = sorted(set(zip(bucket[id_col].astype("int64"),
                                   bucket[str_col])))
             dropped = max(0, len(rows) - _BUCKET_CAP)
@@ -912,29 +901,9 @@ def hamming_join(ds: "rd.Dataset", id_col: str, str_col: str,
                              "dist": pd.Series(d_out, dtype="int64"),
                              "n_trunc": pd.Series(t_out, dtype="int64")})
 
-    allp = (ds.map_batches(explode, batch_format="pyarrow")
-              .groupby(["chunk_id", "shard"])
-              .map_groups(shard_pairs, batch_format="pandas"))
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        trunc = int(b["n_trunc"].sum())
-        if trunc:
-            logger.warning(
-                "hamming_join: %d rows dropped by the %d-row bucket cap",
-                trunc, _BUCKET_CAP)
-        b = b[b["k_a"] >= 0]
-        return b.drop(columns=["n_trunc"]).drop_duplicates(["k_a", "k_b"])
-
-    # cross-chunk duplicate pairs: one coarse pair-shard co-group
-    def add_pair_shard(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["pair_shard"] = ((b["k_a"] * 31 + b["k_b"]) % 64).astype("int32")
-        return b
-
-    return (allp.map_batches(add_pair_shard, batch_format="pandas")
-                .groupby("pair_shard")
-                .map_groups(finish, batch_format="pandas")
-                .drop_columns(["pair_shard"]))
+    allp = shard_cogroup(ds.map_batches(explode, batch_format="pyarrow"),
+                         "chunk_key", shard_pairs)
+    return _dedup_pairs(allp, "k_a", _typo_finish("hamming_join"))
 
 
 def _lev_le1(a: str, b: str) -> int:
@@ -971,12 +940,11 @@ def edit1_join(ds: "rd.Dataset", id_col: str, str_col: str,
     carries (key_hash, id, string); verification is the exact O(len)
     ``_lev_le1`` scan per in-bucket candidate pair. Hot buckets cap at
     ``_BUCKET_CAP`` with the dropped count logged (no silent caps), and
-    cross-key duplicate pairs collapse in one coarse pair-shard co-group
-    — the same contract as ``hamming_join``. Strings longer than
-    ``max_len`` are skipped (reported): L+1 keys per row is the blocking
-    cost, linear in string length."""
+    cross-key duplicate pairs collapse in one co-group on the left key
+    — the same contract and the same finish as ``hamming_join``. Strings
+    longer than ``max_len`` are skipped (reported): L+1 keys per row is
+    the blocking cost, linear in string length."""
     def explode(t: pa.Table) -> pa.Table:
-        from credit_ocr_backend_ray.functions.hashing import hash_strings_u64
         ids = t[id_col].to_pylist()
         strs = t[str_col].to_pylist()
         out_id, out_s, out_key = [], [], []
@@ -1005,8 +973,6 @@ def edit1_join(ds: "rd.Dataset", id_col: str, str_col: str,
             id_col: pa.array(out_id, pa.int64()),
             str_col: pa.array(out_s, pa.string()),
             "del_key": pa.array(keys, pa.uint64()),
-            "shard": pa.array((keys % np.uint64(_BAND_SHARDS)).astype(
-                np.int32), pa.int32()),
         })
 
     def shard_pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -1047,28 +1013,9 @@ def edit1_join(ds: "rd.Dataset", id_col: str, str_col: str,
                              "dist": pd.Series(d_out, dtype="int64"),
                              "n_trunc": pd.Series(t_out, dtype="int64")})
 
-    allp = (ds.map_batches(explode, batch_format="pyarrow")
-              .groupby("shard")
-              .map_groups(shard_pairs, batch_format="pandas"))
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        trunc = int(b["n_trunc"].sum())
-        if trunc:
-            logger.warning(
-                "edit1_join: %d rows dropped by the %d-row bucket cap",
-                trunc, _BUCKET_CAP)
-        b = b[b["k_a"] >= 0]
-        return b.drop(columns=["n_trunc"]).drop_duplicates(["k_a", "k_b"])
-
-    def add_pair_shard(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["pair_shard"] = ((b["k_a"] * 31 + b["k_b"]) % 64).astype("int32")
-        return b
-
-    return (allp.map_batches(add_pair_shard, batch_format="pandas")
-                .groupby("pair_shard")
-                .map_groups(finish, batch_format="pandas")
-                .drop_columns(["pair_shard"]))
+    allp = shard_cogroup(ds.map_batches(explode, batch_format="pyarrow"),
+                         "del_key", shard_pairs)
+    return _dedup_pairs(allp, "k_a", _typo_finish("edit1_join"))
 
 
 def snm_pairs(ds: "rd.Dataset", key_col: str, id_col: str,
@@ -1185,27 +1132,7 @@ def containment_join(ds: "rd.Dataset", text_col: str = "text",
     per pair, which was the 10M-candidate hot spot on self-similar
     corpora). Both directions of a mutual near-duplicate emit
     independently — (a,b) when a probes, (b,a) when b probes."""
-    from credit_ocr_backend_ray.functions.hashing import hash_strings_u64
-
-    def gram_count_partial(t: pa.Table) -> pa.Table:
-        counts: dict[str, int] = {}
-        for txt in t[text_col].to_pylist():
-            for g in _char_gram_set(txt, gram_n):
-                counts[g] = counts.get(g, 0) + 1
-        top = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        top = top[:2 * common_k]
-        return pa.table({
-            "gram": pa.array([g for g, _ in top], pa.string()),
-            "n": pa.array([c for _, c in top], pa.int64())})
-
-    parts = (ds.map_batches(gram_count_partial, batch_format="pyarrow")
-               .to_pandas())
-    folded = (parts.groupby("gram", sort=False)["n"].sum()
-                   .sort_values(ascending=False, kind="stable"))
-    common = folded.index.to_numpy()[:common_k]
-    common_rank = {g: (1 << 63) + (common_k - i) for i, g in
-                   enumerate(common)}
-    rank_ref = ray.put(common_rank)
+    rank_ref = _common_gram_rank(ds, text_col, gram_n, common_k)
 
     def postings(t: pa.Table) -> pa.Table:
         ranks = ray.get(rank_ref)
@@ -1216,37 +1143,24 @@ def containment_join(ds: "rd.Dataset", text_col: str = "text",
         out_pos: list[int] = []
         for i, txt in zip(t[id_col].to_pylist(),
                           t[text_col].to_pylist()):
-            grams = sorted(_char_gram_set(txt, gram_n))
-            m = len(grams)
-            if m == 0:
-                continue
-            keys = hash_strings_u64(grams) & np.uint64((1 << 63) - 1)
-            for j, g in enumerate(grams):
-                r = ranks.get(g)
-                if r is not None:
-                    keys[j] = r
-            keys = np.sort(keys)
-            p = m - (threshold_micro * m + 999_999) // 1_000_000 + 1
+            keys, p = _ordered_grams(txt, gram_n, ranks, threshold_micro)
             # index role: EVERY gram; probe role: the p rarest only;
             # __j carries the gram's position in the doc's order for
             # the PPJoin positional filter at pairing time
             for j, k in enumerate(keys):
                 out_key.append(int(k))
                 out_id.append(i)
-                out_n.append(m)
+                out_n.append(len(keys))
                 out_probe.append(1 if j < p else 0)
                 out_pos.append(j)
-        key_arr = np.array(out_key, dtype=np.uint64)
         return pa.table({
             id_col: pa.array(out_id, pa.int64()),
             "__n": pa.array(out_n, pa.int64()),
             "__probe": pa.array(out_probe, pa.int64()),
             "__j": pa.array(out_pos, pa.int64()),
-            "band_key": pa.array(key_arr, pa.uint64()),
-            "shard": pa.array((key_arr % _BAND_SHARDS).astype(np.int32)),
+            "band_key": pa.array(np.array(out_key, dtype=np.uint64),
+                                 pa.uint64()),
         })
-
-    posts = ds.map_batches(postings, batch_format="pyarrow")
 
     def oriented_pairs(g: pd.DataFrame) -> pd.DataFrame:
         # fully vectorized: most gram buckets hold only index rows (the
@@ -1294,45 +1208,13 @@ def containment_join(ds: "rd.Dataset", text_col: str = "text",
         out["n_trunc"] = np.zeros(len(out), dtype=np.int64)
         return out
 
-    pairs = posts.groupby("shard").map_groups(oriented_pairs,
-                                              batch_format="pandas")
+    pairs = shard_cogroup(ds.map_batches(postings, batch_format="pyarrow"),
+                          "band_key", oriented_pairs)
 
-    def add_pair_shard(b: pd.DataFrame) -> pd.DataFrame:
-        b["pair_shard"] = ((b["id_a"] * 31 + b["id_b"])
-                           % 256).astype("int32")
-        return b
-
-    def dedup_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        return (g.groupby(["id_a", "id_b"], as_index=False, sort=False)
-                 .agg(n_trunc=("n_trunc", "max")))
-
-    cands = (pairs.map_batches(add_pair_shard, batch_format="pandas")
-                  .groupby("pair_shard")
-                  .map_groups(dedup_pairs, batch_format="pandas"))
-
-    # each doc appears in many candidate pairs — re-shingling the text
-    # per PAIR was the 10M-candidate hot spot; the cache ships empty
-    # with the closure and fills per verify worker process (a plain
-    # dict: lru_cache wrappers don't cloudpickle)
-    _gs_cache: dict[str, frozenset] = {}
-
-    def micro_scorer(a: str | None, b: str | None) -> int:
-        def gs(txt: str) -> frozenset:
-            s = _gs_cache.get(txt)
-            if s is None:
-                if len(_gs_cache) > 65536:
-                    _gs_cache.clear()
-                s = frozenset(_char_gram_set(txt, gram_n))
-                _gs_cache[txt] = s
-            return s
-
-        sa = gs(a or "")
-        sb = gs(b or "")
-        if not sa:
-            return 0
-        return len(sa & sb) * 1_000_000 // len(sa)
+    def containment_micro(sa: frozenset, sb: frozenset) -> int:
+        return len(sa & sb) * 1_000_000 // len(sa) if sa else 0
 
     return _verify_pairs_by_join(
-        cands, ds, id_col, text_col, threshold=0.0,
-        scorer=micro_scorer, score_col="containment_micro",
-        score_type=pa.int64(), min_keep=threshold_micro)
+        _dedup_pairs(pairs), ds, id_col, text_col,
+        _gram_set_scorer(gram_n, containment_micro), threshold_micro,
+        "containment_micro", pa.int64())

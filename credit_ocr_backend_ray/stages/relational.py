@@ -370,6 +370,11 @@ def broadcast_anti_join(ds: "rd.Dataset", keys: set, on: str) -> "rd.Dataset":
     return ds.map_batches(filt, batch_format="pandas")
 
 
+def default_partitions() -> int:
+    """The one shuffle fan-out rule: the cluster's CPU count, at least 4."""
+    return max(4, int(ray.cluster_resources().get("CPU", 8)))
+
+
 def shuffle_join(left: "rd.Dataset", right: "rd.Dataset",
                  on: str | tuple[str, ...],
                  right_on: str | tuple[str, ...] | None = None,
@@ -380,8 +385,9 @@ def shuffle_join(left: "rd.Dataset", right: "rd.Dataset",
     name or a tuple of them) — use ``broadcast_join`` whenever one side
     fits in the object store; this is for the fact-fact case (e.g.
     lineitem x orders). ``num_partitions`` is the shuffle fan-out; each
-    partition is an aggregator actor, so default it to the cluster's CPU
-    count (at 100 TB: blocks-per-core x nodes, set explicitly).
+    partition is an aggregator actor, so it defaults to
+    ``default_partitions()`` (at 100 TB: blocks-per-core x nodes, set
+    explicitly).
 
     The aggregator actors reserve no CPU. By default Ray 2.49.2 reserves
     a fraction of a CPU per aggregator for the join's whole lifetime, so
@@ -404,11 +410,8 @@ def shuffle_join(left: "rd.Dataset", right: "rd.Dataset",
     limitation) — join output is empty/left-only then anyway."""
     on, right_on = ((c,) if isinstance(c, str) else tuple(c)
                     for c in (on, right_on or on))
-    if num_partitions is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8))
-        num_partitions = max(4, cpus)
     return left.join(right, join_type=join_type,
-                     num_partitions=num_partitions,
+                     num_partitions=num_partitions or default_partitions(),
                      on=on, right_on=right_on,
                      aggregator_ray_remote_args={
                          "num_cpus": 0, "scheduling_strategy": "SPREAD"})

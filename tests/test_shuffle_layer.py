@@ -1,8 +1,9 @@
 """Guard for the one shuffle layer (no Ray session): ``Dataset.join`` is
-called only from ``relational.shuffle_join``, and the coarse-shard
-co-group ``groupby("__shard")`` appears only in ``shard_cogroup`` and
-in the operators that replicate rows or shard on something other than
-one key's hash."""
+called only from ``relational.shuffle_join``, and a hand-written
+coarse-shard co-group (a ``groupby`` on a column whose name ends in
+``shard``: ``"__shard"``, ``"pair_shard"``, ``["band_id", "shard"]``)
+appears only in ``shard_cogroup`` and in the operators that replicate
+rows or shard on something other than one key's hash."""
 
 import ast
 import functools
@@ -21,13 +22,31 @@ OWN_SHARDS = {
     ("curate.py", "substring_dedup"),
     ("chunking.py", "pack_sequences"),
     ("__ray_entry__.py", "_q_documents_from_warc"),
+    # graph operators: several tagged inputs (labels + adjacency, wedges
+    # + closing edges) co-group under graph._shard_of, the node layout
+    # the iterative rounds keep
+    ("graph.py", "connected_components"),
+    ("graph.py", "session_star_edges"),
+    ("graph.py", "pagerank"),
+    ("graph.py", "cooccurrence_edges"),
+    ("graph.py", "_simple_edges"),
+    ("graph.py", "_attach_degrees"),
+    ("graph.py", "triangle_count"),
 }
+
+
+def _is_shard_key(arg) -> bool:
+    """A string constant ending in ``shard``, or a list/tuple holding one."""
+    elts = arg.elts if isinstance(arg, (ast.List, ast.Tuple)) else [arg]
+    return any(isinstance(e, ast.Constant) and isinstance(e.value, str)
+               and e.value.endswith("shard") for e in elts)
 
 
 @functools.lru_cache(maxsize=None)
 def _calls():
     """(kind, file, top-level def, line) of every ``Dataset.join`` call
-    (a ``.join(`` with ``join_type=``) and every ``groupby("__shard")``."""
+    (a ``.join(`` with ``join_type=``) and every ``groupby`` on a shard
+    column."""
     files = sorted((ROOT / "credit_ocr_backend_ray").rglob("*.py"))
     files.append(ROOT / "__ray_entry__.py")
     out = []
@@ -41,8 +60,7 @@ def _calls():
                         and any(k.arg == "join_type" for k in n.keywords)):
                     kind = "join"
                 elif (n.func.attr == "groupby" and n.args
-                        and isinstance(n.args[0], ast.Constant)
-                        and n.args[0].value == "__shard"):
+                        and _is_shard_key(n.args[0])):
                     kind = "shard"
                 else:
                     continue

@@ -1,6 +1,8 @@
 """Local stand-in for the driver's correctness gate: run every queries()
 entry at a given sf_dir and compare against oracle_sql() via DuckDB
-(row count + column names + order-insensitive value hash).
+(row count + column names + order-insensitive value hash). A query with
+no oracle prints its row count, columns and the first 16 hex digits of
+its value hash, so two runs can show its output did not change.
 
 Usage: python tools/check_correctness.py [sf_dir] [query ...]
 """
@@ -74,7 +76,7 @@ def main() -> int:
         wall = time.perf_counter() - t0
         if name not in sqls:
             print(f"rows  {name}: {len(mine)} rows, cols={list(mine.columns)}"
-                  f" ({wall:.1f}s) [no oracle]")
+                  f" ({wall:.1f}s) [no oracle] hash={value_hash(mine)[:16]}")
             continue
         oracle = con.execute(sqls[name]).df()
         ok_rows = len(mine) == len(oracle)
