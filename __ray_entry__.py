@@ -714,15 +714,13 @@ def _q_heavy_hitter_terms(sf_dir: str):
     """Approximate heavy-hitter tokens via count-min sketch + exact
     verification — the sketch companion to the exact ``top_terms``."""
     import pyarrow as pa
+    from credit_ocr_backend_ray.functions.textstats import tokens
     from credit_ocr_backend_ray.stages.sketch import cms_heavy_hitters
 
     def tokenize(t: pa.Table) -> pa.Table:
-        import re
-        ws = re.compile(r"\s+")
         toks = []
         for txt in t["text"].to_pylist():
-            if txt:
-                toks.extend(tok for tok in ws.split(txt.strip()) if tok)
+            toks.extend(tokens(txt))
         return pa.table({"token": pa.array(toks, pa.string())})
 
     ds = (_rp(_t(sf_dir, "documents"), columns=["text"])
@@ -2205,20 +2203,18 @@ def _q_doc_budget_select(sf_dir: str):
     SUM(cost) OVER (ORDER BY score DESC, id) <= budget — computed with
     the range-bucket prefix-SUM scheme, no global sort, sub-boundary
     buckets dropped before the shuffle."""
+    from credit_ocr_backend_ray.functions.textstats import tokens
     from credit_ocr_backend_ray.stages.curate import budget_select
 
     ds = _rp(_t(sf_dir, "documents"), columns=["doc_id", "text"])
 
     def prep(t):
-        import re
-
         import pyarrow as pa
 
-        ws = re.compile(r"\s+")
         ids, sc, nt = [], [], []
         for i, txt in zip(t["doc_id"].to_pylist(),
                           t["text"].to_pylist()):
-            toks = [w for w in ws.split((txt or "").strip()) if w]
+            toks = tokens(txt)
             if not toks:
                 continue
             ids.append(i)
@@ -3612,23 +3608,20 @@ def _q_top_term_per_source(sf_dir: str):
     combiner-pruned top-1-per-key (latest_per_key: at most one row per
     (source, batch) crosses the argmax shuffle). Tie-break
     token-ascending for a deterministic cut."""
-    import re
     from collections import Counter
 
     import pyarrow as pa
+    from credit_ocr_backend_ray.functions.textstats import tokens
     from credit_ocr_backend_ray.stages.relational import (
         grouped_agg, latest_per_key)
 
     ds = _rp(_t(sf_dir, "documents"), columns=["source", "text"])
-    ws = re.compile(r"\s+")
 
     def partial(t: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for src, txt in zip(t["source"].to_pylist(),
                             t["text"].to_pylist()):
-            if txt:
-                c.update((src, tok) for tok in ws.split(txt.strip())
-                         if tok)
+            c.update((src, tok) for tok in tokens(txt))
         keys = list(c.keys())
         return pa.table({
             "source": pa.array([k[0] for k in keys], pa.string()),

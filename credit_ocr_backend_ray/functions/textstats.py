@@ -6,7 +6,8 @@ the web-pages table.
 Definitions are chosen to be exactly reproducible in ANSI SQL (DuckDB
 oracle) where possible:
 
-- ``token_count``   = number of ``\\s+``-separated tokens of the trimmed text
+- ``token_count``   = ``len(text.split())``: tokens split on every character
+  for which ``str.isspace()`` is true (``\\s`` in Python ``re``)
 - ``digit_ratio``   = digit chars / total chars
 - ``upper_ratio``   = uppercase chars / total chars
 - ``fingerprint``   = md5 of ``lower()`` whitespace-collapsed text
@@ -17,8 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import re
-
-_WS = re.compile(r"\s+")
 
 # tiny built-in stopword banks (public common-word lists), lowercase
 _STOPWORDS = {
@@ -33,9 +32,10 @@ _STOPWORDS = {
 }
 
 
-def tokens(text: str) -> list[str]:
-    t = text.strip()
-    return _WS.split(t) if t else []
+def tokens(text: str | None) -> list[str]:
+    """The whitespace tokenizer of every text operator: ``None`` and
+    whitespace-only text have no tokens."""
+    return text.split() if text else []
 
 
 def token_count(text: str) -> int:

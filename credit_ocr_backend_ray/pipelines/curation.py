@@ -113,9 +113,8 @@ def curate_pack(ds: "rd.Dataset", min_tokens: int = 20,
     from credit_ocr_backend_ray.stages.chunking import (
         dedup_chunks_in_doc, pack_sequences,
     )
-    from credit_ocr_backend_ray.stages.curate import (
-        _tokens, source_reputation,
-    )
+    from credit_ocr_backend_ray.functions.textstats import tokens
+    from credit_ocr_backend_ray.stages.curate import source_reputation
 
     rep = source_reputation(ds, key_col=source_col, text_col=text_col,
                             id_col=id_col).to_pandas()
@@ -134,7 +133,7 @@ def curate_pack(ds: "rd.Dataset", min_tokens: int = 20,
                                t[text_col].to_pylist()):
             if src in bad_sources:
                 continue
-            toks = _tokens(txt)
+            toks = tokens(txt)
             n_tok = len(toks)
             if n_tok < min_tokens:
                 continue

@@ -41,7 +41,7 @@ import pyarrow as pa
 
 import ray.data as rd
 
-from credit_ocr_backend_ray.stages.curate import _tokens
+from credit_ocr_backend_ray.functions.textstats import tokens
 
 
 def chunk_documents(ds: "rd.Dataset", window: int, stride: int,
@@ -58,7 +58,7 @@ def chunk_documents(ds: "rd.Dataset", window: int, stride: int,
         texts: list[str] = []
         ntoks: list[int] = []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            toks = _tokens(txt)
+            toks = tokens(txt)
             for ci, s in enumerate(range(0, len(toks), stride)):
                 chunk = toks[s:s + window]
                 ids.append(i)
@@ -132,7 +132,7 @@ def intra_doc_dedup(ds: "rd.Dataset", window: int,
         texts: list[str] = []
         removed: list[int] = []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            toks = _tokens(txt)
+            toks = tokens(txt)
             if not toks:
                 continue
             keep, n_rm = dedup_chunks_in_doc(toks, window)
@@ -163,7 +163,7 @@ def pack_sequences(ds: "rd.Dataset", budget: int,
     def count_tokens(t: pa.Table) -> pa.Table:
         ids, nt = [], []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            toks = _tokens(txt)
+            toks = tokens(txt)
             if toks:
                 ids.append(i)
                 nt.append(len(toks))

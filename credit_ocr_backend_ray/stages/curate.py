@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
 
 from typing import Sequence
 
@@ -41,18 +40,11 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
+from credit_ocr_backend_ray.functions.textstats import tokens
 from credit_ocr_backend_ray.stages.relational import (
     global_topk, grouped_agg, shard_cogroup,
 )
 from credit_ocr_backend_ray.stages.sketch import bloom_semi_join
-
-_WS = re.compile(r"\s+")
-
-
-def _tokens(txt: str | None) -> list[str]:
-    if not txt:
-        return []
-    return [t for t in _WS.split(txt.strip()) if t]
 
 
 def quota_sample_per_key(ds: "rd.Dataset", key_col: str, id_col: str,
@@ -95,7 +87,7 @@ def ngram_pairs(ds: "rd.Dataset", n: int, text_col: str = "text",
         ids: list[int] = []
         grams: list[str] = []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            toks = _tokens(txt)
+            toks = tokens(txt)
             gs = (" ".join(toks[j:j + n])
                   for j in range(len(toks) - n + 1))
             if dedup:
@@ -164,7 +156,7 @@ def doc_quality_stats(ds: "rd.Dataset", text_col: str = "text",
     def stats(t: pa.Table) -> pa.Table:
         ids, nt, nd, dup, mlen = [], [], [], [], []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            toks = _tokens(txt)
+            toks = tokens(txt)
             if not toks:
                 continue
             n_tok = len(toks)
@@ -202,7 +194,7 @@ def source_reputation(ds: "rd.Dataset", key_col: str = "source",
     def partial(t: pa.Table) -> pa.Table:
         agg: dict[str, list[int]] = {}
         for k, txt in zip(t[key_col].to_pylist(), t[text_col].to_pylist()):
-            toks = _tokens(txt)
+            toks = tokens(txt)
             if not toks:
                 continue
             n_tok = len(toks)
@@ -260,7 +252,7 @@ def bm25_topk(ds: "rd.Dataset", query_terms: list[str], k: int = 20,
         n_docs, sum_dl = 0, 0
         df = np.zeros(len(terms), np.int64)
         for txt in t[text_col].to_pylist():
-            toks = _tokens(txt)
+            toks = tokens(txt)
             if not toks:
                 continue
             n_docs += 1
@@ -285,7 +277,7 @@ def bm25_topk(ds: "rd.Dataset", query_terms: list[str], k: int = 20,
     def score(t: pa.Table) -> pa.Table:
         ids, scores = [], []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            toks = _tokens(txt)
+            toks = tokens(txt)
             if not toks:
                 continue
             dl = len(toks)
@@ -401,7 +393,7 @@ def duplicate_gram_stats(ds: "rd.Dataset", n: int = 8,
         from collections import Counter
         c: Counter = Counter()
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            toks = _tokens(txt)
+            toks = tokens(txt)
             for j in range(len(toks) - n + 1):
                 c[(" ".join(toks[j:j + n]), i)] += 1
         return pa.table({
@@ -460,7 +452,7 @@ def substring_dedup(ds: "rd.Dataset", n: int = 8,
         ids: list[int] = []
         starts: list[int] = []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            toks = _tokens(txt)
+            toks = tokens(txt)
             for j in range(len(toks) - n + 1):
                 grams.append(" ".join(toks[j:j + n]))
                 ids.append(i)
@@ -512,7 +504,7 @@ def substring_dedup(ds: "rd.Dataset", n: int = 8,
         txts: list[str] = []
         for did, txt in zip(docs[id_col].to_numpy(np.int64),
                             docs[text_col]):
-            toks = _tokens(txt)
+            toks = tokens(txt)
             length = len(toks)
             s = starts_by_doc.get(did)
             if s is None or length == 0:
@@ -586,10 +578,10 @@ def nb_source_score(ds: "rd.Dataset", pos_source: str,
         for src, txt in zip(t[source_col].to_pylist(),
                             t[text_col].to_pylist()):
             if src == pos_source:
-                cp.update(_tokens(txt))
+                cp.update(tokens(txt))
                 dp += 1
             else:
-                cn.update(_tokens(txt))
+                cn.update(tokens(txt))
                 dn += 1
         vocab = list(cp.keys() | cn.keys())
         return pa.table({
@@ -635,7 +627,7 @@ def nb_source_score(ds: "rd.Dataset", pos_source: str,
     def score(t: pa.Table) -> pa.Table:
         mdl = ray.get(lut_ref)
         doc_ids = t[id_col].to_pylist()
-        doc_toks = [_tokens(txt) for txt in t[text_col].to_pylist()]
+        doc_toks = [tokens(txt) for txt in t[text_col].to_pylist()]
         lens = np.fromiter((len(x) for x in doc_toks), dtype=np.int64,
                            count=len(doc_toks))
         totals = np.full(len(doc_ids), prior, np.int64)
@@ -689,7 +681,6 @@ def doc_importance(ds: "rd.Dataset", target_source: str,
     table (B int64s) broadcasts via ``ray.put``; the scoring pass is
     stateless per batch. No shuffle anywhere; per-batch md5 work is
     memoized per distinct token."""
-    ws = _WS
     memo: dict[str, int] = {}
 
     def bucket(tok: str) -> int:
@@ -708,15 +699,12 @@ def doc_importance(ds: "rd.Dataset", target_source: str,
         tgt: Counter = Counter()
         for txt, src in zip(t[text_col].to_pylist(),
                             t[source_col].to_pylist()):
-            if not txt or not txt.strip():
-                continue
             is_t = src == target_source
-            for tok in ws.split(txt.strip()):
-                if tok:
-                    b = bucket(tok)
-                    raw[b] += 1
-                    if is_t:
-                        tgt[b] += 1
+            for tok in tokens(txt):
+                b = bucket(tok)
+                raw[b] += 1
+                if is_t:
+                    tgt[b] += 1
         ks = sorted(raw)
         return pa.table({
             "bk": pa.array(ks, pa.int64()),
@@ -754,9 +742,7 @@ def doc_importance(ds: "rd.Dataset", target_source: str,
         nt: list[int] = []
         imp: list[int] = []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            if not txt or not txt.strip():
-                continue
-            toks = [tok for tok in ws.split(txt.strip()) if tok]
+            toks = tokens(txt)
             if not toks:
                 continue
             ids.append(i)
@@ -825,7 +811,7 @@ def gopher_topgram_stats(ds: "rd.Dataset", text_col: str = "text",
             "top2_gram", "top2_frac_micro", "top3_gram", "top3_frac_micro",
             "stopword_count", "stopword_frac_micro")}
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            toks = _tokens(txt)
+            toks = tokens(txt)
             if not toks:
                 continue
             n_chars = sum(len(tk) for tk in toks)
@@ -958,10 +944,8 @@ def lr_source_fit(ds: "rd.Dataset", pos_source: str = "src0",
     Returns (scored dataset (doc_id, label, p_pos), weights, loss
     history in mean micro-nats)."""
     import hashlib
-    import re
     from collections import Counter
 
-    ws = re.compile(r"\s+")
     S = float(1 << 24)
 
     def featurize(t: pa.Table) -> pa.Table:
@@ -972,7 +956,7 @@ def lr_source_fit(ds: "rd.Dataset", pos_source: str = "src0",
         for i, txt, src in zip(t[id_col].to_pylist(),
                                t[text_col].to_pylist(),
                                t[source_col].to_pylist()):
-            toks = [w for w in ws.split((txt or "").strip()) if w]
+            toks = tokens(txt)
             x = np.zeros(d + 1, dtype=np.float64)
             x[d] = 1.0
             if toks:

@@ -652,9 +652,10 @@ def signature_hamming_pairs(sigs: "rd.Dataset", id_col: str,
     they SHARE at least one of d+1), explode each signature to its
     chunk keys, ONE ``shard_cogroup`` on the chunk key, exact
     full-signature verification in each (chunk_id, chunk_key) bucket
-    (the key is raw signature bits, so the bucket needs the chunk id).
-    Hot chunk buckets cap at ``_BUCKET_CAP`` rows; the dropped count is
-    reported via logging.warning."""
+    (the key is raw signature bits, so the bucket needs the chunk id),
+    then one row per pair (``_dedup_pairs``). Hot chunk buckets cap at
+    ``_BUCKET_CAP`` rows; the dropped count is reported via
+    logging.warning."""
     n_chunks = n_chunks or max_hamming + 1
     if n_chunks < max_hamming + 1:
         raise ValueError(
@@ -708,17 +709,12 @@ def signature_hamming_pairs(sigs: "rd.Dataset", id_col: str,
 
     allp = shard_cogroup(sigs.map_batches(explode_chunks,
                                           batch_format="pyarrow"),
-                         "chunk_key", shard_pairs).to_pandas()
-    if allp.empty:
-        return allp.reindex(columns=["id_a", "id_b", "hamming"])
-    total_trunc = int(allp["n_trunc"].sum())
-    if total_trunc:
-        logger.warning(
-            "simhash: %d rows dropped by the %d-row chunk-bucket cap",
-            total_trunc, _BUCKET_CAP)
-    allp = allp[allp["id_a"] >= 0].drop(columns=["n_trunc"])
-    return (allp.sort_values(["id_a", "id_b"])
-                .drop_duplicates(["id_a", "id_b"]).reset_index(drop=True))
+                         "chunk_key", shard_pairs)
+    out = _dedup_pairs(allp, "id_a",
+                       _cap_finish("simhash", ("id_a", "id_b"))).to_pandas()
+    if out.empty:
+        return out.reindex(columns=["id_a", "id_b", "hamming"])
+    return out.sort_values(["id_a", "id_b"]).reset_index(drop=True)
 
 
 def simhash_candidates(ds: "rd.Dataset", text_col: str = "text",
@@ -787,24 +783,25 @@ def corpus_overlap(ds: "rd.Dataset", text_col: str = "text",
 
 # ------------------------------------------------------- hamming strings
 
-def _typo_finish(op: str):
-    """Pair-dedup fold of ``hamming_join`` and ``edit1_join``: log the
-    bucket-cap truncation, drop the ``-1`` sentinel rows (truncated
-    buckets with no pair), keep one row per (k_a, k_b)."""
+def _cap_finish(op: str, pair: tuple[str, str] = ("k_a", "k_b")):
+    """Pair-dedup fold of the families that verify inside a capped
+    bucket (``signature_hamming_pairs``, ``hamming_join``,
+    ``edit1_join``): log the bucket-cap truncation, drop the ``-1``
+    sentinel rows (truncated buckets with no pair), keep one row per
+    ``pair``."""
     def finish(b: pd.DataFrame) -> pd.DataFrame:
         trunc = int(b["n_trunc"].sum())
         if trunc:
             logger.warning("%s: %d rows dropped by the %d-row bucket cap",
                            op, trunc, _BUCKET_CAP)
-        b = b[b["k_a"] >= 0]
-        return b.drop(columns=["n_trunc"]).drop_duplicates(["k_a", "k_b"])
+        b = b[b[pair[0]] >= 0]
+        return b.drop(columns=["n_trunc"]).drop_duplicates(list(pair))
 
     return finish
 
 
 def hamming_join(ds: "rd.Dataset", id_col: str, str_col: str,
-                 max_dist: int = 1,
-                 n_shards: int = 64) -> "rd.Dataset":
+                 max_dist: int = 1) -> "rd.Dataset":
     """Self-join on Hamming distance over a fixed-width string column
     (typo-tolerant key matching): pairs ``(k_a, k_b, dist)`` with
     ``dist <= max_dist`` and ``k_a < k_b``. Blocking is the pigeonhole
@@ -903,7 +900,7 @@ def hamming_join(ds: "rd.Dataset", id_col: str, str_col: str,
 
     allp = shard_cogroup(ds.map_batches(explode, batch_format="pyarrow"),
                          "chunk_key", shard_pairs)
-    return _dedup_pairs(allp, "k_a", _typo_finish("hamming_join"))
+    return _dedup_pairs(allp, "k_a", _cap_finish("hamming_join"))
 
 
 def _lev_le1(a: str, b: str) -> int:
@@ -1015,7 +1012,7 @@ def edit1_join(ds: "rd.Dataset", id_col: str, str_col: str,
 
     allp = shard_cogroup(ds.map_batches(explode, batch_format="pyarrow"),
                          "del_key", shard_pairs)
-    return _dedup_pairs(allp, "k_a", _typo_finish("edit1_join"))
+    return _dedup_pairs(allp, "k_a", _cap_finish("edit1_join"))
 
 
 def snm_pairs(ds: "rd.Dataset", key_col: str, id_col: str,

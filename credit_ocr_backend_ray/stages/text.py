@@ -1,6 +1,7 @@
 """Text-analysis stages over a text column: token/char stats, quality
-score, language ID, fingerprints. Stateless vectorized ``map_batches``
-kernels (regexes compiled at module import, once per worker process).
+score, language ID, fingerprints, corpus word counts and the operators
+built on them. Every operator tokenizes with ``textstats.tokens``, and
+every corpus word count is one ``token_counts`` pass.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import pyarrow as pa
 
 from credit_ocr_backend_ray.functions.textstats import (
     bpe_token_count, char_stats, fingerprint_md5, lang_id, quality_score,
-    rolling_fingerprint, token_count,
+    rolling_fingerprint, token_count, tokens,
 )
 
 
@@ -45,41 +46,37 @@ def lang_id_batch(batch: pa.Table, text_col: str = "text") -> pa.Table:
         "pred_lang", pa.array([lang_id(t) for t in texts], pa.string()))
 
 
-def top_terms(ds, k: int = 50, text_col: str = "text"):
-    """Global top-k most frequent whitespace tokens across the corpus:
-    per-batch ``Counter`` partials (one (token, n) row per distinct token
-    per batch crosses the shuffle — the classic combiner word-count), a
-    grouped sum, then a cluster sort + limit. Ties break token-ascending
-    for a deterministic cut. Empty tokens are dropped on both the Ray and
-    the SQL side."""
-    import re
+def token_counts(ds, text_col: str = "text"):
+    """Corpus word count ``(token, c)``: per-batch ``Counter`` partials
+    (one (token, n) row per distinct token per batch crosses the
+    shuffle — the classic combiner word count), then one grouped sum on
+    a coarse token-hash co-group. Every corpus-count operator below
+    reads this one pass."""
     from collections import Counter
 
-    import pandas as pd
-
     from credit_ocr_backend_ray.stages.relational import grouped_agg
-
-    ws = re.compile(r"\s+")
 
     def partial(t: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for txt in t[text_col].to_pylist():
-            if txt:
-                c.update(tok for tok in ws.split(txt.strip()) if tok)
+            c.update(tokens(txt))
         return pa.table({
             "token": pa.array(list(c.keys()), pa.string()),
             "__pn": pa.array(list(c.values()), pa.int64()),
         })
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    counts = grouped_agg(partials, ["token"], {"__pn": "n"},
-                         count_alias="__nbatch", combine="cogroup")
+    return grouped_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                       ["token"], {"__pn": "c"}, count_alias=None,
+                       combine="cogroup")
 
-    def drop_extra(b: pd.DataFrame) -> pd.DataFrame:
-        return b[["token", "n"]]
 
-    return (counts.map_batches(drop_extra, batch_format="pandas")
-                  .sort(["n", "token"], descending=[True, False]).limit(k))
+def top_terms(ds, k: int = 50, text_col: str = "text"):
+    """Global top-k most frequent whitespace tokens across the corpus:
+    the ``token_counts`` word count, then a cluster sort + limit. Ties
+    break token-ascending for a deterministic cut. Empty tokens are
+    dropped on both the Ray and the SQL side."""
+    return (token_counts(ds, text_col).rename_columns({"c": "n"})
+            .sort(["n", "token"], descending=[True, False]).limit(k))
 
 
 def term_label_chi2(ds, label_col: str = "lang", text_col: str = "text",
@@ -103,15 +100,12 @@ def term_label_chi2(ds, label_col: str = "lang", text_col: str = "text",
     only each shard's local top-k per label (bounded, k·labels rows)
     reaches the driver. ``min_df`` prunes the tail before any Python
     big-int math."""
-    import re
     from collections import Counter
 
     import pandas as pd
     import ray
 
     from credit_ocr_backend_ray.stages.relational import shard_cogroup
-
-    ws = re.compile(r"\s+")
 
     # bounded pass: N docs and per-label doc counts
     def label_counts(t: pa.Table) -> pa.Table:
@@ -134,11 +128,10 @@ def term_label_chi2(ds, label_col: str = "lang", text_col: str = "text",
         c: Counter = Counter()
         for lab, txt in zip(t[label_col].to_pylist(),
                             t[text_col].to_pylist()):
-            if lab is None or not txt or not txt.strip():
+            if lab is None:
                 continue
-            for tok in set(ws.split(txt.strip())):
-                if tok:
-                    c[(tok, lab)] += 1
+            for tok in set(tokens(txt)):
+                c[(tok, lab)] += 1
         keys = list(c.keys())
         return pa.table({
             "token": pa.array([t_ for t_, _ in keys], pa.string()),
@@ -221,15 +214,12 @@ def term_label_ig(ds, label_col: str = "lang", text_col: str = "text",
     folding each term's full label vector locally; only each shard's
     top-k per label (k·labels rows) reaches the driver."""
     import math
-    import re
     from collections import Counter
 
     import pandas as pd
     import ray
 
     from credit_ocr_backend_ray.stages.relational import shard_cogroup
-
-    ws = re.compile(r"\s+")
 
     def label_counts(t: pa.Table) -> pa.Table:
         c: Counter = Counter()
@@ -251,11 +241,10 @@ def term_label_ig(ds, label_col: str = "lang", text_col: str = "text",
         c: Counter = Counter()
         for lab, txt in zip(t[label_col].to_pylist(),
                             t[text_col].to_pylist()):
-            if lab is None or not txt or not txt.strip():
+            if lab is None:
                 continue
-            for tok in set(ws.split(txt.strip())):
-                if tok:
-                    c[(tok, lab)] += 1
+            for tok in set(tokens(txt)):
+                c[(tok, lab)] += 1
         keys = list(c.keys())
         return pa.table({
             "token": pa.array([t_ for t_, _ in keys], pa.string()),
@@ -321,39 +310,19 @@ def token_frequency_spectrum(ds, text_col: str = "text"):
     """Vocabulary frequency spectrum (the count-of-counts curve a Zipf
     fit or a BPE-vocabulary budget reads): for every occurrence count
     ``c``, how many distinct tokens appear exactly ``c`` times in the
-    corpus. Two combiner-shaped rounds: the word-count shuffle of
-    ``top_terms`` (one (token, n) row per distinct token per batch),
-    then a second tiny shuffle keyed on the count itself — its partials
-    are one row per distinct c per batch, and distinct counts grow
-    ~log(corpus), so round two is never the bottleneck at any scale."""
-    import re
-    from collections import Counter
-
+    corpus. Two combiner-shaped rounds: the ``token_counts`` word count
+    (one (token, n) row per distinct token per batch), then a second
+    tiny shuffle keyed on the count itself — its partials are one row
+    per distinct c per batch, and distinct counts grow ~log(corpus), so
+    round two is never the bottleneck at any scale."""
     from credit_ocr_backend_ray.stages.relational import grouped_agg
 
-    ws = re.compile(r"\s+")
-
-    def partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for txt in t[text_col].to_pylist():
-            if txt:
-                c.update(tok for tok in ws.split(txt.strip()) if tok)
-        return pa.table({
-            "token": pa.array(list(c.keys()), pa.string()),
-            "__pn": pa.array(list(c.values()), pa.int64()),
-        })
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    counts = grouped_agg(partials, ["token"], {"__pn": "occurrences"},
-                         count_alias=None, combine="cogroup")
-
     def to_spectrum(t: pa.Table) -> pa.Table:
-        g = t.group_by(["occurrences"]).aggregate([([], "count_all")])
-        return pa.table({"occurrences": g["occurrences"],
-                         "__pc": g["count_all"]})
+        g = t.group_by(["c"]).aggregate([([], "count_all")])
+        return pa.table({"occurrences": g["c"], "__pc": g["count_all"]})
 
-    spectrum_partials = counts.map_batches(to_spectrum,
-                                           batch_format="pyarrow")
+    spectrum_partials = token_counts(ds, text_col).map_batches(
+        to_spectrum, batch_format="pyarrow")
     return grouped_agg(spectrum_partials, ["occurrences"],
                        {"__pc": "n_tokens"}, count_alias=None,
                        combine="cogroup")
@@ -372,21 +341,15 @@ def inverted_index(ds, text_col: str = "text", id_col: str = "doc_id",
     groups; at extreme scale cap or segment hot postings (emit
     (token, segment_no, postings) rows) and/or prune with ``min_df`` —
     the combiner and groupby shapes carry over unchanged."""
-    import re
-
     import numpy as np
     import pandas as pd
-
-    ws = re.compile(r"\s+")
 
     def pairs(t: pa.Table) -> pa.Table:
         toks, ids = [], []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            if txt:
-                for tok in set(ws.split(txt.strip())):
-                    if tok:
-                        toks.append(tok)
-                        ids.append(i)
+            for tok in set(tokens(txt)):
+                toks.append(tok)
+                ids.append(i)
         return pa.table({"token": pa.array(toks, pa.string()),
                          id_col: pa.array(ids, pa.int64())})
 
@@ -423,27 +386,21 @@ def tfidf_top_term(ds, text_col: str = "text", id_col: str = "doc_id"):
     shuffle-join of (doc, token, tf) against (token, df) — the df
     computation side is already the scale shape."""
     import math
-    import re
     from collections import Counter
 
     import numpy as np
-    import pandas as pd
-
     import ray
 
     from credit_ocr_backend_ray.stages.relational import grouped_agg
 
-    ws = re.compile(r"\s+")
     n_docs = ds.count()
 
     def pairs(t: pa.Table) -> pa.Table:
         toks, ids = [], []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            if txt:
-                for tok in set(ws.split(txt.strip())):
-                    if tok:
-                        toks.append(tok)
-                        ids.append(i)
+            for tok in set(tokens(txt)):
+                toks.append(tok)
+                ids.append(i)
         return pa.table({"token": pa.array(toks, pa.string()),
                          "__one": pa.array(np.ones(len(toks), np.int64))})
 
@@ -457,9 +414,7 @@ def tfidf_top_term(ds, text_col: str = "text", id_col: str = "doc_id"):
         dfm = ray.get(ref)
         out_id, out_tok, out_score = [], [], []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            if not txt:
-                continue
-            tf = Counter(tok for tok in ws.split(txt.strip()) if tok)
+            tf = Counter(tokens(txt))
             if not tf:
                 continue
             best_tok, best = None, None
@@ -515,10 +470,7 @@ def winnow_fingerprints(ds, k: int = 4, w: int = 4,
     row per selected fingerprint (doc_id, pos, fp), pos the 0-based
     token index of the gram start."""
     import hashlib
-    import re
     from collections import deque
-
-    ws = re.compile(r"\s+")
 
     def emit(t: pa.Table) -> pa.Table:
         out_id: list[int] = []
@@ -526,8 +478,7 @@ def winnow_fingerprints(ds, k: int = 4, w: int = 4,
         out_fp: list[str] = []
         for did, txt in zip(t[id_col].to_pylist(),
                             t[text_col].to_pylist()):
-            toks = ([x for x in ws.split(txt.strip()) if x]
-                    if txt else [])
+            toks = tokens(txt)
             nh = len(toks) - k + 1
             if nh <= 0:
                 continue
@@ -642,28 +593,12 @@ def doc_mean_token_freq(ds, id_col: str = "doc_id",
     floor(1e6 * sum(k*c) / n_tokens) in int64 (sum(k*c) ≤ corpus_tokens²
     per doc slice — rescale before the multiply if a corpus approaches
     2^31 token instances)."""
-    import re
     from collections import Counter
 
     from credit_ocr_backend_ray.stages.relational import (
         grouped_agg, shuffle_join)
 
-    ws = re.compile(r"\s+")
-
-    def count_partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for txt in t[text_col].to_pylist():
-            if txt:
-                c.update(tok for tok in ws.split(txt.strip()) if tok)
-        return pa.table({
-            "token": pa.array(list(c.keys()), pa.string()),
-            "__pn": pa.array(list(c.values()), pa.int64()),
-        })
-
-    counts = grouped_agg(ds.map_batches(count_partial,
-                                        batch_format="pyarrow"),
-                         ["token"], {"__pn": "c"}, count_alias=None,
-                         combine="cogroup")
+    counts = token_counts(ds, text_col)
 
     def doc_pairs(t: pa.Table) -> pa.Table:
         ids: list[int] = []
@@ -671,10 +606,7 @@ def doc_mean_token_freq(ds, id_col: str = "doc_id",
         ks: list[int] = []
         for i, txt in zip(t[id_col].to_pylist(),
                           t[text_col].to_pylist()):
-            if not txt:
-                continue
-            c = Counter(tok for tok in ws.split(txt.strip()) if tok)
-            for tok, k in c.items():
+            for tok, k in Counter(tokens(txt)).items():
                 ids.append(i)
                 toks.append(tok)
                 ks.append(k)
@@ -736,31 +668,13 @@ def unigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
     documents are excluded (no likelihood to take)."""
     import itertools
     import math
-    import re
-    from collections import Counter
 
     import pandas as pd
     import ray
 
-    from credit_ocr_backend_ray.stages.relational import (
-        global_topk, grouped_agg)
+    from credit_ocr_backend_ray.stages.relational import global_topk
 
-    ws = re.compile(r"\s+")
-
-    def count_partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for txt in t[text_col].to_pylist():
-            if txt:
-                c.update(tok for tok in ws.split(txt.strip()) if tok)
-        return pa.table({
-            "token": pa.array(list(c.keys()), pa.string()),
-            "__pn": pa.array(list(c.values()), pa.int64()),
-        })
-
-    counts = grouped_agg(ds.map_batches(count_partial,
-                                        batch_format="pyarrow"),
-                         ["token"], {"__pn": "c"}, count_alias=None,
-                         combine="cogroup").materialize()
+    counts = token_counts(ds, text_col).materialize()
     total = int(counts.sum("c") or 0)
     kept = global_topk(counts, ["c", "token"], top_vocab,
                        ascending=[False, True]).to_pandas()
@@ -782,8 +696,7 @@ def unigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
         doc_toks: list[list[str]] = []
         for i, txt in zip(t[id_col].to_pylist(),
                           t[text_col].to_pylist()):
-            toks = ([tok for tok in ws.split(txt.strip()) if tok]
-                    if txt else [])
+            toks = tokens(txt)
             if toks:
                 doc_ids.append(i)
                 doc_toks.append(toks)
@@ -834,21 +747,16 @@ def top_bigrams(ds, k: int = 30, text_col: str = "text"):
     distinct bigram per batch crosses the shuffle, then a grouped sum
     and a cluster sort + limit. Tie-break (w1, w2) ascending for a
     deterministic cut."""
-    import re
     from collections import Counter
 
     import pandas as pd
 
     from credit_ocr_backend_ray.stages.relational import grouped_agg
 
-    ws = re.compile(r"\s+")
-
     def partial(t: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for txt in t[text_col].to_pylist():
-            if not txt:
-                continue
-            toks = [tok for tok in ws.split(txt.strip()) if tok]
+            toks = tokens(txt)
             c.update(zip(toks, toks[1:]))
         return pa.table({
             "w1": pa.array([p[0] for p in c], pa.string()),
@@ -884,24 +792,17 @@ def source_vocab_jaccard(ds, text_col: str = "text",
     column is engine-independent. Sparse contract: a source pair with
     ZERO shared tokens emits no row at all (like a SQL inner join on
     the token)."""
-    import re
-
     import pandas as pd
 
     from credit_ocr_backend_ray.stages.relational import (
         grouped_agg, shard_cogroup)
 
-    ws = re.compile(r"\s+")
-
     def local_pairs(t: pa.Table) -> pa.Table:
         seen: set = set()
         for txt, src in zip(t[text_col].to_pylist(),
                             t[group_col].to_pylist()):
-            if not txt:
-                continue
-            for tok in ws.split(txt.strip()):
-                if tok:
-                    seen.add((tok, src))
+            for tok in tokens(txt):
+                seen.add((tok, src))
         return pa.table({
             "token": pa.array([p[0] for p in seen], pa.string()),
             "src": pa.array([p[1] for p in seen], pa.string()),
@@ -1031,7 +932,6 @@ def bigram_lift(ds, k: int = 30, min_count: int = 5,
     grouped sums of that table, two hash joins attach them, and the
     driver folds only the bounded filtered frame for the final exact
     arithmetic + top-k."""
-    import re
     from collections import Counter
 
     import pandas as pd
@@ -1039,14 +939,10 @@ def bigram_lift(ds, k: int = 30, min_count: int = 5,
     from credit_ocr_backend_ray.stages.relational import (
         grouped_agg, shuffle_join)
 
-    ws = re.compile(r"\s+")
-
     def partial(t: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for txt in t[text_col].to_pylist():
-            if not txt:
-                continue
-            toks = [tok for tok in ws.split(txt.strip()) if tok]
+            toks = tokens(txt)
             c.update(zip(toks, toks[1:]))
         return pa.table({
             "w1": pa.array([p[0] for p in c], pa.string()),
@@ -1085,13 +981,12 @@ def learn_bpe(ds, n_merges: int = 50, text_col: str = "text",
               max_vocab_rows: int = 2_000_000) -> list[tuple[str, str]]:
     """Distributed BPE vocabulary learning (Sennrich et al.'s byte-pair
     encoding, the standard subword-tokenizer trainer): the corpus-scale
-    work is ONE distributed word count (combiner partials, exactly
-    ``top_terms``' shape); the merge loop then runs driver-side over the
-    bounded distinct-word frequency table — each round picks the most
-    frequent adjacent symbol pair (count desc, pair asc tie-break:
-    deterministic) and rewrites ONLY the words containing it, keeping
-    pair counts incrementally via a pair->words index (never a full
-    O(vocab) rescan per merge).
+    work is ONE distributed word count (``token_counts``); the merge
+    loop then runs driver-side over the bounded distinct-word frequency
+    table — each round picks the most frequent adjacent symbol pair
+    (count desc, pair asc tie-break: deterministic) and rewrites ONLY
+    the words containing it, keeping pair counts incrementally via a
+    pair->words index (never a full O(vocab) rescan per merge).
 
     The bounded-vocab contract is ENFORCED, not assumed: words rarer
     than ``min_word_count`` are pruned DISTRIBUTED (Dataset.filter on
@@ -1109,28 +1004,11 @@ def learn_bpe(ds, n_merges: int = 50, text_col: str = "text",
     behavior (the cap still protects the driver); the default of 2
     matches production trainers (subword-nmt/SentencePiece vocab
     thresholds) where sub-``min_pair_count`` tails are noise."""
-    import re
     from collections import Counter, defaultdict
 
-    from credit_ocr_backend_ray.stages.relational import grouped_agg
-
-    ws = re.compile(r"\s+")
-
-    def partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for txt in t[text_col].to_pylist():
-            if txt:
-                c.update(tok for tok in ws.split(txt.strip()) if tok)
-        return pa.table({
-            "word": pa.array(list(c.keys()), pa.string()),
-            "__pn": pa.array(list(c.values()), pa.int64()),
-        })
-
-    freqs_ds = grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["word"], {"__pn": "n"}, count_alias="__nb", combine="cogroup")
+    freqs_ds = token_counts(ds, text_col)
     if min_word_count > 1:
-        freqs_ds = freqs_ds.filter(expr=f"n >= {min_word_count}")
+        freqs_ds = freqs_ds.filter(expr=f"c >= {min_word_count}")
     freqs_ds = freqs_ds.materialize()     # blocks spill; driver heap safe
     n_rows = freqs_ds.count()
     if n_rows > max_vocab_rows:
@@ -1146,7 +1024,7 @@ def learn_bpe(ds, n_merges: int = 50, text_col: str = "text",
     # + a pair->word-ids index so each merge touches only affected words
     words: list[list] = [
         [tuple(w) + ("</w>",), int(n)]
-        for w, n in zip(freqs["word"], freqs["n"])]
+        for w, n in zip(freqs["token"], freqs["c"])]
     pair_counts: Counter = Counter()
     pair_words: dict = defaultdict(set)
     for wi, (sym, n) in enumerate(words):
@@ -1198,13 +1076,10 @@ def apply_bpe(ds, merges: list[tuple[str, str]], text_col: str = "text",
     rank (the standard BPE encoder). Emits (id, n_tokens, n_subwords):
     the compression diagnostic (subwords per whitespace token) every
     tokenizer change is judged by."""
-    import re
-
     import ray
 
     ranks = {m: i for i, m in enumerate(merges)}
     rref = ray.put(ranks)
-    ws = re.compile(r"\s+")
 
     def encode_word(word: str, rk: dict) -> int:
         sym = list(word) + ["</w>"]
@@ -1224,7 +1099,7 @@ def apply_bpe(ds, merges: list[tuple[str, str]], text_col: str = "text",
         cache: dict[str, int] = {}
         ids, nt, nsw = [], [], []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            toks = [w for w in ws.split((txt or "").strip()) if w]
+            toks = tokens(txt)
             total = 0
             for w in toks:
                 if w not in cache:
@@ -1265,10 +1140,7 @@ def hashed_features(ds, d: int = 64, id_col: str = "doc_id",
     ``map_batches`` pass, no shuffle; downstream consumers pivot or
     gather per doc as needed."""
     import hashlib
-    import re
     from collections import Counter
-
-    ws = re.compile(r"\s+")
 
     def featurize(t: pa.Table) -> pa.Table:
         cache: dict[str, tuple[int, int]] = {}
@@ -1276,7 +1148,7 @@ def hashed_features(ds, d: int = 64, id_col: str = "doc_id",
         buckets: list[int] = []
         feats: list[int] = []
         for i, txt in zip(t[id_col].to_pylist(), t[text_col].to_pylist()):
-            toks = [w for w in ws.split((txt or "").strip()) if w]
+            toks = tokens(txt)
             if not toks:
                 continue
             acc: Counter = Counter()
@@ -1337,7 +1209,6 @@ def bigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
     fewer than 2 tokens have no transitions and are excluded."""
     import itertools
     import math
-    import re
     from collections import Counter
 
     import pandas as pd
@@ -1346,25 +1217,10 @@ def bigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
     from credit_ocr_backend_ray.stages.relational import (
         global_topk, grouped_agg)
 
-    ws = re.compile(r"\s+")
     UNK = "\x01"
     SEP = "\x02"
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for txt in t[text_col].to_pylist():
-            if txt:
-                c.update(tok for tok in ws.split(txt.strip()) if tok)
-        return pa.table({
-            "token": pa.array(list(c.keys()), pa.string()),
-            "__pn": pa.array(list(c.values()), pa.int64()),
-        })
-
-    counts = grouped_agg(ds.map_batches(count_partial,
-                                        batch_format="pyarrow"),
-                         ["token"], {"__pn": "c"}, count_alias=None,
-                         combine="cogroup")
-    kept = global_topk(counts, ["c", "token"], top_vocab,
+    kept = global_topk(token_counts(ds, text_col), ["c", "token"], top_vocab,
                        ascending=[False, True]).to_pandas()
     vocab = frozenset(kept["token"])
     v1 = len(vocab) + 1
@@ -1374,8 +1230,7 @@ def bigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
         vset = ray.get(vocab_ref)
         c: Counter = Counter()
         for txt in t[text_col].to_pylist():
-            toks = ([tok for tok in ws.split(txt.strip()) if tok]
-                    if txt else [])
+            toks = tokens(txt)
             if len(toks) < 2:
                 continue
             m = [tok if tok in vset else UNK for tok in toks]
@@ -1429,8 +1284,7 @@ def bigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
         doc_vs: list[list[str]] = []
         for i, txt in zip(t[id_col].to_pylist(),
                           t[text_col].to_pylist()):
-            toks = ([tok for tok in ws.split(txt.strip()) if tok]
-                    if txt else [])
+            toks = tokens(txt)
             if len(toks) < 2:
                 continue
             m = [tok if tok in vset else UNK for tok in toks]
@@ -1491,10 +1345,8 @@ def trigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
     If the retained trigram+bigram tables exceed ``max_model_rows`` the
     op raises ValueError (learn_bpe's explicit-cap pattern).
 
-    Stages: (1) unigram counts (combiner + cogroup); a ``\\x03`` sentinel
-    row carries each batch's TOTAL token count through the same shuffle
-    (it always tops the count order, so ``global_topk(top_vocab+1)``
-    returns N plus the vocabulary in one pass — no second corpus scan);
+    Stages: (1) unigram counts (``token_counts``), materialized once:
+    N is their sum and the vocabulary their ``global_topk(top_vocab)``;
     (2) vocab broadcast, ONE collapsed-count pass emitting tagged
     trigram AND bigram keys (the tables are keyed by (vocab+UNK)^n —
     collapsed before they cross the wire, raw tokens never shuffle);
@@ -1505,7 +1357,6 @@ def trigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
     fewer than 3 tokens have no trigram transitions and are excluded."""
     import itertools
     import math
-    import re
     from collections import Counter
 
     import pandas as pd
@@ -1514,33 +1365,13 @@ def trigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
     from credit_ocr_backend_ray.stages.relational import (
         global_topk, grouped_agg)
 
-    ws = re.compile(r"\s+")
     UNK = "\x01"
     SEP = "\x02"
-    TOTAL = "\x03"
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for txt in t[text_col].to_pylist():
-            if txt:
-                c.update(tok for tok in ws.split(txt.strip()) if tok)
-        c[TOTAL] = sum(c.values())
-        return pa.table({
-            "token": pa.array(list(c.keys()), pa.string()),
-            "__pn": pa.array(list(c.values()), pa.int64()),
-        })
-
-    counts = grouped_agg(ds.map_batches(count_partial,
-                                        batch_format="pyarrow"),
-                         ["token"], {"__pn": "c"}, count_alias=None,
-                         combine="cogroup")
-    # the sentinel's count is N >= every token count and \x03 sorts
-    # before any real token on ties, so it is always row #1 of the topk
-    kept = global_topk(counts, ["c", "token"], top_vocab + 1,
+    counts = token_counts(ds, text_col).materialize()
+    n_tok = int(counts.sum("c") or 0)
+    kept = global_topk(counts, ["c", "token"], top_vocab,
                        ascending=[False, True]).to_pandas()
-    is_tot = kept["token"] == TOTAL
-    n_tok = int(kept.loc[is_tot, "c"].iloc[0])
-    kept = kept[~is_tot]
     vocab = frozenset(kept["token"])
     c1 = {tok: int(n) for tok, n in zip(kept["token"], kept["c"])}
     unk_n = n_tok - sum(c1.values())
@@ -1552,8 +1383,7 @@ def trigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
         vset = ray.get(vocab_ref)
         c: Counter = Counter()
         for txt in t[text_col].to_pylist():
-            toks = ([tok for tok in ws.split(txt.strip()) if tok]
-                    if txt else [])
+            toks = tokens(txt)
             if len(toks) < 2:
                 continue
             m = [tok if tok in vset else UNK for tok in toks]
@@ -1606,8 +1436,7 @@ def trigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
         doc_wss: list[list[str]] = []
         for i, txt in zip(t[id_col].to_pylist(),
                           t[text_col].to_pylist()):
-            toks = ([tok for tok in ws.split(txt.strip()) if tok]
-                    if txt else [])
+            toks = tokens(txt)
             if len(toks) < 3:
                 continue
             m = [tok if tok in vset else UNK for tok in toks]
@@ -1671,30 +1500,10 @@ def zipf_slope(ds, text_col: str = "text", top_n: int = 100):
 
     import ray.data as rd
 
-    from credit_ocr_backend_ray.stages.relational import (
-        global_topk, grouped_agg)
+    from credit_ocr_backend_ray.stages.relational import global_topk
 
     assert top_n <= 1000, "int64 exactness bound: top_n <= 1000"
-    from collections import Counter
-    import re
-
-    ws = re.compile(r"\s+")
-
-    def count_partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for txt in t[text_col].to_pylist():
-            if txt:
-                c.update(tok for tok in ws.split(txt.strip()) if tok)
-        return pa.table({
-            "token": pa.array(list(c.keys()), pa.string()),
-            "__pn": pa.array(list(c.values()), pa.int64()),
-        })
-
-    counts = grouped_agg(ds.map_batches(count_partial,
-                                        batch_format="pyarrow"),
-                         ["token"], {"__pn": "c"}, count_alias=None,
-                         combine="cogroup")
-    kept = global_topk(counts, ["c", "token"], top_n,
+    kept = global_topk(token_counts(ds, text_col), ["c", "token"], top_n,
                        ascending=[False, True]).to_pandas()
     n = len(kept)
     if n < 2:
@@ -1748,7 +1557,6 @@ def source_js_divergence(ds, group_col: str = "source",
     integer partials to the driver. Output: (group, vocab, support_q_b,
     js_pico), ordered by group."""
     import math
-    import re
     from collections import Counter
 
     import pandas as pd
@@ -1756,15 +1564,12 @@ def source_js_divergence(ds, group_col: str = "source",
 
     from credit_ocr_backend_ray.stages.relational import shard_cogroup
 
-    ws = re.compile(r"\s+")
-
     def totals(t: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for grp, txt in zip(t[group_col].to_pylist(),
                             t[text_col].to_pylist()):
-            if grp is None or not txt or not txt.strip():
-                continue
-            c[grp] += sum(1 for tok in ws.split(txt.strip()) if tok)
+            if grp is not None:
+                c[grp] += len(tokens(txt))
         return pa.table({
             group_col: pa.array(list(c.keys()), pa.string()),
             "__tn": pa.array(list(c.values()), pa.int64())})
@@ -1787,11 +1592,10 @@ def source_js_divergence(ds, group_col: str = "source",
         c: Counter = Counter()
         for grp, txt in zip(t[group_col].to_pylist(),
                             t[text_col].to_pylist()):
-            if grp is None or not txt or not txt.strip():
+            if grp is None:
                 continue
-            for tok in ws.split(txt.strip()):
-                if tok:
-                    c[(tok, grp)] += 1
+            for tok in tokens(txt):
+                c[(tok, grp)] += 1
         keys = list(c.keys())
         return pa.table({
             "token": pa.array([k for k, _ in keys], pa.string()),

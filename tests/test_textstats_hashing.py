@@ -1,5 +1,7 @@
 """Text-analysis and signature kernels."""
 
+import re
+
 import numpy as np
 
 from credit_ocr_backend_ray.functions.hashing import (
@@ -8,14 +10,30 @@ from credit_ocr_backend_ray.functions.hashing import (
 )
 from credit_ocr_backend_ray.functions.textstats import (
     char_stats, fingerprint_md5, lang_id, quality_score, rolling_fingerprint,
-    token_count,
+    token_count, tokens,
 )
+
+
+def _regex_tokens(s):
+    """The regex tokenizer ``tokens`` replaced."""
+    return [t for t in re.split(r"\s+", s.strip()) if t] if s else []
 
 
 def test_token_count():
     assert token_count("  a b\tc\nd ") == 4
     assert token_count("") == 0
     assert token_count("   ") == 0
+    # tokens == the regex split it replaced, for every code point
+    for s in (None, "", " ", "\t\n\x0b\x0c\r\x1c\x85\xa0\u2028\u3000"):
+        assert tokens(s) == _regex_tokens(s) == []
+    n_space = 0
+    for i in range(0x110000):
+        c = chr(i)
+        s = c + "a" + c + c + "b" + c
+        got = tokens(s)
+        assert got == _regex_tokens(s), hex(i)
+        n_space += got == ["a", "b"]
+    assert n_space == sum(chr(i).isspace() for i in range(0x110000)) > 20
 
 
 def test_char_stats():
