@@ -117,7 +117,7 @@ def _q_agg_pricing(sf_dir: str):
         "qty_c": "qty_c",
         "base_c": "base_c",
         "disc_c": "disc_c",
-    }, combine="driver")  # 6 groups: bounded-key driver fold
+    })
 
     def fin(b: pd.DataFrame) -> pd.DataFrame:
         b["sum_qty"] = (b["qty_c"] / 100.0).round(2)
@@ -289,7 +289,7 @@ def _q_lang_counts(sf_dir: str):
 
     ds = _rp(_t(sf_dir, "documents"), columns=["lang", "n_chars"])
     return grouped_agg(ds, ["lang"], {"n_chars": "sum_chars"},
-                       count_alias="n_docs", combine="driver")
+                       count_alias="n_docs")
 
 
 def _q_events_daily_window(sf_dir: str):
@@ -298,8 +298,7 @@ def _q_events_daily_window(sf_dir: str):
     ds = _rp(_t(sf_dir, "events"),
                          columns=["ts", "event_type", "value"])
     out = windowed_agg(ds, "ts", ["event_type"], "D",
-                       {"value": "sum_value"},
-                       combine="driver")  # event_type: bounded enum
+                       {"value": "sum_value"})
 
     def fin(b: pd.DataFrame) -> pd.DataFrame:
         b["sum_value"] = b["sum_value"].round(4)
@@ -445,8 +444,7 @@ def _q_events_hopping_window(sf_dir: str):
     ds = _rp(_t(sf_dir, "events"),
                          columns=["ts", "event_type", "value"])
     out = hopping_window_agg(ds, "ts", ["event_type"], size_s=3600,
-                             hop_s=900, sum_cols={"value": "sum_value"},
-                             combine="driver")  # event_type: bounded enum
+                             hop_s=900, sum_cols={"value": "sum_value"})
 
     def fin(b: pd.DataFrame) -> pd.DataFrame:
         b["sum_value"] = b["sum_value"].round(4)
@@ -592,7 +590,7 @@ def _q_event_user_count_distinct(sf_dir: str):
     ds = _rp(_t(sf_dir, "events"),
                          columns=["event_type", "user_id"])
     return grouped_count_distinct(ds, ["event_type"], "user_id",
-                                  alias="n_users", combine="driver")
+                                  alias="n_users")
 
 
 def _q_customers_with_events(sf_dir: str):
@@ -852,8 +850,7 @@ def _q_pricing_rollup(sf_dir: str):
         return b
 
     out = rollup_agg(ds.map_batches(to_cents, batch_format="pandas"),
-                     ["l_returnflag", "l_linestatus"], {"qty_c": "qty_c"},
-                     combine="driver")
+                     ["l_returnflag", "l_linestatus"], {"qty_c": "qty_c"})
 
     def fin(b: pd.DataFrame) -> pd.DataFrame:
         b["sum_qty"] = (b["qty_c"] / 100.0).round(2)
@@ -1155,8 +1152,7 @@ def _events_alt_format(sf_dir: str, fmt: str) -> str:
 
 def _agg_events_by_type(ds):
     from credit_ocr_backend_ray.stages.relational import grouped_agg
-    out = grouped_agg(ds, ["event_type"], {"value": "sum_value"},
-                      combine="driver")
+    out = grouped_agg(ds, ["event_type"], {"value": "sum_value"})
 
     def fin(b: pd.DataFrame) -> pd.DataFrame:
         b["sum_value"] = b["sum_value"].round(4)
@@ -2501,8 +2497,7 @@ def _q_customer_abc(sf_dir: str):
 
     rev = grouped_agg(ds.map_batches(cents, batch_format="pandas"),
                       ["o_custkey"], {"__c": "revenue_scaled"},
-                      count_alias=None,
-                      combine="cogroup").materialize()
+                      count_alias=None).materialize()
     total = int(rev.sum("revenue_scaled"))
 
     def neg(b: pd.DataFrame) -> pd.DataFrame:
@@ -2568,8 +2563,8 @@ def _q_user_gap_median(sf_dir: str):
 def _q_event_type_wow(sf_dir: str):
     """Week-over-week value change per event type — the trend report
     over epoch-week buckets ((days since epoch) // 7, engine-neutral):
-    one combiner pass to exact weekly cent sums (bounded types x weeks
-    -> driver fold, the windowed_agg bounded-key pattern), first week
+    one combiner pass to exact weekly cent sums (bounded types x
+    weeks), first week
     per type NULL, ratio in micro with TRUNCATING division mirroring
     DuckDB's ``//`` on signed deltas."""
     import numpy as np
@@ -2591,8 +2586,8 @@ def _q_event_type_wow(sf_dir: str):
 
     weekly = grouped_agg(ds.map_batches(prep, batch_format="pandas"),
                          ["event_type", "week"],
-                         {"__c": "wsum_scaled"}, count_alias=None,
-                         combine="driver").to_pandas()
+                         {"__c": "wsum_scaled"},
+                         count_alias=None).to_pandas()
     weekly = (weekly.sort_values(["event_type", "week"])
                     .reset_index(drop=True))
     weekly["wsum_scaled"] = weekly["wsum_scaled"].astype("int64")
@@ -2646,8 +2641,8 @@ def _q_daily_wau(sf_dir: str):
             "__day": (tus // 86_400_000_000).to_numpy(np.int64)})
 
     du = grouped_agg(ds.map_batches(days, batch_format="pandas"),
-                     ["user_id", "__day"], {}, count_alias=None,
-                     combine="cogroup").materialize()
+                     ["user_id", "__day"], {},
+                     count_alias=None).materialize()
     lo = int(du.min("__day"))
     hi = int(du.max("__day"))
 
@@ -2664,16 +2659,12 @@ def _q_daily_wau(sf_dir: str):
     # distinct (user, window-day) then count per day; a user active
     # twice inside one window counts once
     uniq = grouped_agg(du.map_batches(explode, batch_format="pandas"),
-                       ["user_id", "day"], {}, count_alias=None,
-                       combine="cogroup")
-    wau = grouped_agg(uniq, ["day"], {}, count_alias="wau",
-                      combine="cogroup")
+                       ["user_id", "day"], {}, count_alias=None)
+    wau = grouped_agg(uniq, ["day"], {}, count_alias="wau")
 
     def fin(b: pd.DataFrame) -> pd.DataFrame:
         # only days with a full 7-day window inside the data range
-        b = b[b["day"] >= lo + 6]
-        b["wau"] = b["wau"].astype("int64")
-        return b
+        return b[b["day"] >= lo + 6].astype({"wau": "int64"})
 
     return wau.map_batches(fin, batch_format="pandas")
 
@@ -2702,8 +2693,7 @@ def _q_weekly_top_event_types(sf_dir: str):
 
     weekly = grouped_agg(ds.map_batches(prep, batch_format="pandas"),
                          ["week", "event_type"],
-                         {"__c": "wsum_scaled"}, count_alias=None,
-                         combine="cogroup")
+                         {"__c": "wsum_scaled"}, count_alias=None)
 
     def cast(b: pd.DataFrame) -> pd.DataFrame:
         b["wsum_scaled"] = b["wsum_scaled"].astype("int64")
@@ -4270,10 +4260,9 @@ def _q_part_rules(sf_dir: str):
              columns=["l_orderkey", "l_partkey", "l_quantity"],
              filter=pc.field("l_quantity") >= 25.0)
     distinct = grouped_agg(ds, ["l_orderkey", "l_partkey"], {},
-                           count_alias=None, combine="cogroup")
+                           count_alias=None)
     n_baskets = int(grouped_agg(distinct, ["l_orderkey"], {},
-                                count_alias=None,
-                                combine="cogroup").count())
+                                count_alias=None).count())
     sup = (grouped_agg(distinct, ["l_partkey"], {}, count_alias="np")
            .to_pandas())
     sup_ref = ray.put(dict(zip(sup["l_partkey"].astype(int),
@@ -4543,7 +4532,7 @@ def _q_session_event_pairs(sf_dir: str):
         assigned.map_batches(to_ints, batch_format="pandas"),
         "sess", "etype")
     counts = grouped_agg(edges, ["src", "dst"], {},
-                         count_alias="n_sessions", combine="driver")
+                         count_alias="n_sessions")
 
     def back(b: pd.DataFrame) -> pd.DataFrame:
         b["type_a"] = b["src"].map(dict(enumerate(types)))

@@ -140,7 +140,7 @@ def decontamination_stats(corpus: "rd.Dataset", benchmark: "rd.Dataset",
                                       batch_format="pyarrow")))
     return grouped_agg(u, [id_col],
                        {"__tot": "n_grams", "__cont": "n_contaminated"},
-                       count_alias=None, combine="cogroup")
+                       count_alias=None)
 
 
 def doc_quality_stats(ds: "rd.Dataset", text_col: str = "text",
@@ -371,8 +371,8 @@ def temperature_mix_sample(ds: "rd.Dataset", group_col: str = "source",
 
 
 def duplicate_gram_stats(ds: "rd.Dataset", n: int = 8,
-                         text_col: str = "text", id_col: str = "doc_id",
-                         n_shards: int = 64) -> "rd.Dataset":
+                         text_col: str = "text", id_col: str = "doc_id"
+                         ) -> "rd.Dataset":
     """Fine-grained exact-substring duplication statistics (the signal
     behind Lee et al., "Deduplicating Training Data Makes Language
     Models Better", ACL'22): per document, its total count of length-
@@ -414,10 +414,10 @@ def duplicate_gram_stats(ds: "rd.Dataset", n: int = 8,
 
     parted = shard_cogroup(
         ds.map_batches(local_counts, batch_format="pyarrow"), "gram",
-        per_shard, n_shards)
+        per_shard)
     return grouped_agg(parted, [id_col],
                        {"__pos": "n_grams", "__dup": "n_dup_grams"},
-                       count_alias=None, combine="cogroup")
+                       count_alias=None)
 
 
 def substring_dedup(ds: "rd.Dataset", n: int = 8,
@@ -470,7 +470,7 @@ def substring_dedup(ds: "rd.Dataset", n: int = 8,
                    .reset_index(drop=True))
 
     dups = shard_cogroup(ds.map_batches(emit, batch_format="pyarrow"),
-                         "gram", dup_starts, n_shards)
+                         "gram", dup_starts)
 
     def tag_docs(b: pd.DataFrame) -> pd.DataFrame:
         # positional arrays throughout: incoming blocks may carry a
@@ -559,8 +559,8 @@ def nb_source_score(ds: "rd.Dataset", pos_source: str,
 
     Scale: training is ONE combiner token-count pass (per-batch Counter
     → (token, cpos, cneg) partial rows; per-batch DOC counts ride the
-    same table as a single null-token row, which the cogroup combine
-    preserves — Ray's sort-based groupby cannot) + one cogroup merge.
+    same table as a single null-token row, which ``grouped_agg`` keeps
+    as one null group).
     The weight table is the corpus distinct vocabulary — guarded by
     ``max_vocab_rows`` (learn_bpe's cap pattern; raise it consciously
     or pre-prune the corpus) — broadcast once via ``ray.put``; scoring
@@ -594,8 +594,8 @@ def nb_source_score(ds: "rd.Dataset", pos_source: str,
 
     counts = grouped_agg(
         ds.map_batches(count_partial, batch_format="pyarrow"),
-        ["token"], {"__cp": "cp", "__cn": "cn"}, count_alias=None,
-        combine="cogroup").materialize()
+        ["token"], {"__cp": "cp", "__cn": "cn"},
+        count_alias=None).materialize()
     n_rows = counts.count()
     if n_rows - 1 > max_vocab_rows:
         raise ValueError(
@@ -677,7 +677,7 @@ def doc_importance(ds: "rd.Dataset", target_source: str,
     ``epoch_packed_sequences``.
 
     Scale shape: one combiner pass emits <= ``n_buckets`` fixed-width
-    partial rows per batch (bounded keys -> driver fold); the ratio
+    partial rows per batch (bounded keys); the ratio
     table (B int64s) broadcasts via ``ray.put``; the scoring pass is
     stateless per batch. No shuffle anywhere; per-batch md5 work is
     memoized per distinct token."""
@@ -715,7 +715,7 @@ def doc_importance(ds: "rd.Dataset", target_source: str,
     hist = grouped_agg(ds.select_columns([text_col, source_col])
                        .map_batches(partial, batch_format="pyarrow"),
                        ["bk"], {"__r": "n_raw", "__t": "n_tgt"},
-                       count_alias=None, combine="driver").to_pandas()
+                       count_alias=None).to_pandas()
     r_total = int(hist["n_raw"].sum())
     t_total = int(hist["n_tgt"].sum())
 
@@ -867,8 +867,7 @@ def label_balanced_sample(ds: "rd.Dataset", key_col: str = "label",
 
 
 def k_anonymity(ds: "rd.Dataset", qi_cols: list[str],
-                sensitive_col: str, k: int = 5, l: int = 2,
-                n_shards: int = 64) -> "rd.Dataset":
+                sensitive_col: str, k: int = 5, l: int = 2) -> "rd.Dataset":
     """k-anonymity / l-diversity release audit (Sweeney 2002;
     Machanavajjhala et al. 2007) — the governance gate next to
     ``redact_pii``: before a corpus/metadata table leaves the pipeline,
@@ -909,7 +908,7 @@ def k_anonymity(ds: "rd.Dataset", qi_cols: list[str],
 
     parted = (ds.select_columns(cols)
                 .map_batches(partial, batch_format="pandas"))
-    return shard_cogroup(parted, qi_cols[0], fold, n_shards=n_shards)
+    return shard_cogroup(parted, qi_cols[0], fold)
 
 
 def lr_source_fit(ds: "rd.Dataset", pos_source: str = "src0",
@@ -1037,8 +1036,8 @@ def lr_source_fit(ds: "rd.Dataset", pos_source: str = "src0",
 
 
 def budget_select(ds: "rd.Dataset", score_col: str, cost_col: str,
-                  id_col: str, budget: int, n_buckets: int = 1024,
-                  n_shards: int = 64) -> "rd.Dataset":
+                  id_col: str, budget: int,
+                  n_buckets: int = 1024) -> "rd.Dataset":
     """Token-budget-constrained corpus selection: keep the
     highest-``score_col`` rows whose cumulative ``cost_col`` (in
     ``score DESC, id ASC`` order) stays within ``budget`` — the
@@ -1117,12 +1116,12 @@ def budget_select(ds: "rd.Dataset", score_col: str, cost_col: str,
         return pd.concat(outs, ignore_index=True)
 
     pruned = tagged.map_batches(live, batch_format="pandas")
-    return shard_cogroup(pruned, "__bkt", fold, n_shards=n_shards)
+    return shard_cogroup(pruned, "__bkt", fold)
 
 
 def roc_auc(ds: "rd.Dataset", score_col: str, pos_col: str,
-            keys: list[str] | None = None, n_buckets: int = 1024,
-            n_shards: int = 64) -> pd.DataFrame | "rd.Dataset":
+            keys: list[str] | None = None,
+            n_buckets: int = 1024) -> pd.DataFrame | "rd.Dataset":
     """Exact ROC-AUC (Mann-Whitney rank-sum form) of an integer score
     against a binary label — the evaluation step for every trained
     filter this engine ships (lr_source_fit, nb_source_score, the
@@ -1146,7 +1145,7 @@ def roc_auc(ds: "rd.Dataset", score_col: str, pos_col: str,
       prefix, ONE shard co-group where each bucket folds its
       distinct-score partials locally (equal scores share a bucket, so
       tie groups never split). Each shard emits ONE partial rank-sum
-      row; the driver adds up O(n_shards) big ints. Returns a one-row
+      row; the driver adds up O(shards) big ints. Returns a one-row
       pandas frame (n_pos, n_neg, auc_micro).
     - ``keys=[...]`` (grouped, e.g. per-source eval): shard co-group on
       the first key; the fold sorts each key's distinct-score rows and
@@ -1206,7 +1205,7 @@ def roc_auc(ds: "rd.Dataset", score_col: str, pos_col: str,
                 ["n_pos", "n_neg", "auc_micro"]].astype("int64")
             return out
 
-        return shard_cogroup(partials, gkeys[0], fold, n_shards=n_shards)
+        return shard_cogroup(partials, gkeys[0], fold)
 
     # global path: range buckets over the score domain
     lo = ds.min(score_col)
@@ -1252,8 +1251,7 @@ def roc_auc(ds: "rd.Dataset", score_col: str, pos_col: str,
         return pd.DataFrame({"__r2": [str(r2)], "__np": [npos],
                              "__n": [n]})
 
-    shard = shard_cogroup(tagged, "__bkt", fold,
-                          n_shards=n_shards).to_pandas()
+    shard = shard_cogroup(tagged, "__bkt", fold).to_pandas()
     r2 = sum(int(s) for s in shard["__r2"])
     npos = int(shard["__np"].sum())
     nneg = int(shard["__n"].sum()) - npos

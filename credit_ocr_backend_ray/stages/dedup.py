@@ -72,8 +72,7 @@ def dedup_latest(ds: "rd.Dataset", key: str = "url",
                          key, keep_max)
 
 
-def dedup_exact(ds: "rd.Dataset", hash_col: str, tie_col: str,
-                n_shards: int = 64) -> "rd.Dataset":
+def dedup_exact(ds: "rd.Dataset", hash_col: str, tie_col: str) -> "rd.Dataset":
     """Hash-partition by content hash, keep the smallest ``tie_col`` row
     of each group (deterministic representative). Combiner-shaped: each
     batch pre-prunes to its local representative per hash, so duplicate
@@ -88,7 +87,7 @@ def dedup_exact(ds: "rd.Dataset", hash_col: str, tie_col: str,
                  .groupby(hash_col, as_index=False, sort=False).head(1))
 
     return shard_cogroup(ds.map_batches(first, batch_format="pandas"),
-                         hash_col, first, n_shards)
+                         hash_col, first)
 
 
 def dedup_exact_sparse(ds: "rd.Dataset", hash_col: str,
@@ -114,15 +113,9 @@ def dedup_exact_sparse(ds: "rd.Dataset", hash_col: str,
 
     # the key scan reads ONE column of the cached blocks (zero-copy
     # Arrow projection) — the wide payload never enters this pass.
-    # combine="cogroup": the hash column's cardinality is ~the corpus
-    # size, and Ray's per-key sort machinery priced the old shuffle
-    # combine at 45 s for a 400k-page scan (the web_corpus sf1 leg went
-    # 34x super-linear on exactly this); the coarse-shard co-group does
-    # the same count in ~3 s and scales with shards, not keys
     counts = grouped_agg(ds.select_columns([hash_col])
                          .map_batches(key_partial, batch_format="pandas"),
-                         [hash_col], {"__kn": "__n"}, count_alias=None,
-                         combine="cogroup")
+                         [hash_col], {"__kn": "__n"}, count_alias=None)
     dup_df = counts.filter(expr="__n > 1").to_pandas()
     # an all-unique corpus yields a ZERO-COLUMN empty frame (Ray's empty
     # grouped-output quirk) — treat it as "no collisions"

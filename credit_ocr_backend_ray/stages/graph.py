@@ -107,7 +107,7 @@ def connected_components(edges: "rd.Dataset", src: str = "src",
     from credit_ocr_backend_ray.stages.relational import grouped_agg
     labels = grouped_agg(
         edges.map_batches(init_nodes, batch_format="pyarrow"),
-        ["node"], {"comp": "__s"}, count_alias=None, combine="cogroup")
+        ["node"], {"comp": "__s"}, count_alias=None)
 
     def dedup_init(t: pa.Table) -> pa.Table:
         node = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -287,7 +287,7 @@ def pagerank(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
     from credit_ocr_backend_ray.stages.relational import grouped_agg
     nodes = grouped_agg(
         edges.map_batches(deg_partial, batch_format="pyarrow"),
-        ["node"], {"__d": "outdeg"}, count_alias=None, combine="cogroup")
+        ["node"], {"__d": "outdeg"}, count_alias=None)
 
     def init_rank(t: pa.Table) -> pa.Table:
         n = t.num_rows
@@ -478,7 +478,7 @@ def _degrees(simple: "rd.Dataset") -> "rd.Dataset":
     from credit_ocr_backend_ray.stages.relational import grouped_agg
     return grouped_agg(
         simple.map_batches(deg_partial, batch_format="pyarrow"),
-        ["node"], {"__d": "deg"}, count_alias=None, combine="cogroup")
+        ["node"], {"__d": "deg"}, count_alias=None)
 
 
 def _attach_degrees(work: "rd.Dataset", degs: "rd.Dataset", key: str,
@@ -717,8 +717,7 @@ def connected_components_bucketed(edges: "rd.Dataset", adj_path: str,
     from credit_ocr_backend_ray.stages.relational import shard_cogroup
     labels = shard_cogroup(
         edges.map_batches(init_nodes, batch_format="pyarrow"),
-        "node", lambda g: g.drop_duplicates("node"),
-        n_shards=n_buckets).materialize()
+        "node", lambda g: g.drop_duplicates("node")).materialize()
 
     def tag_bucket(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()

@@ -5,9 +5,10 @@ These re-express the reference's SQL-side operators (ORDER BY ... LIMIT 1
 latest-job lookup, extraction.py:455-470; FK joins; listing sorts) with
 scale-conscious shapes:
 
-- ``grouped_agg``: pre-aggregates inside ``map_batches`` (one partial row
-  per key per batch) before the global ``groupby`` — the all-to-all moves
-  partials, not rows.
+- ``grouped_agg``: the one combiner — pre-aggregates inside
+  ``map_batches`` (one partial row per key per batch) and folds the
+  partials in a ``shard_cogroup``: the all-to-all moves partials, not
+  rows.
 - ``broadcast_join``: the small side is put in the object store ONCE
   (``ray.put``) and merged per batch — no shuffle (reference J1).
 - ``latest_per_key`` / ``topk_per_group``: groupby + per-group sort/head
@@ -21,10 +22,12 @@ scale-conscious shapes:
   schedule the read tasks that feed the join).
 - ``shard_cogroup``: the ONLY single-key co-group — tag rows with
   ``shard_ids`` (the one coarse shard hash: Fibonacci mix for numbers,
-  ``hash_strings_u64`` otherwise) and fold each of 64 shards with
-  vectorized pandas. Combiners pass their per-batch prune as the fold
-  too; per-group kernels go through ``_groupwise``. Only operators that
-  replicate rows or shard on a composite key tag their own shards.
+  ``hash_strings_u64`` otherwise) and fold each shard with vectorized
+  pandas or Arrow. Its shard count is ``default_partitions()``, the
+  fan-out of ``shuffle_join``. Combiners pass their per-batch prune as
+  the fold too; per-group kernels go through ``_groupwise``. Only
+  operators that replicate rows or shard on a composite key tag their
+  own shards.
 - ``grouped_stats``: sum/avg/min/max/count per key, combiner-style.
 - ``sessionize``: gap-based session windows — hash-partition by user, one
   per-group sorted linear scan (the streaming-window analogue, SURVEY §2.9).
@@ -45,95 +48,55 @@ import pyarrow as pa
 
 import ray
 import ray.data as rd
-from ray.data.aggregate import Sum
 
 
 def grouped_agg(ds: "rd.Dataset", keys: Sequence[str],
                 sum_cols: dict[str, str],
-                count_alias: str | None = "n",
-                combine: str = "shuffle",
-                n_shards: int = 64) -> "rd.Dataset":
-    """groupby(keys) with Sum/Count, combiner-style: per-batch partial
-    aggregation first. ``sum_cols`` maps input column -> output alias.
+                count_alias: str | None = "n") -> "rd.Dataset":
+    """groupby(keys) with Sum/Count, combiner-style. ``sum_cols`` maps
+    input column -> output alias; ``count_alias=None`` drops the row
+    count. The package's one combiner: an Arrow partial per batch (one
+    row per key per batch), the partials coalesced to
+    ``default_partitions()`` blocks, then one ``shard_cogroup`` on
+    ``keys[0]`` whose per-shard fold is a pandas groupby sum cast back
+    to the partials' Arrow schema. A null key is one null group, in the
+    key column's Arrow type (SQL GROUP BY semantics).
 
-    ``combine="shuffle"`` (default) finishes with a distributed
-    ``groupby().aggregate()`` — fully general, but Ray's per-key sort
-    machinery prices it by DISTINCT-KEY count: measured 64-78 s for a
-    400k-distinct-key fold at sf-bench scale regardless of block count.
-    ``combine="cogroup"`` finishes with a coarse key-hash shard co-group
-    instead (``shard_cogroup`` on the first key: one vectorized pandas
-    fold per shard — the dedup_exact/latest_per_key pattern): identical
-    results, 3.3 s on the same 400k-key fold, and the sort only ever
-    sees ``n_shards`` groups. Prefer it whenever key cardinality is
-    UNBOUNDED (per-token, per-document, per-url...). ``combine="driver"``
-    folds the partials on ONE node (``repartition(1)`` + a single pandas
-    groupby): for BOUNDED key cardinality (window buckets, enum keys,
-    histogram bins) it skips distributed machinery entirely — the
-    partial set is O(groups x input_blocks) rows by construction, so
-    the single node never sees the raw data."""
+    Why this shape (2,000 distinct keys, 1-CPU local Ray): Ray's
+    per-key ``groupby().aggregate()`` took 2.55 s over 8 input blocks
+    and 21.1 s over 200, because its sort machinery is priced by block
+    and key count; splitting the partials into 64 shards took 4.46 s
+    and 8.12 s; coalescing them to 4 blocks and folding 4 shards took
+    0.40 s and 2.88 s. A fold on one node was faster on one CPU
+    (0.17 s and 2.20 s) but does not scale with key cardinality."""
     keys = list(keys)
     in_cols = list(sum_cols)
-
-    def partial(t: pa.Table) -> pa.Table:
-        # Arrow-native combiner: pa.Table.group_by runs over the FULL input
-        # (every batch), so it must not pay an Arrow->pandas->Arrow round
-        # trip per batch (pandas partials measured as a pure conversion tax)
-        g = t.select(keys + in_cols).group_by(keys).aggregate(
-            [(c, "sum") for c in in_cols] + [([], "count_all")])
-        rename = {f"{c}_sum": alias for c, alias in sum_cols.items()}
-        rename["count_all"] = "__pn"
-        return g.rename_columns([rename.get(n, n) for n in g.column_names])
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-
     # internal count name when the caller wants no count column — must
     # not collide with any caller-chosen sum alias (e.g. "n")
     cnt = count_alias if count_alias is not None else "__cnt"
+    out_cols = keys + list(sum_cols.values()) + [cnt]
+    sums = out_cols[len(keys):]
 
-    if combine == "driver":
-        aliases = list(sum_cols.values())
+    def partial(t: pa.Table) -> pa.Table:
+        g = t.select(keys + in_cols).group_by(keys).aggregate(
+            [(c, "sum") for c in in_cols] + [([], "count_all")])
+        return g.select(keys + [f"{c}_sum" for c in in_cols]
+                        + ["count_all"]).rename_columns(out_cols)
 
-        def fold(b: pd.DataFrame) -> pd.DataFrame:
-            out = b.groupby(keys, as_index=False, sort=False).agg(
-                **{a: (a, "sum") for a in aliases},
-                **{cnt: ("__pn", "sum")})
-            return out
+    def fold(t: pa.Table) -> pa.Table:
+        # pandas, then back to the partials' Arrow types: pyarrow 16's
+        # multi-key group_by splits a null string key into several
+        # groups (harmless in the partial, which this fold re-sums)
+        g = t.to_pandas().groupby(keys, as_index=False, sort=False,
+                                  dropna=False).agg(
+            **{a: (a, "sum") for a in sums})
+        return pa.Table.from_pandas(g, schema=t.schema.remove_metadata(),
+                                    preserve_index=False)
 
-        # batch_size=None: the fold must see the whole single block at
-        # once (the default batch size would split groups across calls)
-        out = partials.repartition(1).map_batches(fold, batch_size=None,
-                                                  batch_format="pandas")
-        if count_alias is None:
-            out = out.drop_columns([cnt])
-        return out
-
-    if combine == "cogroup":
-        aliases = list(sum_cols.values())
-
-        def fold(g: pd.DataFrame) -> pd.DataFrame:
-            # dropna=False: the Arrow partial keeps null keys as a null
-            # group; the pandas fold must not silently drop those rows
-            return g.groupby(keys, as_index=False, sort=False,
-                             dropna=False).agg(
-                **{a: (a, "sum") for a in aliases},
-                **{cnt: ("__pn", "sum")})
-
-        # coalesce the (tiny, combiner-pruned) partial blocks before the
-        # shard shuffle: the co-group's residual cost is per-input-block
-        # machinery (measured 33 s over 783 near-empty blocks), and an
-        # extraction-shaped upstream yields many small blocks
-        out = shard_cogroup(partials.repartition(n_shards), keys[0], fold,
-                            n_shards)
-        if count_alias is None:
-            out = out.drop_columns([cnt])
-        return out
-
-    aggs = [Sum(alias, alias_name=alias) for alias in sum_cols.values()]
-    aggs.append(Sum("__pn", alias_name=cnt))
-    out = partials.groupby(keys).aggregate(*aggs)
-    if count_alias is None:
-        out = out.drop_columns([cnt])
-    return out
+    partials = ds.map_batches(partial, batch_format="pyarrow")
+    out = shard_cogroup(partials.repartition(default_partitions()),
+                        keys[0], fold, batch_format="pyarrow")
+    return out if count_alias is not None else out.drop_columns([cnt])
 
 
 def broadcast_join(ds: "rd.Dataset", small: pd.DataFrame, on: str,
@@ -177,28 +140,37 @@ def _with_shard(b: pd.DataFrame, key: str, n_shards: int) -> pd.DataFrame:
     return b
 
 
-def shard_cogroup(ds: "rd.Dataset", key: str, fold, n_shards: int = 64
-                  ) -> "rd.Dataset":
+def shard_cogroup(ds: "rd.Dataset", key: str, fold,
+                  batch_format: str = "pandas") -> "rd.Dataset":
     """Coarse key-hash shard co-group — the one single-key co-group of
-    this package: tag each row with ``shard_ids(key)`` and run ``fold``
-    once per SHARD (the frame arrives without the ``__shard`` column).
-    The replacement for ``ds.groupby(key).map_groups(...)`` whenever key
-    cardinality is unbounded — Ray's per-key machinery prices by
-    distinct-key count (measured 64-78 s at 400k keys vs ~3 s for 64
-    shards, r5); ``fold`` keeps exact per-key semantics by grouping
-    WITHIN the shard with vectorized pandas ops. A combiner-shaped
-    caller whose per-batch prune equals its per-shard fold (top-1,
-    top-k, first or max per key) maps ``ds`` with that function and
-    passes it again as ``fold``."""
+    this package: tag each row with ``shard_ids(key)`` over
+    ``default_partitions()`` shards and run ``fold`` once per SHARD
+    (the batch, pandas or ``"pyarrow"``, arrives without the
+    ``__shard`` column). The replacement for
+    ``ds.groupby(key).map_groups(...)`` whenever key cardinality is
+    unbounded — Ray's per-key machinery prices by distinct-key count
+    (measured 64-78 s at 400k keys vs ~3 s for 64 shards, r5);
+    ``fold`` keeps exact per-key semantics by grouping WITHIN the
+    shard with vectorized ops. A combiner-shaped caller whose
+    per-batch prune equals its per-shard fold (top-1, top-k, first or
+    max per key) maps ``ds`` with that function and passes it again
+    as ``fold``."""
+    n_shards = default_partitions()
+    arrow = batch_format == "pyarrow"
 
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        return _with_shard(b, key, n_shards)
+    def tag(b):
+        if not arrow:
+            return _with_shard(b, key, n_shards)
+        return b.append_column("__shard", pa.array(
+            shard_ids(b[key].to_numpy(), n_shards)))
 
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        return fold(g.drop(columns="__shard"))
+    def run(g):
+        return fold(g.drop_columns(["__shard"]) if arrow
+                    else g.drop(columns="__shard"))
 
-    return (ds.map_batches(tag, batch_format="pandas")
-              .groupby("__shard").map_groups(run, batch_format="pandas"))
+    return (ds.map_batches(tag, batch_format=batch_format)
+              .groupby("__shard").map_groups(run,
+                                             batch_format=batch_format))
 
 
 def _segments(g: pd.DataFrame, keys: Sequence[str]):
@@ -253,8 +225,7 @@ def _groupwise(keys: Sequence[str], kernel):
 
 
 def latest_per_key(ds: "rd.Dataset", key: str, order_cols: list[str],
-                   ascending: list[bool] | None = None,
-                   n_shards: int = 64) -> "rd.Dataset":
+                   ascending: list[bool] | None = None) -> "rd.Dataset":
     """Top-1 per key by order_cols (default: all descending) with the
     order columns doubling as the deterministic tie-break. Combiner-shaped:
     each batch pre-prunes to its local winner per key, so the shuffle
@@ -268,25 +239,15 @@ def latest_per_key(ds: "rd.Dataset", key: str, order_cols: list[str],
                  .groupby(key, as_index=False, sort=False).head(1))
 
     return shard_cogroup(ds.map_batches(top1, batch_format="pandas"), key,
-                         top1, n_shards)
+                         top1)
 
 
 def windowed_agg(ds: "rd.Dataset", ts_col: str, keys: Sequence[str],
-                 window: str, sum_cols: dict[str, str],
-                 combine: str | None = None) -> "rd.Dataset":
+                 window: str, sum_cols: dict[str, str]) -> "rd.Dataset":
     """Tumbling event-time windows: truncate ``ts_col`` to the window
     (pandas freq alias, e.g. "D", "h") and run the combiner aggregate over
-    (window_start, *keys).
-
-    ``combine`` passes through to ``grouped_agg``. Default: ``"driver"``
-    only when there are NO extra keys (window starts alone are bounded by
-    the time range); with caller keys the cardinality is window x keys and
-    potentially unbounded (per-user windows), so the distributed
-    ``"shuffle"`` combine is the default — pass ``combine="driver"``
-    explicitly for known-bounded keys (enums)."""
+    (window_start, *keys)."""
     keys = list(keys)
-    if combine is None:
-        combine = "driver" if not keys else "shuffle"
 
     def add_window(batch: pd.DataFrame) -> pd.DataFrame:
         batch = batch.copy()
@@ -294,14 +255,12 @@ def windowed_agg(ds: "rd.Dataset", ts_col: str, keys: Sequence[str],
         return batch
 
     windowed = ds.map_batches(add_window, batch_format="pandas")
-    return grouped_agg(windowed, ["window_start", *keys], sum_cols,
-                       combine=combine)
+    return grouped_agg(windowed, ["window_start", *keys], sum_cols)
 
 
 def hopping_window_agg(ds: "rd.Dataset", ts_col: str, keys: Sequence[str],
                        size_s: int, hop_s: int,
                        sum_cols: dict[str, str],
-                       combine: str | None = None,
                        count_alias: str = "n") -> "rd.Dataset":
     """Hopping (sliding) event-time windows: every event lands in
     ``size_s/hop_s`` overlapping windows, derived with integer MICROSECOND
@@ -345,15 +304,11 @@ def hopping_window_agg(ds: "rd.Dataset", ts_col: str, keys: Sequence[str],
         return pd.concat(frames, ignore_index=True)
 
     partials = ds.map_batches(partial_explode, batch_format="pandas")
-    # same combine default as windowed_agg: driver-fold only when the
-    # window starts (bounded by the time range) are the sole keys
-    if combine is None:
-        combine = "driver" if not keys else "shuffle"
     # the count is now a SUM of partial counts, so it rides sum_cols and
     # grouped_agg's own row count is suppressed
     return grouped_agg(partials, ["window_start", *keys],
                        {**sum_cols, "__hn": count_alias},
-                       count_alias=None, combine=combine)
+                       count_alias=None)
 
 
 def broadcast_anti_join(ds: "rd.Dataset", keys: set, on: str) -> "rd.Dataset":
@@ -421,12 +376,14 @@ def grouped_stats(ds: "rd.Dataset", keys: Sequence[str], col: str,
                   alias: str | None = None) -> "rd.Dataset":
     """Per-key count/sum/avg/min/max of ``col``, combiner-style: one
     partial row per key per batch crosses the shuffle, avg derived from
-    (sum, count) after the final combine."""
+    (sum, count) after the final combine. A null key is one group. Its
+    own fold rather than ``grouped_agg``: min and max are not sums."""
     keys = list(keys)
     a = alias or col
 
     def partial(batch: pd.DataFrame) -> pd.DataFrame:
-        return batch.groupby(keys, as_index=False, sort=False).agg(
+        return batch.groupby(keys, as_index=False, sort=False,
+                             dropna=False).agg(
             __s=(col, "sum"), __n=(col, "size"),
             __mn=(col, "min"), __mx=(col, "max"))
 
@@ -449,8 +406,7 @@ def grouped_stats(ds: "rd.Dataset", keys: Sequence[str], col: str,
 
 
 def grouped_moments(ds: "rd.Dataset", keys: Sequence[str], val_col: str,
-                    scale: int = 100,
-                    n_shards: int = 64) -> "rd.Dataset":
+                    scale: int = 100) -> "rd.Dataset":
     """Exact per-group raw power sums n, Σc, Σc², Σc³ of the fixed-point
     quantized column (c = ``floor(x·scale + 0.5)``, the gini quantizer)
     — the distributed base of variance / skewness / third-moment
@@ -527,7 +483,7 @@ def grouped_moments(ds: "rd.Dataset", keys: Sequence[str], val_col: str,
         return agg
 
     return shard_cogroup(ds.map_batches(part, batch_format="pandas"),
-                         keys[0], fold, n_shards=n_shards)
+                         keys[0], fold)
 
 
 def topk_per_group(ds: "rd.Dataset", key: str, order_cols: list[str], k: int,
@@ -854,8 +810,8 @@ def watermark_late_events(ds: "rd.Dataset", ts_col: str = "ts",
                              "__pm": g.to_numpy()})
 
     # partials are O(n_buckets x blocks) rows by construction — the
-    # driver fold never sees raw rows (grouped_agg's "driver" rationale;
-    # its distributed combines are Sum-only, this needs max)
+    # driver fold never sees raw rows (grouped_agg is Sum-only, this
+    # needs max)
     bmax = (tagged.map_batches(bucket_partial, batch_format="pandas")
                   .to_pandas())
     # exclusive prefix-max over bucket order; empty buckets inherit
@@ -1023,7 +979,7 @@ def histogram(ds: "rd.Dataset", col: str, lo: float, hi: float,
         return pa.table({"bucket": pa.array(np.clip(ids, 0, n_bins - 1))})
 
     return grouped_agg(ds.map_batches(bucketize, batch_format="pyarrow"),
-                       ["bucket"], {}, count_alias="n", combine="driver")
+                       ["bucket"], {}, count_alias="n")
 
 
 def histogram2d(ds: "rd.Dataset", xcol: str, xlo: float, xhi: float,
@@ -1046,40 +1002,24 @@ def histogram2d(ds: "rd.Dataset", xcol: str, xlo: float, xhi: float,
         return pa.table({"xbin": pa.array(bx), "ybin": pa.array(by)})
 
     return grouped_agg(ds.map_batches(bucketize, batch_format="pyarrow"),
-                       ["xbin", "ybin"], {}, count_alias="n",
-                       combine="driver")
+                       ["xbin", "ybin"], {}, count_alias="n")
 
 
 def distinct(ds: "rd.Dataset", cols: Sequence[str]) -> "rd.Dataset":
-    """DISTINCT over ``cols``: project, per-batch ``drop_duplicates``
-    combiner (only locally-unique rows cross the shuffle), then a
-    coarse-shard co-group dedup — distinct-row count is unbounded, so
-    Ray's per-key aggregate (priced by distinct keys) is avoided."""
+    """DISTINCT over ``cols``: a ``grouped_agg`` with no sums and no
+    count — only locally-unique rows cross the shuffle."""
     cols = list(cols)
-
-    def local(b: pd.DataFrame) -> pd.DataFrame:
-        return b.drop_duplicates(cols)
-
-    return shard_cogroup(
-        ds.select_columns(cols).map_batches(local, batch_format="pandas"),
-        cols[0], lambda g: g.drop_duplicates(cols))
+    return grouped_agg(ds.select_columns(cols), cols, {}, count_alias=None)
 
 
 def grouped_count_distinct(ds: "rd.Dataset", keys: Sequence[str], col: str,
-                           alias: str = "n_distinct",
-                           combine: str = "shuffle") -> "rd.Dataset":
-    """COUNT(DISTINCT col) per key, exact, as two combiner shuffles: first
-    dedup (keys, col) — per-batch ``drop_duplicates`` partials mean only
-    unique pairs cross the wire — then a grouped count of the uniques.
+                           alias: str = "n_distinct") -> "rd.Dataset":
+    """COUNT(DISTINCT col) per key, exact, as two combiner passes: first
+    ``distinct`` over (keys, col), then a grouped count of the uniques.
     For extreme cardinality use ``sketch.approx_count_distinct`` instead."""
     keys = list(keys)
-
-    def partial_dedup(b: pd.DataFrame) -> pd.DataFrame:
-        return b[keys + [col]].drop_duplicates()
-
-    uniq = distinct(ds.map_batches(partial_dedup, batch_format="pandas"),
-                    keys + [col])
-    return grouped_agg(uniq, keys, {}, count_alias=alias, combine=combine)
+    return grouped_agg(distinct(ds, keys + [col]), keys, {},
+                       count_alias=alias)
 
 
 def broadcast_semi_join(ds: "rd.Dataset", keys: set, on: str) -> "rd.Dataset":
@@ -1098,9 +1038,10 @@ def broadcast_semi_join(ds: "rd.Dataset", keys: set, on: str) -> "rd.Dataset":
 def set_op(a: "rd.Dataset", b: "rd.Dataset", cols: Sequence[str],
            op: str) -> "rd.Dataset":
     """Distinct set operations (SQL INTERSECT / EXCEPT) over a projection:
-    tag each side with a presence flag, union, per-batch dedup partials,
-    then ONE grouped sum of the flags decides membership — no join. Only
-    unique (cols, flags) rows cross the shuffle."""
+    tag each side with a presence flag, union, then ONE ``grouped_agg``
+    sum of the flags decides membership (``> 0``) — no join. A NULL row
+    is one group, so it matches a NULL row of the other side, as in
+    SQL."""
     if op not in ("intersect", "except"):
         raise ValueError(f"unknown set op: {op}")
     cols = list(cols)
@@ -1115,24 +1056,13 @@ def set_op(a: "rd.Dataset", b: "rd.Dataset", cols: Sequence[str],
                 "__b", pa.array(np.full(n, 1 if side == "b" else 0, np.int64)))
         return fn
 
-    def partial_dedup(d: pd.DataFrame) -> pd.DataFrame:
-        return d.groupby(cols, as_index=False, sort=False).agg(
-            __a=("__a", "max"), __b=("__b", "max"))
-
     u = (a.select_columns(cols).map_batches(tag("a"), batch_format="pyarrow")
          .union(b.select_columns(cols).map_batches(tag("b"),
-                                                   batch_format="pyarrow"))
-         .map_batches(partial_dedup, batch_format="pandas"))
-    # coarse-shard co-group: distinct-row count is unbounded, so the
-    # flag fold runs per shard instead of Ray's per-key aggregate
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(cols, as_index=False, sort=False,
-                         dropna=False).agg(
-            __in_a=("__a", "max"), __in_b=("__b", "max"))
-
-    agg = shard_cogroup(u, cols[0], fold)
-    keep = ("__in_a == 1 and __in_b == 1" if op == "intersect"
-            else "__in_a == 1 and __in_b == 0")
+                                                   batch_format="pyarrow")))
+    agg = grouped_agg(u, cols, {"__a": "__in_a", "__b": "__in_b"},
+                      count_alias=None)
+    keep = ("__in_a > 0 and __in_b > 0" if op == "intersect"
+            else "__in_a > 0 and __in_b == 0")
     return agg.filter(expr=keep).select_columns(cols)
 
 
@@ -1159,7 +1089,7 @@ def pivot_sum(ds: "rd.Dataset", index: Sequence[str], pivot_col: str,
 
     return grouped_agg(ds.map_batches(derive, batch_format="pyarrow"), index,
                        {f"{prefix}{v}": f"{prefix}{v}" for v in values},
-                       count_alias=None, combine="cogroup")
+                       count_alias=None)
 
 
 def range_join_broadcast(ds: "rd.Dataset", bands: pd.DataFrame, col: str,
@@ -1193,34 +1123,45 @@ def range_join_broadcast(ds: "rd.Dataset", bands: pd.DataFrame, col: str,
     return ds.map_batches(probe, batch_format="pandas")
 
 
+def _moment_sums(ds: "rd.Dataset", keys: list[str],
+                 moments: dict[str, tuple[str, ...]],
+                 count_alias: str) -> "rd.Dataset":
+    """``grouped_agg`` of per-row moment columns: each ``moments`` alias
+    is the float64 product of its columns (one column: the value
+    itself). A row with a null in any of them drops, as SQL's ``corr``,
+    ``regr_*`` and ``stddev`` skip it."""
+    import pyarrow.compute as pc
+
+    used = sorted({c for cs in moments.values() for c in cs})
+
+    def derive(t: pa.Table) -> pa.Table:
+        ok = pc.is_valid(t[used[0]])
+        for c in used[1:]:
+            ok = pc.and_(ok, pc.is_valid(t[c]))
+        t = t.filter(ok)
+        f = {c: pc.cast(t[c], pa.float64()) for c in used}
+        cols = {k: t[k] for k in keys}
+        for a, cs in moments.items():
+            cols[a] = f[cs[0]]
+            for c in cs[1:]:
+                cols[a] = pc.multiply(cols[a], f[c])
+        return pa.table(cols)
+
+    return grouped_agg(ds.map_batches(derive, batch_format="pyarrow"), keys,
+                       {a: a for a in moments}, count_alias=count_alias)
+
+
 def grouped_corr(ds: "rd.Dataset", keys: Sequence[str], x: str, y: str,
                  alias: str = "corr") -> "rd.Dataset":
-    """Pearson correlation per key via moment partials: each batch emits
-    one (n, Σx, Σy, Σx², Σy², Σxy) row per key, Sum-combined across the
-    shuffle, final formula on the driver-side-sized result. Sample vs
+    """Pearson correlation per key via moment sums: the (Σx, Σy, Σx²,
+    Σy², Σxy) columns derive per batch and one ``grouped_agg`` sums them
+    with the row count, final formula on the per-key result. Sample vs
     population denominators cancel in the ratio, so this matches SQL
     ``corr`` exactly up to float association order."""
     keys = list(keys)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        d = b[keys].copy()
-        xv = b[x].to_numpy(dtype=np.float64)
-        yv = b[y].to_numpy(dtype=np.float64)
-        d["__n"] = 1.0
-        d["__sx"] = xv
-        d["__sy"] = yv
-        d["__sxx"] = xv * xv
-        d["__syy"] = yv * yv
-        d["__sxy"] = xv * yv
-        return d.groupby(keys, as_index=False, sort=False).sum()
-
-    # coarse-shard co-group over the moment partials (unbounded keys)
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(keys, as_index=False, sort=False,
-                         dropna=False).sum()
-
-    agg = shard_cogroup(ds.map_batches(partial, batch_format="pandas"),
-                        keys[0], fold)
+    agg = _moment_sums(ds, keys, {"__sx": (x,), "__sy": (y,),
+                                  "__sxx": (x, x), "__syy": (y, y),
+                                  "__sxy": (x, y)}, "__n")
 
     def fin(b: pd.DataFrame) -> pd.DataFrame:
         n = b["__n"]
@@ -1377,8 +1318,7 @@ def hash_split(ds: "rd.Dataset", key_col: str,
 
 def rollup_agg(ds: "rd.Dataset", keys: Sequence[str],
                sum_cols: dict[str, str],
-               count_alias: str = "n",
-               combine: str = "shuffle") -> "rd.Dataset":
+               count_alias: str = "n") -> "rd.Dataset":
     """GROUP BY ROLLUP(keys): aggregates at every key-prefix level (finest,
     each coarser prefix, grand total), NULL-filling the rolled-up key
     columns — ``grouping_sets_agg`` over the prefixes, longest first, so
@@ -1387,13 +1327,11 @@ def rollup_agg(ds: "rd.Dataset", keys: Sequence[str],
     keys = list(keys)
     return grouping_sets_agg(ds, keys,
                              [keys[:k] for k in range(len(keys), -1, -1)],
-                             sum_cols, count_alias=count_alias,
-                             combine=combine)
+                             sum_cols, count_alias=count_alias)
 
 
 def cube_agg(ds: "rd.Dataset", keys: Sequence[str],
-             sum_cols: dict[str, str], count_alias: str = "n",
-             combine: str = "shuffle") -> "rd.Dataset":
+             sum_cols: dict[str, str], count_alias: str = "n") -> "rd.Dataset":
     """GROUP BY CUBE(keys): aggregates at EVERY subset of the key set
     (2^k levels), NULL-filling the cubed-away columns —
     ``grouping_sets_agg`` over all subsets, largest first. Keys must be
@@ -1405,13 +1343,13 @@ def cube_agg(ds: "rd.Dataset", keys: Sequence[str],
         ds, keys,
         [sub for r in range(len(keys), -1, -1)
          for sub in combinations(keys, r)],
-        sum_cols, count_alias=count_alias, combine=combine)
+        sum_cols, count_alias=count_alias)
 
 
 def grouping_sets_agg(ds: "rd.Dataset", keys: Sequence[str],
                       sets: Sequence[Sequence[str]],
-                      sum_cols: dict[str, str], count_alias: str = "n",
-                      combine: str = "shuffle") -> "rd.Dataset":
+                      sum_cols: dict[str, str],
+                      count_alias: str = "n") -> "rd.Dataset":
     """GROUP BY GROUPING SETS(...): one aggregate level per listed key
     subset, NULL-filling the grouped-away columns — the general form of
     which ``rollup_agg`` (prefixes) and ``cube_agg`` (all subsets) are
@@ -1427,7 +1365,7 @@ def grouping_sets_agg(ds: "rd.Dataset", keys: Sequence[str],
             raise ValueError(f"grouping set {s} has keys outside {keys}")
     union_cols = [k for k in keys if any(k in s for s in norm)]
     finest = grouped_agg(ds, union_cols, sum_cols,
-                         count_alias=count_alias, combine=combine)
+                         count_alias=count_alias)
     vals = [*sum_cols.values(), count_alias]
 
     levels = []
@@ -1456,7 +1394,7 @@ def grouping_sets_agg(ds: "rd.Dataset", keys: Sequence[str],
                       .map_batches(total_final, batch_format="pandas"))
         else:
             lvl = grouped_agg(finest, list(sub), {v: v for v in vals},
-                              count_alias="__lvl", combine=combine)
+                              count_alias="__lvl")
 
             def fill(b: pd.DataFrame, _sub=sub) -> pd.DataFrame:
                 b = b.drop(columns=["__lvl"])
@@ -1753,7 +1691,7 @@ def grouped_concat(ds: "rd.Dataset", key: str, order_cols: list[str],
 def grouped_zscore(ds: "rd.Dataset", keys: Sequence[str], col: str,
                    alias: str = "zscore", ddof: int = 1) -> "rd.Dataset":
     """Per-group standardization (feature scaling): two passes — a
-    combiner moment aggregation (n, Σx, Σx²) to tiny per-group stats,
+    ``grouped_agg`` of the moments (n, Σx, Σx²) to tiny per-group stats,
     broadcast back (`ray.put` once), then a vectorized normalize map.
     NO shuffle of the data itself; the all-to-all moves one stats row
     per (group, batch). ``ddof=1`` matches SQL ``stddev_samp``.
@@ -1765,21 +1703,8 @@ def grouped_zscore(ds: "rd.Dataset", keys: Sequence[str], col: str,
     between passes."""
     keys = list(keys)
     ds = ds.materialize()
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        d = b[keys].copy()
-        v = b[col].to_numpy(dtype=np.float64)
-        d["__n"] = 1.0
-        d["__s"] = v
-        d["__ss"] = v * v
-        return d.groupby(keys, as_index=False, sort=False).sum()
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(keys, as_index=False, sort=False,
-                         dropna=False).sum()
-
-    agg = shard_cogroup(ds.map_batches(partial, batch_format="pandas"),
-                        keys[0], fold).to_pandas()
+    agg = _moment_sums(ds, keys, {"__s": (col,), "__ss": (col, col)},
+                       "__n").to_pandas()
     n = agg["__n"]
     mean = agg["__s"] / n
     var = (agg["__ss"] - agg["__s"] ** 2 / n) / (n - ddof)
@@ -1818,7 +1743,7 @@ def mode_per_key(ds: "rd.Dataset", key: str, col: str,
     combiner grouped count of (key, col) pairs, then top-1-per-key over the
     counts — both shuffles move only (key, value, count) triples."""
     counts = grouped_agg(ds.select_columns([key, col]), [key, col], {},
-                         count_alias=count_alias, combine="cogroup")
+                         count_alias=count_alias)
     top = latest_per_key(counts, key, [count_alias, col],
                          ascending=[False, True])
     return top.map_batches(
@@ -1940,8 +1865,7 @@ def stratified_sample(ds: "rd.Dataset", key_col: str, strata_col: str,
 
 
 def semi_join_cogroup(left: "rd.Dataset", right: "rd.Dataset", on: str,
-                      right_on: str | None = None,
-                      n_shards: int = 64) -> "rd.Dataset":
+                      right_on: str | None = None) -> "rd.Dataset":
     """Exact semi join (SQL ``IN`` with full left rows out) for the case
     where NEITHER side fits the object store: union both sides tagged,
     co-group on coarse key-hash shards (empty-block-safe sort machinery,
@@ -1978,7 +1902,7 @@ def semi_join_cogroup(left: "rd.Dataset", right: "rd.Dataset", on: str,
         out = g[(g["__side"] == 0) & g["__key"].isin(keys)]
         return out[left_cols].astype(out_dtypes)
 
-    return shard_cogroup(l.union(r), "__key", per_shard, n_shards)
+    return shard_cogroup(l.union(r), "__key", per_shard)
 
 
 def grouped_linreg(ds: "rd.Dataset", keys: Sequence[str], x: str, y: str,
@@ -1986,29 +1910,15 @@ def grouped_linreg(ds: "rd.Dataset", keys: Sequence[str], x: str, y: str,
                    icept_alias: str = "intercept") -> "rd.Dataset":
     """Per-key simple linear regression (least squares, the SQL
     ``regr_slope``/``regr_intercept`` pair) as a pure combiner aggregate:
-    each batch ships ONE moment row (n, Σx, Σy, Σxy, Σx²) per key, the
-    closed form solves after the shuffle — the textbook "ML as a
-    distributed aggregate" shape, same as ``grouped_corr``. slope =
+    the moment columns (Σx, Σy, Σxy, Σx²) derive per batch and one
+    ``grouped_agg`` sums them with the row count, the closed form solves
+    after the shuffle — the textbook "ML as a distributed aggregate"
+    shape, same as ``grouped_corr``. slope =
     covar_pop/var_pop; groups with zero x-variance return null slope
     (SQL semantics)."""
     keys = list(keys)
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        g = b.assign(__xy=b[x] * b[y], __xx=b[x] * b[x]).groupby(
-            keys, as_index=False, sort=False).agg(
-            __n=(x, "size"), __sx=(x, "sum"), __sy=(y, "sum"),
-            __sxy=("__xy", "sum"), __sxx=("__xx", "sum"))
-        return g
-
-    # coarse-shard co-group over the moment partials (unbounded keys)
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        return g.groupby(keys, as_index=False, sort=False,
-                         dropna=False).agg(
-            n=("__n", "sum"), sx=("__sx", "sum"), sy=("__sy", "sum"),
-            sxy=("__sxy", "sum"), sxx=("__sxx", "sum"))
-
-    agg = shard_cogroup(ds.map_batches(partial, batch_format="pandas"),
-                        keys[0], fold)
+    agg = _moment_sums(ds, keys, {"sx": (x,), "sy": (y,), "sxy": (x, y),
+                                  "sxx": (x, x)}, "n")
 
     def fin(b: pd.DataFrame) -> pd.DataFrame:
         n = b["n"].to_numpy(np.float64)
@@ -2085,8 +1995,8 @@ def rolling_time_agg(ds: "rd.Dataset", key: str, ts_col: str,
 
 
 def funnel_steps(ds: "rd.Dataset", key: str, ts_col: str, step_col: str,
-                 steps: list[str], within_us: int | None = None,
-                 n_shards: int = 64) -> "rd.Dataset":
+                 steps: list[str],
+                 within_us: int | None = None) -> "rd.Dataset":
     """Ordered-step conversion funnel: how many keys (users) completed
     step 1, then step 2 STRICTLY AFTER their step-1 time (and within
     ``within_us`` microseconds of it, when given — the conversion
@@ -2126,9 +2036,9 @@ def funnel_steps(ds: "rd.Dataset", key: str, ts_col: str, step_col: str,
         })
 
     partials = shard_cogroup(ds.map_batches(prefilter, batch_format="pandas"),
-                             key, per_shard, n_shards)
+                             key, per_shard)
     return grouped_agg(partials, ["step_idx", "step"], {"__pn": "n_users"},
-                       count_alias=None, combine="driver")
+                       count_alias=None)
 
 
 def trimmed_mean_per_key(ds: "rd.Dataset", key: str, val_col: str,
@@ -2188,8 +2098,7 @@ def skyline(ds: "rd.Dataset", minimize: Sequence[str],
                                             batch_format="pandas")
 
 
-def retention_cohorts(ds: "rd.Dataset", key: str, ts_col: str,
-                      n_shards: int = 64) -> "rd.Dataset":
+def retention_cohorts(ds: "rd.Dataset", key: str, ts_col: str) -> "rd.Dataset":
     """Cohort retention matrix: users grouped by first-activity day
     (cohort), counted once per (cohort_day, offset_days) they were
     active — the activation/retention curve query. ONE key-shard
@@ -2213,15 +2122,13 @@ def retention_cohorts(ds: "rd.Dataset", key: str, ts_col: str,
         return out
 
     partials = shard_cogroup(ds.select_columns([key, ts_col]), key,
-                             per_shard, n_shards)
+                             per_shard)
     return grouped_agg(partials, ["cohort_day", "offset_days"],
-                       {"__pn": "n_users"}, count_alias=None,
-                       combine="driver")
+                       {"__pn": "n_users"}, count_alias=None)
 
 
 def transition_matrix(ds: "rd.Dataset", key: str, ts_col: str,
-                      state_col: str, id_col: str,
-                      n_shards: int = 64) -> "rd.Dataset":
+                      state_col: str, id_col: str) -> "rd.Dataset":
     """Global first-order transition counts (the Markov matrix of a
     behavioral stream): for every key's (ts, id)-ordered history, count
     consecutive (from_state, to_state) pairs across all keys. ONE
@@ -2248,14 +2155,13 @@ def transition_matrix(ds: "rd.Dataset", key: str, ts_col: str,
 
     partials = shard_cogroup(
         ds.select_columns([key, ts_col, id_col, state_col]), key,
-        per_shard, n_shards)
+        per_shard)
     return grouped_agg(partials, ["from_state", "to_state"],
-                       {"__pn": "n"}, count_alias=None, combine="driver")
+                       {"__pn": "n"}, count_alias=None)
 
 
 def grouped_entropy(ds: "rd.Dataset", key: str, state_col: str,
-                    alias: str = "entropy",
-                    n_shards: int = 64) -> "rd.Dataset":
+                    alias: str = "entropy") -> "rd.Dataset":
     """Per-key Shannon entropy (nats) of the ``state_col`` distribution —
     the label-diversity signal a curation mix reads. Two combiner-shaped
     rounds: the (key, state) count shuffle moves one partial row per
@@ -2264,8 +2170,7 @@ def grouped_entropy(ds: "rd.Dataset", key: str, state_col: str,
     float sum spans ≤|states| terms so cross-engine association drift
     is a few ulps — rounded well above it by callers."""
     counts = grouped_agg(ds.select_columns([key, state_col]),
-                         [key, state_col], {}, count_alias="__n",
-                         combine="cogroup")
+                         [key, state_col], {}, count_alias="__n")
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         tot = g.groupby(key, sort=False)["__n"].transform("sum")
@@ -2276,7 +2181,7 @@ def grouped_entropy(ds: "rd.Dataset", key: str, state_col: str,
         out["n_events"] = out["n_events"].astype("int64")
         return out
 
-    return shard_cogroup(counts, key, per_shard, n_shards)
+    return shard_cogroup(counts, key, per_shard)
 
 
 def band_self_join(ds: "rd.Dataset", ts_col: str, id_col: str,
@@ -2741,8 +2646,8 @@ def winsorize_per_key(ds: "rd.Dataset", keys: Sequence[str], col: str,
 
 
 def grouped_rank_features(ds: "rd.Dataset", keys: Sequence[str],
-                          val_col: str, id_col: str, n_tiles: int = 10,
-                          n_shards: int = 64) -> "rd.Dataset":
+                          val_col: str, id_col: str,
+                          n_tiles: int = 10) -> "rd.Dataset":
     """Per-row rank features within a group — ``rank()`` (min-rank,
     gaps), exact-integer ``percent_rank`` micro-units and ``ntile``:
     the per-group normalization step of feature engineering (score
@@ -2797,12 +2702,11 @@ def grouped_rank_features(ds: "rd.Dataset", keys: Sequence[str],
         out["tile"] = tile.astype(np.int64)
         return out
 
-    return shard_cogroup(ds, keys[0], fold, n_shards=n_shards)
+    return shard_cogroup(ds, keys[0], fold)
 
 
 def scd2_intervals(ds: "rd.Dataset", key: str, ts_col: str,
-                   attr_col: str, id_col: str,
-                   n_shards: int = 64) -> "rd.Dataset":
+                   attr_col: str, id_col: str) -> "rd.Dataset":
     """SCD-type-2 history build: turn an event stream into one validity
     interval per attribute CHANGE — the warehouse dimension-history op
     (and the state-timeline builder behind session replay / feature
@@ -2833,7 +2737,7 @@ def scd2_intervals(ds: "rd.Dataset", key: str, ts_col: str,
             "valid_to": valid_to.to_numpy()})
         return out
 
-    return shard_cogroup(ds, key, fold, n_shards=n_shards)
+    return shard_cogroup(ds, key, fold)
 
 
 def equidepth_histogram(ds: "rd.Dataset", val_col: str, id_col: str,
@@ -2973,8 +2877,7 @@ def gini_concentration(ds: "rd.Dataset", val_col: str,
 
 
 def grouped_weighted_median(ds: "rd.Dataset", keys: Sequence[str],
-                            val_col: str, weight_col: str,
-                            n_shards: int = 64) -> "rd.Dataset":
+                            val_col: str, weight_col: str) -> "rd.Dataset":
     """Exact per-group WEIGHTED (lower) median: the smallest value v
     whose cumulative weight reaches half the group total
     (``2*cumw(v) >= W``) — the robust center under duplication weights
@@ -3013,12 +2916,11 @@ def grouped_weighted_median(ds: "rd.Dataset", keys: Sequence[str],
                 .sum().rename(columns={"__w": "total_w"}))
         return hit.merge(full, on=keys)
 
-    return shard_cogroup(partials, keys[0], fold, n_shards=n_shards)
+    return shard_cogroup(partials, keys[0], fold)
 
 
 def welch_t_pairs(ds: "rd.Dataset", key: str, val_col: str,
-                  scale: int = 100,
-                  n_shards: int = 64) -> pd.DataFrame:
+                  scale: int = 100) -> pd.DataFrame:
     """Pairwise Welch two-sample t statistic between every ordered pair
     of groups (key_a < key_b) — the A/B-test / cohort-comparison
     evaluator, derived entirely from ``grouped_moments``' exact power
@@ -3040,8 +2942,7 @@ def welch_t_pairs(ds: "rd.Dataset", key: str, val_col: str,
     Output: (key_a, key_b, n_a, n_b, t_micro, df_micro), key-ordered."""
     import math
 
-    mom = grouped_moments(ds, [key], val_col, scale=scale,
-                          n_shards=n_shards).to_pandas()
+    mom = grouped_moments(ds, [key], val_col, scale=scale).to_pandas()
     mom = mom.sort_values(key).reset_index(drop=True)
     rows = []
     for i in range(len(mom)):
@@ -3163,8 +3064,7 @@ def theil_index(ds: "rd.Dataset", val_col: str, group_col: str,
 def time_decayed_sum(ds: "rd.Dataset", keys: Sequence[str],
                      ts_col: str, val_col: str, anchor_us: int,
                      half_life_days: float = 14.0,
-                     scale: int = 100,
-                     n_shards: int = 64) -> "rd.Dataset":
+                     scale: int = 100) -> "rd.Dataset":
     """Per-key exponentially time-decayed value sum — the recency-
     weighted engagement / revenue feature every feature store ships
     (recent activity counts full, activity one half-life old counts
@@ -3236,7 +3136,7 @@ def time_decayed_sum(ds: "rd.Dataset", keys: Sequence[str],
         return agg
 
     return shard_cogroup(ds.map_batches(part, batch_format="pandas"),
-                         keys[0], fold, n_shards=n_shards)
+                         keys[0], fold)
 
 
 def global_cumsum(ds: "rd.Dataset", val_col: str, tie_col: str,

@@ -51,7 +51,7 @@ def token_counts(ds, text_col: str = "text"):
     (one (token, n) row per distinct token per batch crosses the
     shuffle — the classic combiner word count), then one grouped sum on
     a coarse token-hash co-group. Every corpus-count operator below
-    reads this one pass."""
+    reads this one pass (``bigram_counts`` is its bigram twin)."""
     from collections import Counter
 
     from credit_ocr_backend_ray.stages.relational import grouped_agg
@@ -66,8 +66,30 @@ def token_counts(ds, text_col: str = "text"):
         })
 
     return grouped_agg(ds.map_batches(partial, batch_format="pyarrow"),
-                       ["token"], {"__pn": "c"}, count_alias=None,
-                       combine="cogroup")
+                       ["token"], {"__pn": "c"}, count_alias=None)
+
+
+def bigram_counts(ds, text_col: str = "text"):
+    """Corpus adjacent-token bigram count ``(w1, w2, n)``, the
+    ``token_counts`` pass one n-gram up: per-batch ``Counter`` partials
+    of ``zip(toks, toks[1:])``, then one ``grouped_agg`` sum."""
+    from collections import Counter
+
+    from credit_ocr_backend_ray.stages.relational import grouped_agg
+
+    def partial(t: pa.Table) -> pa.Table:
+        c: Counter = Counter()
+        for txt in t[text_col].to_pylist():
+            toks = tokens(txt)
+            c.update(zip(toks, toks[1:]))
+        return pa.table({
+            "w1": pa.array([p[0] for p in c], pa.string()),
+            "w2": pa.array([p[1] for p in c], pa.string()),
+            "__pn": pa.array(list(c.values()), pa.int64()),
+        })
+
+    return grouped_agg(ds.map_batches(partial, batch_format="pyarrow"),
+                       ["w1", "w2"], {"__pn": "n"}, count_alias=None)
 
 
 def top_terms(ds, k: int = 50, text_col: str = "text"):
@@ -79,27 +101,17 @@ def top_terms(ds, k: int = 50, text_col: str = "text"):
             .sort(["n", "token"], descending=[True, False]).limit(k))
 
 
-def term_label_chi2(ds, label_col: str = "lang", text_col: str = "text",
-                    min_df: int = 5, k: int = 10, n_shards: int = 64):
-    """Chi-squared term–label association (the classic feature-selection
-    statistic — Yang & Pedersen 1997): for every (term, label) the 2×2
-    presence table chi², top-``k`` terms per label. Exact integer
-    micro-units: ``chi2_micro = N·(n11·n00 − n10·n01)²·10^6 //
-    (df·(N−df)·Nl·(N−Nl))`` computed with arbitrary-precision Python
-    ints (the numerator overflows int64 at any real corpus size) so the
-    SQL HUGEINT restatement is hash-exact. Degenerate margins
-    (``df == N`` or a label covering every document) are dropped — the
-    statistic is undefined there — as part of the contract.
-
-    Shape: doc counts per label come from one bounded partial pass
-    (labels are enum-small); per-batch partials emit one
-    (term, label, n) row per distinct term-per-doc per batch (the
-    combiner word-count shape); ONE coarse token-hash co-group then
-    folds each term's full label vector locally — df is a per-term sum
-    inside the fold, nothing term-level crosses a second shuffle — and
-    only each shard's local top-k per label (bounded, k·labels rows)
-    reaches the driver. ``min_df`` prunes the tail before any Python
-    big-int math."""
+def _term_label_top(ds, label_col: str, text_col: str, min_df: int,
+                    k: int, stat_col: str, stat) -> "pd.DataFrame":
+    """The 2×2 term–label contingency scaffold of ``term_label_chi2``
+    and ``term_label_ig``: one bounded label-count pass (N docs and
+    per-label doc counts), per-batch (term, label, n) presence partials,
+    ONE coarse token-hash co-group that folds each term's label vector
+    (df is a per-term sum inside the fold, pruned by ``min_df`` and
+    ``df < N``), then top-``k`` terms per label by ``stat_col``, locally
+    per shard and again on the driver. ``stat(n11, df, n_label, N)``
+    gives each cell's int64 statistic; a label covering every document
+    is skipped (its statistic is undefined)."""
     from collections import Counter
 
     import pandas as pd
@@ -107,7 +119,6 @@ def term_label_chi2(ds, label_col: str = "lang", text_col: str = "text",
 
     from credit_ocr_backend_ray.stages.relational import shard_cogroup
 
-    # bounded pass: N docs and per-label doc counts
     def label_counts(t: pa.Table) -> pa.Table:
         c: Counter = Counter()
         for lab, txt in zip(t[label_col].to_pylist(),
@@ -138,7 +149,15 @@ def term_label_chi2(ds, label_col: str = "lang", text_col: str = "text",
             label_col: pa.array([l_ for _, l_ in keys], pa.string()),
             "__pn": pa.array(list(c.values()), pa.int64())})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow")
+    def empty() -> pd.DataFrame:
+        return pd.DataFrame({label_col: pd.Series(dtype=object),
+                             "token": pd.Series(dtype=object),
+                             stat_col: pd.Series(dtype="int64")})
+
+    def top_k(out: pd.DataFrame) -> pd.DataFrame:
+        return (out.sort_values([stat_col, "token"],
+                                ascending=[False, True], kind="stable")
+                   .groupby(label_col, sort=False).head(k))
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
         nl = ray.get(nl_ref)
@@ -147,50 +166,55 @@ def term_label_chi2(ds, label_col: str = "lang", text_col: str = "text",
         df_tok = cnt.groupby("token", sort=False)["__pn"].transform("sum")
         cnt = cnt[(df_tok >= min_df) & (df_tok < n_total)]
         df_tok = df_tok[cnt.index]
-        rows = []
-        for tok, lab, n11, df in zip(cnt["token"], cnt[label_col],
-                                     cnt["__pn"], df_tok):
-            nlab = nl[lab]
-            if nlab >= n_total:
-                continue  # label covers every doc: chi2 undefined
-            n11 = int(n11)
-            df = int(df)
-            n10 = df - n11
-            n01 = nlab - n11
-            n00 = n_total - df - nlab + n11
-            diff = n11 * n00 - n10 * n01
-            den = df * (n_total - df) * nlab * (n_total - nlab)
-            chi = n_total * diff * diff * 1_000_000 // den
-            rows.append((lab, tok, chi))
-        out = pd.DataFrame(rows, columns=[label_col, "token",
-                                          "chi2_micro"])
-        if out.empty:
-            return pd.DataFrame({label_col: pd.Series(dtype=object),
-                                 "token": pd.Series(dtype=object),
-                                 "chi2_micro": pd.Series(dtype="int64")})
-        out["chi2_micro"] = out["chi2_micro"].astype("int64")
+        rows = [(lab, tok, stat(int(n11), int(df), nl[lab], n_total))
+                for tok, lab, n11, df in zip(cnt["token"], cnt[label_col],
+                                             cnt["__pn"], df_tok)
+                if nl[lab] < n_total]
+        if not rows:
+            return empty()
+        out = pd.DataFrame(rows, columns=[label_col, "token", stat_col])
+        out[stat_col] = out[stat_col].astype("int64")
         # local top-k per label: only k·labels rows leave the shard
-        out = (out.sort_values(["chi2_micro", "token"],
-                               ascending=[False, True], kind="stable")
-                  .groupby(label_col, sort=False).head(k))
-        return out
+        return top_k(out)
 
-    local = shard_cogroup(partials, "token", fold,
-                          n_shards=n_shards).to_pandas()
+    local = shard_cogroup(ds.map_batches(partial, batch_format="pyarrow"),
+                          "token", fold).to_pandas()
     if local.empty:  # e.g. one label covering every doc: all undefined
-        return pd.DataFrame({label_col: pd.Series(dtype=object),
-                             "token": pd.Series(dtype=object),
-                             "chi2_micro": pd.Series(dtype="int64")})
-    return (local.sort_values(["chi2_micro", "token"],
-                              ascending=[False, True], kind="stable")
-                 .groupby(label_col, sort=False).head(k)
-                 .sort_values([label_col, "chi2_micro", "token"],
-                              ascending=[True, False, True])
-                 .reset_index(drop=True))
+        return empty()
+    return (top_k(local)
+            .sort_values([label_col, stat_col, "token"],
+                         ascending=[True, False, True])
+            .reset_index(drop=True))
+
+
+def term_label_chi2(ds, label_col: str = "lang", text_col: str = "text",
+                    min_df: int = 5, k: int = 10):
+    """Chi-squared term–label association (the classic feature-selection
+    statistic — Yang & Pedersen 1997): for every (term, label) the 2×2
+    presence table chi², top-``k`` terms per label. Exact integer
+    micro-units: ``chi2_micro = N·(n11·n00 − n10·n01)²·10^6 //
+    (df·(N−df)·Nl·(N−Nl))`` computed with arbitrary-precision Python
+    ints (the numerator overflows int64 at any real corpus size) so the
+    SQL HUGEINT restatement is hash-exact. Degenerate margins
+    (``df == N`` or a label covering every document) are dropped — the
+    statistic is undefined there — as part of the contract.
+
+    Shape: the ``_term_label_top`` contingency scaffold; ``min_df``
+    prunes the tail before any Python big-int math."""
+    def chi2(n11: int, df: int, nlab: int, n_total: int) -> int:
+        n10 = df - n11
+        n01 = nlab - n11
+        n00 = n_total - df - nlab + n11
+        diff = n11 * n00 - n10 * n01
+        den = df * (n_total - df) * nlab * (n_total - nlab)
+        return n_total * diff * diff * 1_000_000 // den
+
+    return _term_label_top(ds, label_col, text_col, min_df, k,
+                           "chi2_micro", chi2)
 
 
 def term_label_ig(ds, label_col: str = "lang", text_col: str = "text",
-                  min_df: int = 5, k: int = 10, n_shards: int = 64):
+                  min_df: int = 5, k: int = 10):
     """Information-gain term–label feature selection — the OTHER of the
     two statistics Yang & Pedersen 1997 rank as top-tier (next to
     ``term_label_chi2``, whose distributed scaffold this reuses): for
@@ -209,101 +233,27 @@ def term_label_ig(ds, label_col: str = "lang", text_col: str = "text",
     prune, and degenerate margins (``df == N`` or a label covering
     every document) dropped — IG is zero-information there.
 
-    Shape (inherited from chi2): one bounded label-count pass, per-batch
-    (term, label, n) combiner partials, ONE coarse token-hash co-group
-    folding each term's full label vector locally; only each shard's
-    top-k per label (k·labels rows) reaches the driver."""
+    Shape: the ``_term_label_top`` contingency scaffold shared with
+    chi2."""
     import math
-    from collections import Counter
 
-    import pandas as pd
-    import ray
+    def ig(n11: int, df: int, nlab: int, n_total: int) -> int:
+        nn_f = float(n_total)
+        cells = ((n11, df, nlab),
+                 (df - n11, df, n_total - nlab),
+                 (nlab - n11, n_total - df, nlab),
+                 (n_total - df - nlab + n11, n_total - df,
+                  n_total - nlab))
+        t_ = 0.0
+        for nij, ri, cj in cells:
+            if nij > 0:
+                t_ += ((nij / nn_f)
+                       * math.log(float(nij) * nn_f
+                                  / (float(ri) * float(cj))))
+        return math.floor(t_ * 1_000_000 + 0.5)
 
-    from credit_ocr_backend_ray.stages.relational import shard_cogroup
-
-    def label_counts(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for lab, txt in zip(t[label_col].to_pylist(),
-                            t[text_col].to_pylist()):
-            if lab is not None and txt and txt.strip():
-                c[lab] += 1
-        return pa.table({
-            label_col: pa.array(list(c.keys()), pa.string()),
-            "__pn": pa.array(list(c.values()), pa.int64())})
-
-    lc = (ds.map_batches(label_counts, batch_format="pyarrow")
-            .to_pandas().groupby(label_col)["__pn"].sum())
-    n_label = {str(lab): int(n) for lab, n in lc.items()}
-    n_total = int(lc.sum())
-    nl_ref = ray.put(n_label)
-
-    def partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for lab, txt in zip(t[label_col].to_pylist(),
-                            t[text_col].to_pylist()):
-            if lab is None:
-                continue
-            for tok in set(tokens(txt)):
-                c[(tok, lab)] += 1
-        keys = list(c.keys())
-        return pa.table({
-            "token": pa.array([t_ for t_, _ in keys], pa.string()),
-            label_col: pa.array([l_ for _, l_ in keys], pa.string()),
-            "__pn": pa.array(list(c.values()), pa.int64())})
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    nn_f = float(n_total)
-
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        nl = ray.get(nl_ref)
-        cnt = (g.groupby(["token", label_col], as_index=False,
-                         sort=False)["__pn"].sum())
-        df_tok = cnt.groupby("token", sort=False)["__pn"].transform("sum")
-        cnt = cnt[(df_tok >= min_df) & (df_tok < n_total)]
-        df_tok = df_tok[cnt.index]
-        rows = []
-        for tok, lab, n11, df in zip(cnt["token"], cnt[label_col],
-                                     cnt["__pn"], df_tok):
-            nlab = nl[lab]
-            if nlab >= n_total:
-                continue  # label covers every doc: IG degenerate
-            n11 = int(n11)
-            df = int(df)
-            cells = ((n11, df, nlab),
-                     (df - n11, df, n_total - nlab),
-                     (nlab - n11, n_total - df, nlab),
-                     (n_total - df - nlab + n11, n_total - df,
-                      n_total - nlab))
-            t_ = 0.0
-            for nij, ri, cj in cells:
-                if nij > 0:
-                    t_ += ((nij / nn_f)
-                           * math.log(float(nij) * nn_f
-                                      / (float(ri) * float(cj))))
-            rows.append((lab, tok, math.floor(t_ * 1_000_000 + 0.5)))
-        out = pd.DataFrame(rows, columns=[label_col, "token", "ig_micro"])
-        if out.empty:
-            return pd.DataFrame({label_col: pd.Series(dtype=object),
-                                 "token": pd.Series(dtype=object),
-                                 "ig_micro": pd.Series(dtype="int64")})
-        out["ig_micro"] = out["ig_micro"].astype("int64")
-        out = (out.sort_values(["ig_micro", "token"],
-                               ascending=[False, True], kind="stable")
-                  .groupby(label_col, sort=False).head(k))
-        return out
-
-    local = shard_cogroup(partials, "token", fold,
-                          n_shards=n_shards).to_pandas()
-    if local.empty:
-        return pd.DataFrame({label_col: pd.Series(dtype=object),
-                             "token": pd.Series(dtype=object),
-                             "ig_micro": pd.Series(dtype="int64")})
-    return (local.sort_values(["ig_micro", "token"],
-                              ascending=[False, True], kind="stable")
-                 .groupby(label_col, sort=False).head(k)
-                 .sort_values([label_col, "ig_micro", "token"],
-                              ascending=[True, False, True])
-                 .reset_index(drop=True))
+    return _term_label_top(ds, label_col, text_col, min_df, k,
+                           "ig_micro", ig)
 
 
 def token_frequency_spectrum(ds, text_col: str = "text"):
@@ -324,8 +274,7 @@ def token_frequency_spectrum(ds, text_col: str = "text"):
     spectrum_partials = token_counts(ds, text_col).map_batches(
         to_spectrum, batch_format="pyarrow")
     return grouped_agg(spectrum_partials, ["occurrences"],
-                       {"__pc": "n_tokens"}, count_alias=None,
-                       combine="cogroup")
+                       {"__pc": "n_tokens"}, count_alias=None)
 
 
 def inverted_index(ds, text_col: str = "text", id_col: str = "doc_id",
@@ -405,8 +354,7 @@ def tfidf_top_term(ds, text_col: str = "text", id_col: str = "doc_id"):
                          "__one": pa.array(np.ones(len(toks), np.int64))})
 
     df_tbl = grouped_agg(ds.map_batches(pairs, batch_format="pyarrow"),
-                         ["token"], {}, count_alias="df",
-                         combine="cogroup").to_pandas()
+                         ["token"], {}, count_alias="df").to_pandas()
     df_map = dict(zip(df_tbl["token"], df_tbl["df"].astype(np.int64)))
     ref = ray.put(df_map)
 
@@ -562,8 +510,7 @@ def winnow_overlap(ds, k: int = 4, w: int = 4, min_shared: int = 2,
     pair_rows = shard_cogroup(
         fps.map_batches(local_distinct, batch_format="pandas"), "fp", pairs)
     counted = grouped_agg(pair_rows, ["doc_a", "doc_b"],
-                          {"__n": "n_shared"}, count_alias=None,
-                          combine="cogroup")
+                          {"__n": "n_shared"}, count_alias=None)
 
     def keep(b: pd.DataFrame) -> pd.DataFrame:
         return (b[b["n_shared"].to_numpy(np.int64) >= min_shared]
@@ -627,7 +574,7 @@ def doc_mean_token_freq(ds, id_col: str = "doc_id",
     per_doc = grouped_agg(joined.map_batches(contrib,
                                              batch_format="pandas"),
                           [id_col], {"k": "n_tokens", "kc": "sum_freq"},
-                          count_alias=None, combine="cogroup")
+                          count_alias=None)
 
     def fin(b: pd.DataFrame) -> pd.DataFrame:
         b = b.copy()
@@ -743,41 +690,16 @@ def compression_ratio_batch(batch: pa.Table,
 def top_bigrams(ds, k: int = 30, text_col: str = "text"):
     """Global top-k adjacent-token bigrams — the collocation counter a
     tokenizer-vocabulary or BPE-merge builder runs over a corpus. Same
-    combiner shape as ``top_terms``: one (w1, w2, n) partial row per
-    distinct bigram per batch crosses the shuffle, then a grouped sum
-    and a cluster sort + limit. Tie-break (w1, w2) ascending for a
+    combiner shape as ``top_terms``: the ``bigram_counts`` pass, then a
+    cluster sort + limit. Tie-break (w1, w2) ascending for a
     deterministic cut."""
-    from collections import Counter
-
-    import pandas as pd
-
-    from credit_ocr_backend_ray.stages.relational import grouped_agg
-
-    def partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for txt in t[text_col].to_pylist():
-            toks = tokens(txt)
-            c.update(zip(toks, toks[1:]))
-        return pa.table({
-            "w1": pa.array([p[0] for p in c], pa.string()),
-            "w2": pa.array([p[1] for p in c], pa.string()),
-            "__pn": pa.array(list(c.values()), pa.int64()),
-        })
-
-    partials = ds.map_batches(partial, batch_format="pyarrow")
-    counts = grouped_agg(partials, ["w1", "w2"], {"__pn": "n"},
-                         count_alias="__nb", combine="cogroup")
-
-    def drop_extra(b: pd.DataFrame) -> pd.DataFrame:
-        return b[["w1", "w2", "n"]]
-
-    return (counts.map_batches(drop_extra, batch_format="pandas")
-                  .sort(["n", "w1", "w2"], descending=[True, False, False])
-                  .limit(k))
+    return (bigram_counts(ds, text_col)
+            .sort(["n", "w1", "w2"], descending=[True, False, False])
+            .limit(k))
 
 
 def source_vocab_jaccard(ds, text_col: str = "text",
-                         group_col: str = "source", n_shards: int = 64):
+                         group_col: str = "source"):
     """Pairwise vocabulary Jaccard between sources — the cross-corpus
     lexical-overlap matrix a mixing-weights decision reads (are two
     crawl dumps the same register, or disjoint domains?).
@@ -819,9 +741,9 @@ def source_vocab_jaccard(ds, text_col: str = "text",
         return c
 
     parted = shard_cogroup(ds.map_batches(local_pairs, batch_format="pyarrow"),
-                           "token", per_shard, n_shards)
+                           "token", per_shard)
     counts = grouped_agg(parted, ["src_a", "src_b"], {"__pn": "n_common"},
-                         count_alias=None, combine="driver")
+                         count_alias=None)
 
     def fin(b: pd.DataFrame) -> pd.DataFrame:
         vocab = dict(zip(b.loc[b["src_a"] == b["src_b"], "src_a"],
@@ -932,37 +854,16 @@ def bigram_lift(ds, k: int = 30, min_count: int = 5,
     grouped sums of that table, two hash joins attach them, and the
     driver folds only the bounded filtered frame for the final exact
     arithmetic + top-k."""
-    from collections import Counter
-
     import pandas as pd
 
     from credit_ocr_backend_ray.stages.relational import (
         grouped_agg, shuffle_join)
 
-    def partial(t: pa.Table) -> pa.Table:
-        c: Counter = Counter()
-        for txt in t[text_col].to_pylist():
-            toks = tokens(txt)
-            c.update(zip(toks, toks[1:]))
-        return pa.table({
-            "w1": pa.array([p[0] for p in c], pa.string()),
-            "w2": pa.array([p[1] for p in c], pa.string()),
-            "__pn": pa.array(list(c.values()), pa.int64()),
-        })
-
-    counts = grouped_agg(
-        ds.map_batches(partial, batch_format="pyarrow"),
-        ["w1", "w2"], {"__pn": "n"}, count_alias="__nb",
-        combine="cogroup"
-    ).drop_columns(["__nb"]).map_batches(
-        lambda t: t.replace_schema_metadata(None),
-        batch_format="pyarrow").materialize()
+    counts = bigram_counts(ds, text_col).materialize()
 
     big_n = int(counts.sum("n"))
-    m1 = grouped_agg(counts, ["w1"], {"n": "nx"}, count_alias=None,
-                     combine="cogroup")
-    m2 = grouped_agg(counts, ["w2"], {"n": "ny"}, count_alias=None,
-                     combine="cogroup")
+    m1 = grouped_agg(counts, ["w1"], {"n": "nx"}, count_alias=None)
+    m2 = grouped_agg(counts, ["w2"], {"n": "ny"}, count_alias=None)
     filtered = counts.filter(expr=f"n >= {min_count}")
     joined = shuffle_join(shuffle_join(filtered, m1, "w1", num_partitions=8),
                           m2, "w2", num_partitions=8).to_pandas()
@@ -1245,8 +1146,7 @@ def bigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
     # it ever crosses the wire; raw tokens never shuffle
     bgc = grouped_agg(ds.map_batches(bigram_partial,
                                      batch_format="pyarrow"),
-                      ["bg"], {"__pn": "c"}, count_alias=None,
-                      combine="cogroup").to_pandas()
+                      ["bg"], {"__pn": "c"}, count_alias=None).to_pandas()
     # context totals from the FULL (unpruned) table — cv is V1-bounded
     ctx = (bgc.assign(__v=bgc["bg"].str.split(SEP).str[0])
               .groupby("__v")["c"].sum())
@@ -1397,8 +1297,7 @@ def trigram_nll(ds, id_col: str = "doc_id", text_col: str = "text",
 
     gc = grouped_agg(ds.map_batches(gram_partial,
                                     batch_format="pyarrow"),
-                     ["gram"], {"__pn": "c"}, count_alias=None,
-                     combine="cogroup").to_pandas()
+                     ["gram"], {"__pn": "c"}, count_alias=None).to_pandas()
     tg = gc[gc["gram"].str.startswith("3")]
     bg = gc[gc["gram"].str.startswith("2")]
     c2 = {g[2:]: int(n) for g, n in zip(bg["gram"], bg["c"])}
@@ -1531,7 +1430,7 @@ def zipf_slope(ds, text_col: str = "text", top_n: int = 100):
 
 
 def source_js_divergence(ds, group_col: str = "source",
-                         text_col: str = "text", n_shards: int = 64):
+                         text_col: str = "text"):
     """Per-group Jensen–Shannon divergence between the group's unigram
     token distribution P and the WHOLE corpus distribution Q — the
     text-level drift/imbalance audit of a mixed-source corpus (the
@@ -1631,8 +1530,7 @@ def source_js_divergence(ds, group_col: str = "source",
             "__c": pd.array([r[2] for r in rows.values()],
                             dtype="int64")})
 
-    parts = shard_cogroup(partials, "token", fold,
-                          n_shards=n_shards).to_pandas()
+    parts = shard_cogroup(partials, "token", fold).to_pandas()
     out = (parts.groupby(group_col, as_index=False)
                 .agg(vocab=("__v", "sum"), support_q_b=("__sb", "sum"),
                      js_pico=("__c", "sum")))

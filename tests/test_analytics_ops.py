@@ -229,12 +229,11 @@ def test_grouped_agg_sum_alias_n_no_collision(ray_session):
     from credit_ocr_backend_ray.stages.relational import grouped_agg
 
     df = pd.DataFrame({"k": ["a", "a", "b"], "v": [1, 2, 3]})
-    for combine in ("shuffle", "driver", "cogroup"):
-        out = grouped_agg(_ds(df), ["k"], {"v": "n"}, count_alias=None,
-                          combine=combine).to_pandas().set_index("k")
-        assert out.loc["a", "n"] == 3
-        assert out.loc["b", "n"] == 3
-        assert list(out.columns) == ["n"]
+    out = grouped_agg(_ds(df), ["k"], {"v": "n"},
+                      count_alias=None).to_pandas().set_index("k")
+    assert out.loc["a", "n"] == 3
+    assert out.loc["b", "n"] == 3
+    assert list(out.columns) == ["n"]
 
 
 def test_hamming_join_constant_prefix_no_cap_loss(ray_session):

@@ -481,7 +481,7 @@ def test_roc_auc_exact_global_and_grouped(ray_session):
     # auc = (13 - 2*3) / (2*2*2) = 7/8
     df = pd.DataFrame({"s": [1, 2, 2, 3], "p": [0, 1, 0, 1]})
     out = roc_auc(rd.from_pandas(df).repartition(3), "s", "p",
-                  n_buckets=4, n_shards=2)
+                  n_buckets=4)
     assert out[["n_pos", "n_neg", "auc_micro"]].values.tolist() == [
         [2, 2, 875_000]]
 
@@ -506,7 +506,7 @@ def test_roc_auc_exact_global_and_grouped(ray_session):
         "s": [1, 2, 2, 3, 1, 2, 3, 4, 9, 5, 6],
         "p": [0, 1, 0, 1, 0, 0, 1, 1, 1, 1, 0]})
     out = (roc_auc(rd.from_pandas(g).repartition(4), "s", "p",
-                   keys=["k"], n_shards=4)
+                   keys=["k"])
            .to_pandas().sort_values("k", na_position="last")
            .reset_index(drop=True))
     assert out["k"].tolist()[:2] == ["a", "b"]
@@ -522,7 +522,7 @@ def test_roc_auc_exact_global_and_grouped(ray_session):
     big = pd.DataFrame({"s": rng.integers(0, 50, 5000),
                         "p": rng.integers(0, 2, 5000)})
     out = roc_auc(rd.from_pandas(big).repartition(8), "s", "p",
-                  n_buckets=16, n_shards=4)
+                  n_buckets=16)
     r = pd.Series(big["s"]).rank(method="average")
     npos = int(big["p"].sum())
     nneg = len(big) - npos

@@ -107,12 +107,10 @@ def test_grouped_agg_matches_pandas(ray_session):
     assert ours["n"].tolist() == exp["n"].tolist()
 
 
-def test_grouped_agg_cogroup_matches_shuffle(ray_session):
-    """combine="cogroup" (coarse key-hash shard + per-shard pandas fold;
-    the high-cardinality combine added after the web_corpus sf1 leg went
-    34x super-linear on Ray's per-key sort machinery) must be value-
-    identical to combine="shuffle" — including multi-column keys, string
-    keys, a null key group, and keys spread across many input blocks."""
+def test_grouped_agg_matches_pandas_with_null_key(ray_session):
+    """grouped_agg (Arrow partials, coarse key-hash shard co-group, Arrow
+    fold) matches pandas on multi-column keys, string keys, a null key
+    group and keys spread across many input blocks."""
     from credit_ocr_backend_ray.stages.relational import grouped_agg
 
     rng = np.random.default_rng(11)
@@ -124,33 +122,17 @@ def test_grouped_agg_cogroup_matches_shuffle(ray_session):
         "v": rng.integers(0, 1000, n).astype("int64"),
     })
 
-    def norm(frame):
-        out = frame.to_pandas()
-        out["s"] = out["s"].fillna("<null>")
-        return (out.sort_values(["s", "g"]).reset_index(drop=True)
-                [["s", "g", "sum_v", "n"]])
-
     src = _ds(df).repartition(37)  # many small partial blocks
-    b = norm(grouped_agg(src, ["s", "g"], {"v": "sum_v"},
-                         combine="cogroup"))
-    # cogroup matches pandas INCLUDING the null key group (which Ray's
-    # native sort-based groupby cannot even sort: '<' not supported
-    # between NoneType and str — so cogroup is strictly more capable)
+    got = grouped_agg(src, ["s", "g"], {"v": "sum_v"}).to_pandas()
+    got["s"] = got["s"].fillna("<null>")
+    got = (got.sort_values(["s", "g"]).reset_index(drop=True)
+           [["s", "g", "sum_v", "n"]])
     exp = (df.groupby(["s", "g"], as_index=False, dropna=False)
            .agg(sum_v=("v", "sum"), n=("v", "size")))
     exp["s"] = exp["s"].fillna("<null>")
     exp = exp.sort_values(["s", "g"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(b, exp[["s", "g", "sum_v", "n"]],
+    pd.testing.assert_frame_equal(got, exp[["s", "g", "sum_v", "n"]],
                                   check_dtype=False)
-
-    # and on null-free keys, cogroup == shuffle exactly
-    df2 = df.assign(s=df["s"].fillna("tokN"))
-    src2 = _ds(df2).repartition(37)
-    a2 = norm(grouped_agg(src2, ["s", "g"], {"v": "sum_v"},
-                          combine="shuffle"))
-    b2 = norm(grouped_agg(src2, ["s", "g"], {"v": "sum_v"},
-                          combine="cogroup"))
-    pd.testing.assert_frame_equal(a2, b2, check_dtype=False)
 
 
 def test_running_sum_matches_pandas_window(ray_session):

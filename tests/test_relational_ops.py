@@ -17,6 +17,31 @@ def _ds(df):
     return rd.from_pandas(df)
 
 
+def _sql(query, **tables):
+    """Run ``query`` in DuckDB over the given pandas frames."""
+    import duckdb
+    con = duckdb.connect()
+    for name, frame in tables.items():
+        con.register(name, frame)
+    return con.execute(query).df()
+
+
+def _rows(frame, cols):
+    """Rows of ``cols`` as tuples, nulls as None, in one total order."""
+    rows = [tuple(None if pd.isna(v) else v for v in r)
+            for r in frame[cols].itertuples(index=False)]
+    return sorted(rows, key=lambda r: [(v is None, v if v is not None
+                                        else 0) for v in r])
+
+
+def _assert_close_rows(got, want, key, cols):
+    """Same key set (a null key included) and values within 1e-9."""
+    got, want = _rows(got, [key, *cols]), _rows(want, [key, *cols])
+    assert [r[0] for r in got] == [r[0] for r in want]
+    for g, w in zip(got, want):
+        assert g[1:] == pytest.approx(w[1:], abs=1e-9, nan_ok=True)
+
+
 def test_shuffle_join_inner(ray_session):
     from credit_ocr_backend_ray.stages.relational import shuffle_join
 
@@ -29,17 +54,37 @@ def test_shuffle_join_inner(ray_session):
         [2, 20, "x"], [3, 30, "y"], [3, 31, "y"]]
 
 
+def test_grouped_agg_null_string_key(ray_session):
+    """A null string key is one group that comes back as None in a string
+    column, as DuckDB's GROUP BY does, whatever the input blocks."""
+    import pyarrow as pa
+
+    from credit_ocr_backend_ray.stages.relational import grouped_agg
+
+    df = pd.DataFrame({"s": ["a", None, "b", None, "a"],
+                       "v": [1, 2, 3, 4, 5]})
+    out = grouped_agg(_ds(df).repartition(3), ["s"], {"v": "sum_v"})
+    assert out.schema().base_schema.field("s").type == pa.string()
+    got = out.to_pandas()
+    assert None in got["s"].tolist()
+    want = _sql("SELECT s, sum(v) AS sum_v, count(*) AS n FROM t "
+                "GROUP BY s", t=df)
+    cols = ["s", "sum_v", "n"]
+    assert _rows(got, cols) == _rows(want, cols)
+
+
 def test_grouped_stats(ray_session):
     from credit_ocr_backend_ray.stages.relational import grouped_stats
 
-    df = pd.DataFrame({"g": ["a", "a", "b", "a", "b"],
-                       "v": [1.0, 3.0, 10.0, 2.0, 30.0]})
-    out = (grouped_stats(_ds(df), ["g"], "v")
-           .to_pandas().sort_values("g").reset_index(drop=True))
-    assert out.loc[0, "sum_v"] == 6.0 and out.loc[0, "n"] == 3
-    assert out.loc[0, "min_v"] == 1.0 and out.loc[0, "max_v"] == 3.0
-    assert out.loc[0, "avg_v"] == 2.0
-    assert out.loc[1, "sum_v"] == 40.0 and out.loc[1, "avg_v"] == 20.0
+    cols = ["g", "sum_v", "n", "min_v", "max_v", "avg_v"]
+    # the second input has a null-key group, kept as one group
+    for g in (["a", "a", "b", "a", "b"], ["a", None, "b", None, "a"]):
+        df = pd.DataFrame({"g": g, "v": [1.0, 3.0, 10.0, 2.0, 30.0]})
+        out = grouped_stats(_ds(df).repartition(2), ["g"], "v").to_pandas()
+        want = _sql("SELECT g, sum(v) AS sum_v, count(*) AS n, "
+                    "min(v) AS min_v, max(v) AS max_v, avg(v) AS avg_v "
+                    "FROM t GROUP BY g", t=df)
+        assert _rows(out, cols) == _rows(want, cols), g
 
 
 def test_topk_per_group_deterministic_ties(ray_session):
@@ -334,14 +379,17 @@ def test_broadcast_semi_join(ray_session):
 def test_set_op_intersect_and_except(ray_session):
     from credit_ocr_backend_ray.stages.relational import set_op
 
-    a = pd.DataFrame({"k": [1, 1, 2, 3]})
-    b = pd.DataFrame({"k": [2, 3, 3, 4]})
-    inter = sorted(set_op(_ds(a), _ds(b), ["k"], "intersect")
-                   .to_pandas()["k"].tolist())
-    exc = sorted(set_op(_ds(a), _ds(b), ["k"], "except")
-                 .to_pandas()["k"].tolist())
-    assert inter == [2, 3]
-    assert exc == [1]
+    cases = [([1, 1, 2, 3], [2, 3, 3, 4]),
+             (["x", None, "y", None], [None, "y", "z"]),  # NULL both sides
+             (["x", None], ["x"])]                        # NULL only in a
+    for ka, kb in cases:
+        a, b = pd.DataFrame({"k": ka}), pd.DataFrame({"k": kb})
+        for op in ("intersect", "except"):
+            got = (set_op(_ds(a).repartition(2), _ds(b), ["k"], op)
+                   .to_pandas())
+            want = _sql(f"SELECT k FROM a {op.upper()} SELECT k FROM b",
+                        a=a, b=b)
+            assert _rows(got, ["k"]) == _rows(want, ["k"]), (ka, kb, op)
     with pytest.raises(ValueError):
         set_op(_ds(a), _ds(b), ["k"], "union")
 
@@ -386,6 +434,14 @@ def test_grouped_corr_matches_numpy(ray_session):
     exp_a = np.corrcoef(df[df.g == "a"]["x"], df[df.g == "a"]["y"])[0, 1]
     assert abs(out.loc[0, "corr"] - exp_a) < 1e-9
     assert abs(out.loc[1, "corr"] - 1.0) < 1e-9
+
+    # a null-key group is one group and a row with a null x drops, as in
+    # DuckDB
+    df.loc[::7, "g"] = None
+    df.loc[::11, "x"] = None
+    out = grouped_corr(_ds(df).repartition(3), ["g"], "x", "y").to_pandas()
+    want = _sql("SELECT g, corr(y, x) AS corr FROM t GROUP BY g", t=df)
+    _assert_close_rows(out, want, "g", ["corr"])
 
 
 def test_grouped_multi_quantile(ray_session):
@@ -959,6 +1015,19 @@ def test_grouped_linreg_exact_fit_and_degenerate_group(ray_session):
     assert out.loc["a", "n"] == 4
     # group b has zero x-variance -> null slope (SQL regr_slope semantics)
     assert np.isnan(out.loc["b", "slope"])
+
+    # a null-key group is one group and a row with a null y drops, as in
+    # DuckDB
+    nulls = pd.DataFrame({"g": [None] * 4, "x": [1.0, 2.0, 4.0, 5.0],
+                          "y": [0.0, 1.0, 5.0, None]})
+    df = pd.concat([df, nulls], ignore_index=True)
+    out = grouped_linreg(_ds(df).repartition(3), ["g"], "x",
+                         "y").to_pandas()
+    want = _sql("SELECT g, regr_count(y, x) AS n, "
+                "regr_slope(y, x) AS slope, "
+                "regr_intercept(y, x) AS intercept FROM t GROUP BY g",
+                t=df)
+    _assert_close_rows(out, want, "g", ["n", "slope", "intercept"])
 
 
 def test_cube_agg_all_subsets(ray_session):
@@ -2032,8 +2101,7 @@ def test_grouped_rank_features_sql_semantics(ray_session):
         "v": [7.0, 5.0, 9.0, 7.0, 3.0, None],
         "id": [2, 1, 4, 3, 9, 10]})
     out = (grouped_rank_features(rd.from_pandas(df).repartition(3),
-                                 ["k"], "v", "id", n_tiles=3,
-                                 n_shards=4)
+                                 ["k"], "v", "id", n_tiles=3)
            .to_pandas().sort_values(["k", "rnk", "id"])
            .reset_index(drop=True))
     assert out["id"].tolist() == [1, 2, 3, 4, 9]
@@ -2084,7 +2152,7 @@ def test_scd2_intervals_collapse_and_current(ray_session):
         "st": ["A", "A", "B", None, "A", "X", "X"],
         "id": [10, 11, 12, 13, 14, 20, 21]})
     out = (scd2_intervals(rd.from_pandas(df).repartition(3),
-                          "u", "ts", "st", "id", n_shards=4)
+                          "u", "ts", "st", "id")
            .to_pandas().sort_values(["u", "valid_from"])
            .reset_index(drop=True))
     # u1: A (01-01, run of 2 collapses; null row dropped) -> B (01-03)
@@ -2149,7 +2217,7 @@ def test_grouped_weighted_median_exact(ray_session):
         "v": [1.0, 1.0, 2.0, 5.0, 10.0, 20.0, None, 30.0],
         "w": [2, 1, 1, 2, 1, 1, 5, None]})
     out = (grouped_weighted_median(rd.from_pandas(df).repartition(3),
-                                   ["k"], "v", "w", n_shards=4)
+                                   ["k"], "v", "w")
            .to_pandas().sort_values("k").reset_index(drop=True))
     assert out["k"].tolist() == ["a", "b"]
     assert out["wmedian"].tolist() == [1.0, 10.0]
@@ -2240,7 +2308,7 @@ def test_grouped_moments_exact(ray_session):
     df = pd.DataFrame({"k": ["a", "a", "b", "b"],
                        "v": [1.0, 2.0, 3.005, None]})
     out = (grouped_moments(rd.from_pandas(df).repartition(3), ["k"], "v",
-                           scale=100, n_shards=4)
+                           scale=100)
            .to_pandas().sort_values("k").reset_index(drop=True))
     assert out["n"].tolist() == [2, 1]
     assert out["s1_scaled"].tolist() == ["300", "301"]

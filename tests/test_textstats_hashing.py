@@ -478,7 +478,7 @@ def test_term_label_chi2_exact_and_contracts(ray_session):
     })
 
     out = term_label_chi2(rd.from_pandas(docs).repartition(3),
-                          min_df=2, k=10, n_shards=4)
+                          min_df=2, k=10)
 
     def chi(n11, df, nlab, n=6):
         n10, n01 = df - n11, nlab - n11
@@ -505,13 +505,12 @@ def test_term_label_chi2_exact_and_contracts(ray_session):
     # single-label corpus: label covers every doc -> chi2 undefined,
     # everything dropped
     mono = docs.head(3).assign(lang="en")
-    out2 = term_label_chi2(rd.from_pandas(mono), min_df=1, k=5,
-                           n_shards=2)
+    out2 = term_label_chi2(rd.from_pandas(mono), min_df=1, k=5)
     assert len(out2) == 0
 
     # k truncation: k=1 keeps exactly one row per label
     out3 = term_label_chi2(rd.from_pandas(docs).repartition(2),
-                           min_df=2, k=1, n_shards=4)
+                           min_df=2, k=1)
     assert len(out3) == 2
     assert out3.groupby("lang").size().tolist() == [1, 1]
 
@@ -535,7 +534,7 @@ def test_term_label_ig_exact_and_contracts(ray_session):
     })
 
     out = term_label_ig(rd.from_pandas(docs).repartition(3),
-                        min_df=2, k=10, n_shards=4)
+                        min_df=2, k=10)
 
     def ig(n11, df, nlab, n=6):
         cells = ((n11, df, nlab), (df - n11, df, n - nlab),
@@ -561,8 +560,8 @@ def test_term_label_ig_exact_and_contracts(ray_session):
 
     # single-label corpus -> degenerate margins, everything dropped
     mono = docs.head(3).assign(lang="en")
-    assert len(term_label_ig(rd.from_pandas(mono), min_df=1, k=5,
-                             n_shards=2)) == 0
+    assert len(term_label_ig(rd.from_pandas(mono), min_df=1,
+                             k=5)) == 0
 
 
 def test_benford_digits_exact(ray_session):
