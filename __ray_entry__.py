@@ -3543,7 +3543,7 @@ def _q_event_type_pagerank(sf_dir: str):
         })
 
     e = ev.map_batches(edges, batch_format="pyarrow")
-    ranks, _iters = pagerank(e, max_iter=4, tol=0.0, n_shards=16)
+    ranks, _iters = pagerank(e, max_iter=4, tol=0.0)
     r = ranks.filter(expr="node < 0").to_pandas()
     inv = {v: k for k, v in tmap.items()}
     r["event_type"] = r["node"].map(inv)

@@ -421,8 +421,8 @@ def duplicate_gram_stats(ds: "rd.Dataset", n: int = 8,
 
 
 def substring_dedup(ds: "rd.Dataset", n: int = 8,
-                    text_col: str = "text", id_col: str = "doc_id",
-                    n_shards: int = 64) -> "rd.Dataset":
+                    text_col: str = "text",
+                    id_col: str = "doc_id") -> "rd.Dataset":
     """Exact-substring span dedup — the CUT step of Lee et al. (ACL'22)
     next to ``duplicate_gram_stats``'s counting step: every token
     position covered by a length-``n`` token window whose exact text
@@ -445,8 +445,6 @@ def substring_dedup(ds: "rd.Dataset", n: int = 8,
     from the uncovered positions. No stage holds more than a shard.
 
     Output: (doc_id, n_tokens, n_dup_tokens, text_cut)."""
-    from credit_ocr_backend_ray.stages.relational import _with_shard
-
     def emit(t: pa.Table) -> pa.Table:
         grams: list[str] = []
         ids: list[int] = []
@@ -475,22 +473,20 @@ def substring_dedup(ds: "rd.Dataset", n: int = 8,
     def tag_docs(b: pd.DataFrame) -> pd.DataFrame:
         # positional arrays throughout: incoming blocks may carry a
         # non-default index and pandas would align Series against it
-        out = pd.DataFrame({
+        return pd.DataFrame({
             id_col: b[id_col].to_numpy(np.int64),
             text_col: pd.array(b[text_col].tolist(), dtype=object),
             "__start": np.full(len(b), -1, np.int64),
             "__side": np.zeros(len(b), np.int8),
         })
-        return _with_shard(out, id_col, n_shards)
 
     def tag_dups(b: pd.DataFrame) -> pd.DataFrame:
-        out = pd.DataFrame({
+        return pd.DataFrame({
             id_col: b[id_col].to_numpy(np.int64),
             text_col: pd.array([None] * len(b), dtype=object),
             "__start": b["__start"].to_numpy(np.int64),
             "__side": np.ones(len(b), np.int8),
         })
-        return _with_shard(out, id_col, n_shards)
 
     def cut(g: pd.DataFrame) -> pd.DataFrame:
         side = g["__side"].to_numpy(np.int8)
@@ -531,9 +527,7 @@ def substring_dedup(ds: "rd.Dataset", n: int = 8,
     docs_side = (ds.select_columns([id_col, text_col])
                    .map_batches(tag_docs, batch_format="pandas"))
     dups_side = dups.map_batches(tag_dups, batch_format="pandas")
-    return (docs_side.union(dups_side)
-                     .groupby("__shard")
-                     .map_groups(cut, batch_format="pandas"))
+    return shard_cogroup(docs_side.union(dups_side), id_col, cut)
 
 
 def nb_source_score(ds: "rd.Dataset", pos_source: str,

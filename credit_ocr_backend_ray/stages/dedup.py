@@ -144,7 +144,7 @@ def dedup_exact_sparse(ds: "rd.Dataset", hash_col: str,
     # the co-group's residual cost is per-input-block machinery
     deduped_dups = dedup_exact(ds.map_batches(dup_rows,
                                               batch_format="pyarrow")
-                               .repartition(64),
+                               .repartition(default_partitions()),
                                hash_col, tie_col)
     return unique_part.union(deduped_dups)
 
@@ -769,7 +769,8 @@ def corpus_overlap(ds: "rd.Dataset", text_col: str = "text",
         })
 
     pairs = ds.map_batches(local_pairs, batch_format="pyarrow")
-    flagged = shard_cogroup(pairs.repartition(64), "th", shared_flags)
+    flagged = shard_cogroup(pairs.repartition(default_partitions()), "th",
+                            shared_flags)
     return grouped_agg(flagged, [group_col], {"__shared": "n_shared"},
                        count_alias="n_texts")
 

@@ -18,15 +18,15 @@ small-star variant drops it to O(log² n) if a deep-chain workload shows
 up (not implemented; the round structure below would carry it
 unchanged).
 
-Scale shape per round (two coarse-shard shuffles, the same 64-shard
-co-grouping used by ``relational.asof_join``):
+Scale shape per round (two ``relational.shard_cogroup`` shuffles on
+``node``, the co-group every keyed shuffle of this package uses):
 
-- **send**: labels co-grouped with the adjacency by ``hash(node)``; one
+- **send**: labels co-grouped with the adjacency on ``node``; one
   vectorized merge per shard emits (neighbor, label) messages. Moves
   O(E + V) fixed-width int64 rows — never payloads.
-- **receive**: messages + current labels co-grouped by ``hash(node)``;
-  one vectorized groupby-min per shard. A per-batch combiner prunes to
-  one candidate row per (node, batch) before the shuffle.
+- **receive**: messages + current labels co-grouped on ``node``; one
+  vectorized groupby-min per shard. A per-batch combiner prunes to one
+  candidate row per (node, batch) before the shuffle.
 - The V-row frontier is materialized per round (bounded state, same
   pattern as the k-means iteration in ``stages/similarity.py``); the
   convergence check is a single Sum aggregate over an int `changed`
@@ -49,18 +49,12 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Sum
 
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _shard_of(nodes: np.ndarray, n_shards: int) -> np.ndarray:
-    """Deterministic coarse shard of an int64 node id (Fibonacci hash)."""
-    return ((nodes.astype(np.uint64) * _HASH_MULT) >> np.uint64(40)) \
-        % np.uint64(n_shards)
+from credit_ocr_backend_ray.stages.relational import grouped_agg, shard_cogroup
 
 
 def connected_components(edges: "rd.Dataset", src: str = "src",
-                         dst: str = "dst", max_iter: int = 50,
-                         n_shards: int = 64) -> tuple["rd.Dataset", int]:
+                         dst: str = "dst", max_iter: int = 50
+                         ) -> tuple["rd.Dataset", int]:
     """Connected components of the undirected graph given as an edge
     list. Returns ``(labels, rounds)`` where ``labels`` has columns
     ``(node, comp)`` (both int64) covering every id that appears in
@@ -83,13 +77,11 @@ def connected_components(edges: "rd.Dataset", src: str = "src",
         # local dedup: repeated edges inside a batch would only re-send
         # identical messages
         u = pd.DataFrame({"node": node, "nbr": nbr}).drop_duplicates()
-        node = u["node"].to_numpy()
         return pa.table({
-            "node": pa.array(node, pa.int64()),
+            "node": pa.array(u["node"].to_numpy(), pa.int64()),
             "nbr": pa.array(u["nbr"].to_numpy(), pa.int64()),
             "comp": pa.array(np.zeros(len(u), np.int64)),
             "kind": pa.array(np.zeros(len(u), np.int8)),  # 0 = edge
-            "shard": pa.array(_shard_of(node, n_shards), pa.int64()),
         })
 
     adj = edges.map_batches(sym, batch_format="pyarrow").materialize()
@@ -104,7 +96,6 @@ def connected_components(edges: "rd.Dataset", src: str = "src",
 
     # cogroup, not Ray's per-key sort aggregate: node cardinality is
     # unbounded (measured 64-78 s at 400k distinct keys vs ~3 s sharded)
-    from credit_ocr_backend_ray.stages.relational import grouped_agg
     labels = grouped_agg(
         edges.map_batches(init_nodes, batch_format="pyarrow"),
         ["node"], {"comp": "__s"}, count_alias=None)
@@ -118,14 +109,11 @@ def connected_components(edges: "rd.Dataset", src: str = "src",
                                 batch_format="pyarrow").materialize()
 
     def tag_labels(t: pa.Table) -> pa.Table:
-        node = t["node"].to_numpy(zero_copy_only=False)
         return pa.table({
             "node": t["node"],
             "nbr": pa.array(np.full(len(t), -1, np.int64)),
             "comp": t["comp"],
             "kind": pa.array(np.ones(len(t), np.int8)),  # 1 = label
-            "shard": pa.array(_shard_of(node.astype(np.int64), n_shards),
-                              pa.int64()),
         })
 
     def send(g: pd.DataFrame) -> pd.DataFrame:
@@ -159,12 +147,9 @@ def connected_components(edges: "rd.Dataset", src: str = "src",
     for _ in range(max_iter):
         rounds += 1
         tagged = labels.map_batches(tag_labels, batch_format="pyarrow")
-        sent = adj.union(tagged).groupby("shard") \
-            .map_groups(send, batch_format="pandas")
-        pruned = sent.map_batches(
-            lambda b: _combine_local(b, n_shards), batch_format="pandas")
-        new_labels = pruned.groupby("shard") \
-            .map_groups(receive, batch_format="pandas").materialize()
+        sent = shard_cogroup(adj.union(tagged), "node", send)
+        pruned = sent.map_batches(_combine_local, batch_format="pandas")
+        new_labels = shard_cogroup(pruned, "node", receive).materialize()
         changed = new_labels.aggregate(Sum("changed",
                                            alias_name="c"))["c"] or 0
         labels = new_labels.drop_columns(["changed"]).materialize()
@@ -179,9 +164,9 @@ def _empty_msgs() -> pd.DataFrame:
                          "kind": pd.Series([], dtype=np.int8)})
 
 
-def _combine_local(b: pd.DataFrame, n_shards: int) -> pd.DataFrame:
-    """Per-batch combiner + destination re-shard before the receive
-    shuffle (module-level so the closure pickles once per worker)."""
+def _combine_local(b: pd.DataFrame) -> pd.DataFrame:
+    """Per-batch combiner before the receive shuffle (module-level so
+    the closure pickles once per worker)."""
     msgs = b[b["kind"] == 0]
     parts = []
     if len(msgs):
@@ -194,26 +179,19 @@ def _combine_local(b: pd.DataFrame, n_shards: int) -> pd.DataFrame:
     out = pd.concat(parts, ignore_index=True) if parts else _empty_msgs()
     out["node"] = out["node"].astype(np.int64)
     out["comp"] = out["comp"].astype(np.int64)
-    out["shard"] = _shard_of(out["node"].to_numpy(np.int64), n_shards)
     return out
 
 
 def session_star_edges(events: "rd.Dataset", user_col: str = "user_id",
                        id_col: str = "event_id", ts_col: str = "ts",
-                       gap_s: float = 4 * 3600,
-                       n_shards: int = 64) -> "rd.Dataset":
+                       gap_s: float = 4 * 3600) -> "rd.Dataset":
     """Per-user session graph as star edges: each event connects to the
     first event of its gap-based session (strictly-greater-than ``gap_s``
     breaks, ordered by (ts, id) — the same rule as
     ``relational.sessionize``). Session starts get a self-edge so
-    singleton sessions still register as nodes. One coarse-shard
-    co-grouping shuffle; per-user work is a vectorized sorted scan."""
+    singleton sessions still register as nodes. One ``shard_cogroup``
+    on the user; per-user work is a vectorized sorted scan."""
     gap = np.timedelta64(int(gap_s * 1_000_000), "us")
-
-    def add_shard(t: pa.Table) -> pa.Table:
-        u = t[user_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column(
-            "shard", pa.array(_shard_of(u, n_shards), pa.int64()))
 
     def per_shard(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([user_col, ts_col, id_col])
@@ -229,25 +207,22 @@ def session_star_edges(events: "rd.Dataset", user_col: str = "user_id",
         first = eid[brk][sid]
         return pd.DataFrame({"src": first, "dst": eid})
 
-    return (events.map_batches(add_shard, batch_format="pyarrow")
-                  .groupby("shard")
-                  .map_groups(per_shard, batch_format="pandas"))
+    return shard_cogroup(events, user_col, per_shard)
 
 
 def pagerank(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
              damping: float = 0.85, max_iter: int = 20,
-             tol: float = 1e-6,
-             n_shards: int = 64) -> tuple["rd.Dataset", int]:
+             tol: float = 1e-6) -> tuple["rd.Dataset", int]:
     """Distributed PageRank by power iteration over an int64 edge list.
     Returns ``(ranks, iters)`` with ``ranks`` = (node, rank) covering
     every id in ``src`` or ``dst``; sum(rank) == #nodes (the "rank mass
     N" convention: a node with no structure has rank 1.0).
 
     Same message-passing skeleton as ``connected_components`` — per
-    iteration two coarse-shard co-grouping shuffles (send: ranks meet
-    the adjacency at hash(src), each edge emits rank/outdeg to its dst;
-    receive: contributions meet the rank rows at hash(dst), one
-    vectorized sum per shard), a per-batch combiner summing
+    iteration two ``shard_cogroup`` shuffles on ``node`` (send: ranks
+    meet the adjacency at src, each edge emits rank/outdeg to its dst;
+    receive: contributions meet the rank rows at dst, one vectorized
+    sum per shard), a per-batch combiner summing
     contributions per (node, batch) before the second shuffle, and a
     materialized V-row frontier per iteration (bounded state, the
     k-means/CC checkpoint pattern). Dangling mass (outdeg-0 nodes) is
@@ -266,7 +241,6 @@ def pagerank(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
             "val": pa.array(np.zeros(len(a)), pa.float64()),
             "outdeg": pa.array(np.zeros(len(a), np.int64)),
             "kind": pa.array(np.zeros(len(a), np.int8)),  # 0 = edge
-            "shard": pa.array(_shard_of(a, n_shards), pa.int64()),
         })
 
     adj = edges.map_batches(edge_rows, batch_format="pyarrow").materialize()
@@ -284,7 +258,6 @@ def pagerank(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
                 [sc.astype(np.int64), np.zeros(len(du), np.int64)])),
         })
 
-    from credit_ocr_backend_ray.stages.relational import grouped_agg
     nodes = grouped_agg(
         edges.map_batches(deg_partial, batch_format="pyarrow"),
         ["node"], {"__d": "outdeg"}, count_alias=None)
@@ -301,14 +274,12 @@ def pagerank(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
     n_nodes = ranks.count()
 
     def tag_ranks(t: pa.Table) -> pa.Table:
-        node = t["node"].to_numpy(zero_copy_only=False).astype(np.int64)
         return pa.table({
             "node": t["node"],
             "nbr": pa.array(np.full(len(t), -1, np.int64)),
             "val": t["val"],
             "outdeg": t["outdeg"],
             "kind": pa.array(np.ones(len(t), np.int8)),  # 1 = rank
-            "shard": pa.array(_shard_of(node, n_shards), pa.int64()),
         })
 
     def send(g: pd.DataFrame) -> pd.DataFrame:
@@ -341,7 +312,6 @@ def pagerank(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
         out = (pd.concat(parts, ignore_index=True) if parts
                else _pr_empty())
         out["node"] = out["node"].astype(np.int64)
-        out["shard"] = _shard_of(out["node"].to_numpy(np.int64), n_shards)
         return out
 
     base = (1.0 - damping)
@@ -378,11 +348,9 @@ def pagerank(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
             })
 
         tagged = ranks.map_batches(tag_ranks, batch_format="pyarrow")
-        sent = adj.union(tagged).groupby("shard") \
-            .map_groups(send, batch_format="pandas")
+        sent = shard_cogroup(adj.union(tagged), "node", send)
         pruned = sent.map_batches(combine, batch_format="pandas")
-        new_ranks = pruned.groupby("shard") \
-            .map_groups(receive, batch_format="pandas").materialize()
+        new_ranks = shard_cogroup(pruned, "node", receive).materialize()
         delta = new_ranks.aggregate(Sum("delta", alias_name="s"))["s"] or 0.0
         ranks = new_ranks.drop_columns(["delta"]).materialize()
         if delta < tol * n_nodes:
@@ -399,12 +367,12 @@ def _pr_empty() -> pd.DataFrame:
                          "kind": pd.Series([], dtype=np.int8)})
 
 
-def cooccurrence_edges(ds: "rd.Dataset", group_col: str, item_col: str,
-                       n_shards: int = 64) -> "rd.Dataset":
+def cooccurrence_edges(ds: "rd.Dataset", group_col: str,
+                       item_col: str) -> "rd.Dataset":
     """Undirected co-occurrence edges (src < dst, int64, with cross-group
     duplicates) between items sharing a group — the market-basket /
-    co-citation graph constructor. One coarse-shard co-grouping shuffle
-    keyed on the group id; the per-shard pass is a vectorized self-merge.
+    co-citation graph constructor. One ``shard_cogroup`` on the group
+    id; the per-shard pass is a vectorized self-merge.
 
     Partitioning assumption, stated: the pair fan-out is quadratic in the
     per-GROUP item count, so groups must be small (order baskets, page
@@ -415,11 +383,9 @@ def cooccurrence_edges(ds: "rd.Dataset", group_col: str, item_col: str,
         g = t[group_col].to_numpy(zero_copy_only=False).astype(np.int64)
         i = t[item_col].to_numpy(zero_copy_only=False).astype(np.int64)
         u = pd.DataFrame({"g": g, "i": i}).drop_duplicates()
-        ga = u["g"].to_numpy(np.int64)
         return pa.table({
-            "g": pa.array(ga, pa.int64()),
+            "g": pa.array(u["g"].to_numpy(np.int64), pa.int64()),
             "i": pa.array(u["i"].to_numpy(np.int64), pa.int64()),
-            "shard": pa.array(_shard_of(ga, n_shards), pa.int64()),
         })
 
     def per_shard(b: pd.DataFrame) -> pd.DataFrame:
@@ -429,14 +395,14 @@ def cooccurrence_edges(ds: "rd.Dataset", group_col: str, item_col: str,
         return pd.DataFrame({"src": m["i_x"].to_numpy(np.int64),
                              "dst": m["i_y"].to_numpy(np.int64)})
 
-    return (ds.map_batches(local_distinct, batch_format="pyarrow")
-              .groupby("shard").map_groups(per_shard, batch_format="pandas"))
+    return shard_cogroup(
+        ds.map_batches(local_distinct, batch_format="pyarrow"), "g",
+        per_shard)
 
 
-def _simple_edges(edges: "rd.Dataset", src: str, dst: str,
-                  n_shards: int) -> "rd.Dataset":
+def _simple_edges(edges: "rd.Dataset", src: str, dst: str) -> "rd.Dataset":
     """Distinct simple edges (canonical u < v; self-loops and duplicate
-    /reversed edges dropped) via a pair-shard co-group."""
+    /reversed edges dropped) via a co-group on ``u``."""
     def canon(t: pa.Table) -> pa.Table:
         a = t[src].to_numpy(zero_copy_only=False).astype(np.int64)
         b = t[dst].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -445,28 +411,21 @@ def _simple_edges(edges: "rd.Dataset", src: str, dst: str,
         u = np.minimum(a, b)
         v = np.maximum(a, b)
         d = pd.DataFrame({"u": u, "v": v}).drop_duplicates()
-        ua = d["u"].to_numpy(np.int64)
-        va = d["v"].to_numpy(np.int64)
         return pa.table({
-            "u": pa.array(ua, pa.int64()),
-            "v": pa.array(va, pa.int64()),
-            "shard": pa.array(_shard_of(ua * np.int64(31) + va, n_shards),
-                              pa.int64()),
+            "u": pa.array(d["u"].to_numpy(np.int64), pa.int64()),
+            "v": pa.array(d["v"].to_numpy(np.int64), pa.int64()),
         })
 
     def shard_dedup(b: pd.DataFrame) -> pd.DataFrame:
         return b[["u", "v"]].drop_duplicates()
 
-    return (edges.map_batches(canon, batch_format="pyarrow")
-                 .groupby("shard")
-                 .map_groups(shard_dedup, batch_format="pandas"))
+    return shard_cogroup(edges.map_batches(canon, batch_format="pyarrow"),
+                         "u", shard_dedup)
 
 
 def _degrees(simple: "rd.Dataset") -> "rd.Dataset":
     """(node, deg) of a simple (u, v) edge set — combiner partials, one
     distributed aggregate (unbounded V: never driver-side)."""
-    from ray.data.aggregate import Sum as _Sum
-
     def deg_partial(t: pa.Table) -> pa.Table:
         both = np.concatenate([
             t["u"].to_numpy(zero_copy_only=False).astype(np.int64),
@@ -475,25 +434,23 @@ def _degrees(simple: "rd.Dataset") -> "rd.Dataset":
         return pa.table({"node": pa.array(n, pa.int64()),
                          "__d": pa.array(c.astype(np.int64), pa.int64())})
 
-    from credit_ocr_backend_ray.stages.relational import grouped_agg
     return grouped_agg(
         simple.map_batches(deg_partial, batch_format="pyarrow"),
         ["node"], {"__d": "deg"}, count_alias=None)
 
 
 def _attach_degrees(work: "rd.Dataset", degs: "rd.Dataset", key: str,
-                    deg_name: str, n_shards: int) -> "rd.Dataset":
-    """Join deg(node) onto edge rows by ``key`` via ONE co-group shuffle
-    (the union+kind+shard pattern of connected_components — no
+                    deg_name: str) -> "rd.Dataset":
+    """Join deg(node) onto edge rows by ``key`` via ONE co-group on
+    ``__key`` (the union+kind pattern of connected_components — no
     broadcast, so V never needs to fit anywhere). Edge rows whose key
     has no degree row are dropped (inner semantics)."""
     def tag_edges(t: pa.Table) -> pa.Table:
         k = t[key].to_numpy(zero_copy_only=False).astype(np.int64)
-        cols = {c: t[c] for c in t.column_names if c != "shard"}
+        cols = {c: t[c] for c in t.column_names}
         cols["__key"] = pa.array(k, pa.int64())
         cols["__deg"] = pa.array(np.full(len(k), -1, np.int64))
         cols["kind"] = pa.array(np.zeros(len(k), np.int8))
-        cols["shard"] = pa.array(_shard_of(k, n_shards), pa.int64())
         return pa.table(cols)
 
     def tag_degs(t: pa.Table) -> pa.Table:
@@ -502,7 +459,6 @@ def _attach_degrees(work: "rd.Dataset", degs: "rd.Dataset", key: str,
             "__key": pa.array(k, pa.int64()),
             "__deg": t["deg"].cast(pa.int64()),
             "kind": pa.array(np.ones(len(k), np.int8)),
-            "shard": pa.array(_shard_of(k, n_shards), pa.int64()),
         })
 
     def join_shard(g: pd.DataFrame) -> pd.DataFrame:
@@ -514,12 +470,11 @@ def _attach_degrees(work: "rd.Dataset", degs: "rd.Dataset", key: str,
 
     tagged_e = work.map_batches(tag_edges, batch_format="pyarrow")
     tagged_d = degs.map_batches(tag_degs, batch_format="pyarrow")
-    return (tagged_e.union(tagged_d).groupby("shard")
-                    .map_groups(join_shard, batch_format="pandas"))
+    return shard_cogroup(tagged_e.union(tagged_d), "__key", join_shard)
 
 
-def triangle_count(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
-                   n_shards: int = 64) -> tuple[int, int]:
+def triangle_count(edges: "rd.Dataset", src: str = "src",
+                   dst: str = "dst") -> tuple[int, int]:
     """Exact triangle count of the undirected graph, degree-ordered
     node-iterator style (Schank & Wagner's forward algorithm / the
     MapReduce NodeIterator++ of Suri & Vassilvitskii, WWW'11): orient
@@ -531,13 +486,11 @@ def triangle_count(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
 
     Everything distributed: edge dedup, the degree aggregate, two
     degree-attach co-group shuffles, the wedge self-merge, and the
-    closure count are all coarse-shard shuffles over fixed-width int64
-    rows with per-batch combiners; the driver sees two scalars.
+    closure count are all ``shard_cogroup`` shuffles over fixed-width
+    int64 rows with per-batch combiners; the driver sees two scalars.
     Returns ``(n_edges, n_triangles)`` over the deduped simple graph.
     Duplicate input edges and self-loops are dropped."""
-    from ray.data.aggregate import Sum as _Sum
-
-    simple = _simple_edges(edges, src, dst, n_shards).materialize()
+    simple = _simple_edges(edges, src, dst).materialize()
     n_edges = simple.count()
     if n_edges == 0:
         return 0, 0
@@ -545,7 +498,7 @@ def triangle_count(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
     degs = _degrees(simple)
     work = simple
     for key, deg_name in (("u", "deg_u"), ("v", "deg_v")):
-        work = _attach_degrees(work, degs, key, deg_name, n_shards)
+        work = _attach_degrees(work, degs, key, deg_name)
 
     # --- orient lower-(deg, id) -> higher; key wedge/closure rows by the
     # ORIENTED pair so both sides agree
@@ -564,11 +517,6 @@ def triangle_count(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
     oriented = work.map_batches(orient, batch_format="pandas").materialize()
 
     # --- wedges: per source node a, out-neighbor pairs in rank order
-    def shard_by_a(t: pa.Table) -> pa.Table:
-        a = t["a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return t.append_column("shard",
-                               pa.array(_shard_of(a, n_shards), pa.int64()))
-
     def wedges(g: pd.DataFrame) -> pd.DataFrame:
         g = g[["a", "b", "deg_b"]]
         m = g.merge(g, on="a")
@@ -583,11 +531,10 @@ def triangle_count(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
         return pd.DataFrame({"x": c["x"], "y": c["y"],
                              "n": c["size"].astype(np.int64)})
 
-    wedge_counts = (oriented.map_batches(shard_by_a, batch_format="pyarrow")
-                            .groupby("shard")
-                            .map_groups(wedges, batch_format="pandas"))
+    wedge_counts = shard_cogroup(oriented, "a", wedges)
 
-    # --- closure: wedge pairs meet oriented edges on the pair key
+    # --- closure: wedge pairs meet oriented edges on the pair key, in
+    # the shard of its first node
     def tag_wedges(t: pa.Table) -> pa.Table:
         x = t["x"].to_numpy(zero_copy_only=False).astype(np.int64)
         y = t["y"].to_numpy(zero_copy_only=False).astype(np.int64)
@@ -595,8 +542,6 @@ def triangle_count(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
             "x": pa.array(x, pa.int64()), "y": pa.array(y, pa.int64()),
             "n": t["n"].cast(pa.int64()),
             "kind": pa.array(np.zeros(len(x), np.int8)),
-            "shard": pa.array(_shard_of(x * np.int64(31) + y, n_shards),
-                              pa.int64()),
         })
 
     def tag_closing(t: pa.Table) -> pa.Table:
@@ -606,8 +551,6 @@ def triangle_count(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
             "x": pa.array(x, pa.int64()), "y": pa.array(y, pa.int64()),
             "n": pa.array(np.zeros(len(x), np.int64)),
             "kind": pa.array(np.ones(len(x), np.int8)),
-            "shard": pa.array(_shard_of(x * np.int64(31) + y, n_shards),
-                              pa.int64()),
         })
 
     def close_shard(g: pd.DataFrame) -> pd.DataFrame:
@@ -619,15 +562,14 @@ def triangle_count(edges: "rd.Dataset", src: str = "src", dst: str = "dst",
 
     tw = wedge_counts.map_batches(tag_wedges, batch_format="pyarrow")
     te = oriented.map_batches(tag_closing, batch_format="pyarrow")
-    total = (tw.union(te).groupby("shard")
-               .map_groups(close_shard, batch_format="pandas")
-               .aggregate(_Sum("tri", alias_name="t"))["t"] or 0)
+    total = (shard_cogroup(tw.union(te), "x", close_shard)
+             .aggregate(Sum("tri", alias_name="t"))["t"] or 0)
     return int(n_edges), int(total)
 
 
 def k_core(edges: "rd.Dataset", k: int, src: str = "src",
-           dst: str = "dst", max_iter: int = 100,
-           n_shards: int = 64) -> tuple["rd.Dataset", int]:
+           dst: str = "dst", max_iter: int = 100
+           ) -> tuple["rd.Dataset", int]:
     """k-core decomposition membership: iteratively peel nodes of degree
     < k until a fixpoint (the standard distributed peeling — each round
     recomputes degrees over the SURVIVING edge set and drops every edge
@@ -642,7 +584,7 @@ def k_core(edges: "rd.Dataset", k: int, src: str = "src",
     materialized per round (bounded state, the CC/pagerank checkpoint
     pattern) and only shrinks. No broadcast: sub-k filtering happens
     inside the attach join, so V never needs to fit anywhere."""
-    work = _simple_edges(edges, src, dst, n_shards).materialize()
+    work = _simple_edges(edges, src, dst).materialize()
     n_prev = work.count()
     rounds = 0
     for _ in range(max_iter):
@@ -652,7 +594,7 @@ def k_core(edges: "rd.Dataset", k: int, src: str = "src",
         degs = _degrees(work)
         both = work
         for key, deg_name in (("u", "deg_u"), ("v", "deg_v")):
-            both = _attach_degrees(both, degs, key, deg_name, n_shards)
+            both = _attach_degrees(both, degs, key, deg_name)
 
         def keep(b: pd.DataFrame) -> pd.DataFrame:
             m = (b["deg_u"].to_numpy(np.int64) >= k) \
@@ -714,7 +656,6 @@ def connected_components_bucketed(edges: "rd.Dataset", adj_path: str,
     # node dedup via coarse-shard co-group (node count is unbounded;
     # Ray's per-key aggregate prices by distinct keys); comp == node at
     # init so dedup alone yields the label table
-    from credit_ocr_backend_ray.stages.relational import shard_cogroup
     labels = shard_cogroup(
         edges.map_batches(init_nodes, batch_format="pyarrow"),
         "node", lambda g: g.drop_duplicates("node")).materialize()

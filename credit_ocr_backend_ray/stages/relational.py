@@ -20,14 +20,15 @@ scale-conscious shapes:
   ``Dataset.join``: it owns the default partition count and the
   aggregator resources (no CPU reserved, so a 1-CPU cluster can still
   schedule the read tasks that feed the join).
-- ``shard_cogroup``: the ONLY single-key co-group — tag rows with
+- ``shard_cogroup``: the ONLY hash co-group — tag rows with
   ``shard_ids`` (the one coarse shard hash: Fibonacci mix for numbers,
   ``hash_strings_u64`` otherwise) and fold each shard with vectorized
   pandas or Arrow. Its shard count is ``default_partitions()``, the
   fan-out of ``shuffle_join``. Combiners pass their per-batch prune as
-  the fold too; per-group kernels go through ``_groupwise``. Only
-  operators that replicate rows or shard on a composite key tag their
-  own shards.
+  the fold too; per-group kernels go through ``_groupwise``. A
+  two-sided co-group passes ``a.union(b)``; a composite key (bucket and
+  salt cell, key and time bucket) is first written into one int64
+  column.
 - ``grouped_stats``: sum/avg/min/max/count per key, combiner-style.
 - ``sessionize``: gap-based session windows — hash-partition by user, one
   per-group sorted linear scan (the streaming-window analogue, SURVEY §2.9).
@@ -118,7 +119,7 @@ _MIX = np.uint64(0x9E3779B97F4A7C15)
 def shard_ids(keys: np.ndarray, n_shards: int) -> np.ndarray:
     """The one coarse shard hash: int64 shard id in ``[0, n_shards)`` of
     every key of a numpy array. Numbers take a Fibonacci mix
-    (same constant as bucket_store/graph) before the mod — an identity
+    (``state/bucket_store`` buckets with it too) before the mod — an identity
     mod collapses stride-patterned keys (e.g. all multiples of 64) into
     one hot shard. Integer keys hash by value, so the two sides of a
     co-group still co-locate equal keys when their columns differ in
@@ -131,13 +132,6 @@ def shard_ids(keys: np.ndarray, n_shards: int) -> np.ndarray:
     from credit_ocr_backend_ray.functions.hashing import hash_strings_u64
     return (hash_strings_u64([str(x) for x in keys])
             % np.uint64(n_shards)).astype(np.int64)
-
-
-def _with_shard(b: pd.DataFrame, key: str, n_shards: int) -> pd.DataFrame:
-    """Append the ``__shard`` column (``shard_ids`` of ``key``)."""
-    b = b.copy()
-    b["__shard"] = shard_ids(b[key].to_numpy(), n_shards)
-    return b
 
 
 def shard_cogroup(ds: "rd.Dataset", key: str, fold,
@@ -155,14 +149,14 @@ def shard_cogroup(ds: "rd.Dataset", key: str, fold,
     per-batch prune equals its per-shard fold (top-1, top-k, first or
     max per key) maps ``ds`` with that function and passes it again
     as ``fold``."""
-    n_shards = default_partitions()
+    n = default_partitions()
     arrow = batch_format == "pyarrow"
 
     def tag(b):
-        if not arrow:
-            return _with_shard(b, key, n_shards)
-        return b.append_column("__shard", pa.array(
-            shard_ids(b[key].to_numpy(), n_shards)))
+        ids = shard_ids(b[key].to_numpy(), n)
+        if arrow:
+            return b.append_column("__shard", pa.array(ids))
+        return b.assign(__shard=ids)
 
     def run(g):
         return fold(g.drop_columns(["__shard"]) if arrow
@@ -212,7 +206,7 @@ def _groupwise(keys: Sequence[str], kernel):
     ``shard_cogroup``: group WITHIN the shard (dropna=False so null keys
     survive, matching Arrow group_by semantics) and run the unchanged
     holistic kernel per group. The Python loop is per-shard worker-side
-    — ~distinct_keys / n_shards iterations, not a driver loop."""
+    — ~distinct_keys / shards iterations, not a driver loop."""
     keys = list(keys)
 
     def fold(g: pd.DataFrame) -> pd.DataFrame:
@@ -574,9 +568,10 @@ def asof_join(left: "rd.Dataset", right: "rd.Dataset", left_key: str,
     """As-of join: each left row picks the nearest right row for the same
     key — ``backward``: greatest ``right_ts`` <= ``left_ts``; ``forward``:
     smallest ``right_ts`` >= ``left_ts`` (inner: unmatched left rows drop).
-    Implemented as aligned-schema union + ONE co-grouping shuffle over
-    COARSE key-hash shards (64 groups instead of one Ray group per key —
-    per-key map_groups overhead dominated at high key cardinality) + a
+    Implemented as aligned-schema union + ONE ``shard_cogroup`` over
+    COARSE key-hash shards (``default_partitions()`` groups instead of
+    one Ray group per key — per-key map_groups overhead dominated at
+    high key cardinality) + a
     vectorized ``pd.merge_asof(by=key)`` inside each shard — the standard
     composition when the engine has no as-of primitive. Right-side ties on
     (key, ts) resolve to the row last (backward) / first (forward) in
@@ -1015,11 +1010,19 @@ def distinct(ds: "rd.Dataset", cols: Sequence[str]) -> "rd.Dataset":
 def grouped_count_distinct(ds: "rd.Dataset", keys: Sequence[str], col: str,
                            alias: str = "n_distinct") -> "rd.Dataset":
     """COUNT(DISTINCT col) per key, exact, as two combiner passes: first
-    ``distinct`` over (keys, col), then a grouped count of the uniques.
-    For extreme cardinality use ``sketch.approx_count_distinct`` instead."""
+    ``distinct`` over (keys, col), then a grouped sum of the uniques'
+    non-null flags — a NULL ``col`` is not a value (SQL), but a group
+    whose values are all NULL stays, with 0. For extreme cardinality use
+    ``sketch.approx_count_distinct`` instead."""
     keys = list(keys)
-    return grouped_agg(distinct(ds, keys + [col]), keys, {},
-                       count_alias=alias)
+
+    def flag(t: pa.Table) -> pa.Table:
+        return t.select(keys).append_column(
+            "__nn", t[col].is_valid().cast(pa.int64()))
+
+    uniq = distinct(ds, keys + [col]).map_batches(flag,
+                                                  batch_format="pyarrow")
+    return grouped_agg(uniq, keys, {"__nn": alias}, count_alias=None)
 
 
 def broadcast_semi_join(ds: "rd.Dataset", keys: set, on: str) -> "rd.Dataset":
@@ -1526,7 +1529,6 @@ def weighted_ticket_sample(ds: "rd.Dataset", id_col: str,
 
 def interval_self_join(ds: "rd.Dataset", key_col: str, id_col: str,
                        s_col: str, e_col: str, bucket_us: int,
-                       n_shards: int = 64,
                        max_replication: int = 64) -> "rd.Dataset":
     """Distributed interval-OVERLAP self-join, both sides big: all row
     pairs sharing ``key_col`` whose ``[s, e]`` intervals intersect
@@ -1534,8 +1536,9 @@ def interval_self_join(ds: "rd.Dataset", key_col: str, id_col: str,
     ``band_self_join`` (whose rows are points ± a constant band).
 
     Technique: each interval replicates into every ``bucket_us``-wide
-    time bucket it touches (``floor(s/W) .. floor(e/W)``), buckets
-    coarse-shard by hash (never per-bucket groups), and within a shard
+    time bucket it touches (``floor(s/W) .. floor(e/W)``), a
+    ``shard_cogroup`` on one int64 mix of (key, bucket) coarse-shards
+    them (never per-bucket groups), and within a shard
     one vectorized pass sorts by (key, bucket, s) and emits
     prefix-candidate pairs masked by the exact overlap test. Exactly-once
     attribution: a pair is OWNED by the bucket containing the LATER
@@ -1544,7 +1547,7 @@ def interval_self_join(ds: "rd.Dataset", key_col: str, id_col: str,
     overlap, so no dedup shuffle. Intervals longer than
     ``max_replication`` buckets raise (raise ``bucket_us``; an explicit
     error, not a silent cap). Partitioning assumption: one shard's
-    replicated rows fit a worker (tune ``n_shards``); candidate volume
+    replicated rows fit a worker; candidate volume
     within a (key, bucket) segment is the segment's pair count — the
     output's own magnitude for genuinely overlapping data.
 
@@ -1570,11 +1573,10 @@ def interval_self_join(ds: "rd.Dataset", key_col: str, id_col: str,
                             reps))
         out = b.iloc[idx].copy()
         out["__bk"] = np.repeat(b0, reps) + offs
-        # shard on (key, bucket) so a segment never splits
+        # co-group on a (key, bucket) mix so a segment never splits
         kh = pd.util.hash_array(out[key_col].to_numpy()).astype(np.uint64)
         bk = out["__bk"].to_numpy(np.int64).view(np.uint64)
-        out["__shard"] = (((kh ^ (bk * _MIX)) >> np.uint64(40))
-                          .astype(np.int64) % n_shards)
+        out["__kb"] = ((kh ^ (bk * _MIX)) >> np.uint64(40)).astype(np.int64)
         return out
 
     def pairs(g: pd.DataFrame) -> pd.DataFrame:
@@ -1618,8 +1620,8 @@ def interval_self_join(ds: "rd.Dataset", key_col: str, id_col: str,
         return pd.DataFrame({key_col: g[key_col].to_numpy()[ia],
                              "id_a": lo, "id_b": hi, "overlap_us": ov})
 
-    rep = ds.map_batches(bucketize, batch_format="pandas")
-    return rep.groupby("__shard").map_groups(pairs, batch_format="pandas")
+    return shard_cogroup(ds.map_batches(bucketize, batch_format="pandas"),
+                         "__kb", pairs)
 
 
 def cdf_drift(ds: "rd.Dataset", group_col: str, val_col: str,
@@ -2187,7 +2189,7 @@ def grouped_entropy(ds: "rd.Dataset", key: str, state_col: str,
 def band_self_join(ds: "rd.Dataset", ts_col: str, id_col: str,
                    band_us: int,
                    keep_cols: Sequence[str] = (),
-                   n_salt: int = 1, n_shards: int = 64) -> "rd.Dataset":
+                   n_salt: int = 1) -> "rd.Dataset":
     """Distributed band (interval) SELF-join: all row pairs whose
     timestamps lie within ``band_us`` microseconds — the both-sides-big
     sibling of ``range_join_broadcast`` (which needs one side to fit a
@@ -2198,8 +2200,8 @@ def band_self_join(ds: "rd.Dataset", ts_col: str, id_col: str,
     replicated copy); attributing each pair to exactly that bucket makes
     the emission exactly-once with no dedup shuffle.
 
-    The shuffle groups ``n_shards`` hash-shards of the bucket key (ONE
-    vectorized pandas pass per shard), never per-bucket groups — a 7-day
+    The shuffle is ``shard_cogroup`` on the bucket key (ONE vectorized
+    pandas pass per shard), never per-bucket groups — a 7-day
     stream at band=1s has ~600k buckets, and per-group machinery at that
     cardinality dominated the wall clock (measured: the r03 sf1 stress).
     Within a shard, rows sort by (bucket, ts) and a composite key
@@ -2211,7 +2213,7 @@ def band_self_join(ds: "rd.Dataset", ts_col: str, id_col: str,
     ``dt_us >= 0`` = |ts_a - ts_b|, plus ``keep_cols`` from each side
     suffixed _a/_b. ``id_col`` must be unique per row (it is the pair
     identity). Partitioning assumption: one shard's rows fit a worker
-    (tune ``n_shards``).
+    (a hot bucket spreads with ``n_salt``).
 
     ``n_salt`` is the hot-bucket salt path: with ``n_salt = s > 1`` each
     row is id-hashed into one of ``s`` groups and replicated into the
@@ -2248,8 +2250,6 @@ def band_self_join(ds: "rd.Dataset", ts_col: str, id_col: str,
             key = (out["__bk"].to_numpy(np.int64) * ncells
                    + out["__cell"].to_numpy(np.int64))
         out["__key"] = key
-        out["__shard"] = ((key.view(np.uint64) * _MIX) >> np.uint64(40)
-                          ).astype(np.int64) % n_shards
         return out
 
     cols = list(keep_cols)
@@ -2305,8 +2305,8 @@ def band_self_join(ds: "rd.Dataset", ts_col: str, id_col: str,
             out[f"{c}_b"] = np.where(a_first, v[ib], v[ia])
         return pd.DataFrame(out)
 
-    return (ds.map_batches(bucketize, batch_format="pandas")
-              .groupby("__shard").map_groups(pairs, batch_format="pandas"))
+    return shard_cogroup(ds.map_batches(bucketize, batch_format="pandas"),
+                         "__key", pairs)
 
 
 def profile_columns(ds: "rd.Dataset", cols: Sequence[str],
@@ -2469,11 +2469,11 @@ def time_band_join(left: "rd.Dataset", right: "rd.Dataset",
                    left_key: str, right_key: str,
                    left_ts: str, right_ts: str, band_us: int,
                    left_cols: Sequence[str], right_cols: Sequence[str],
-                   n_shards: int = 64, n_salt: int = 1) -> "rd.Dataset":
+                   n_salt: int = 1) -> "rd.Dataset":
     """Keyed two-table TIME-BAND join (the stream-stream join of a
     streaming engine, batch-shaped): all (left, right) pairs with equal
     key and |ts_l - ts_r| <= ``band_us``. Both sides are big — no
-    broadcast; the only shuffle is ONE key-hash co-group over the tagged
+    broadcast; the only shuffle is ONE ``shard_cogroup`` over the tagged
     union of both streams (each row moves exactly once).
 
     Inside a shard, keys factorize to dense codes and rows map to the
@@ -2481,13 +2481,15 @@ def time_band_join(left: "rd.Dataset", right: "rd.Dataset",
     ts_range + 2*band + 2`` — segments sit >= band apart on both sides,
     so one vectorized searchsorted of every left row against the sorted
     right composites finds each row's match window without a per-key
-    loop. Guard: ``codes * span`` must fit int64 — raise ``n_shards``
-    for corpora with more than ~2^62/span keys per shard (explicit
-    ValueError — survives ``python -O``).
+    loop. Guard: ``(keys per shard + 1) * span`` must stay below 2^62,
+    or the call raises ValueError (explicit — survives ``python -O``).
+    Keys spread over ``default_partitions()`` shards, so a 1-CPU host
+    (4 shards) trips it at 1/16 of the keys a 64-shard layout did: at a
+    30-day span and a 1-day band, about 1.6M keys per shard.
 
     Output: left_cols + right_cols + ``dt_us`` (right ts minus left ts,
     signed). Partitioning assumption: one key-hash shard's rows fit a
-    worker (tune ``n_shards``); pair volume is inherently
+    worker; pair volume is inherently
     |matches| — skewed hot keys produce quadratic OUTPUT for that key,
     which no partitioning can remove — but the COMPUTE of a hot key can
     be spread: ``n_salt = s > 1`` row-hashes each side into ``s`` groups
@@ -2530,11 +2532,9 @@ def time_band_join(left: "rd.Dataset", right: "rd.Dataset",
                 out = pd.concat(frames, ignore_index=True)
             else:
                 out["__cell"] = 0
-            out["__shard"] = (((out["__key"].to_numpy(np.int64)
-                                * (s * s if s > 1 else 1)
-                                + out["__cell"].to_numpy(np.int64))
-                               .view(np.uint64) * _MIX) >> np.uint64(40)
-                              ).astype(np.int64) % n_shards
+            # a (key, cell) pair is its own segment under salt
+            out["__kc"] = (out["__key"].to_numpy(np.int64) * (s * s)
+                           + out["__cell"].to_numpy(np.int64))
             return out
         return fn
 
@@ -2551,9 +2551,7 @@ def time_band_join(left: "rd.Dataset", right: "rd.Dataset",
             base[f"r_{c}"] = pd.Series([], dtype="object")
         if not len(g):
             return pd.DataFrame(base)
-        keys = g["__key"].to_numpy(np.int64)
-        if s > 1:  # a (key, cell) pair is its own segment under salt
-            keys = keys * (s * s) + g["__cell"].to_numpy(np.int64)
+        keys = g["__kc"].to_numpy(np.int64)
         ts = g["__ts"].to_numpy(np.int64)
         uniq = np.unique(keys)
         code = np.searchsorted(uniq, keys).astype(np.int64)
@@ -2562,7 +2560,9 @@ def time_band_join(left: "rd.Dataset", right: "rd.Dataset",
         # explicit raise, not assert: under python -O an overflowing
         # code*span would wrap int64 and silently emit wrong pairs
         if (len(uniq) + 1) * span >= 2 ** 62:
-            raise ValueError("composite overflow: raise n_shards")
+            raise ValueError(
+                f"composite overflow: {len(uniq)} keys in one shard span "
+                f"{span} us; (keys + 1) * span must stay below 2**62")
         comp = code * span + rel + band_us
         is_r = (g["__side"].to_numpy() == 1)
         r_order = np.argsort(comp[is_r], kind="stable")
@@ -2591,8 +2591,7 @@ def time_band_join(left: "rd.Dataset", right: "rd.Dataset",
             out[f"r_{c}"] = g[f"r_{c}"].to_numpy()[ri]
         return pd.DataFrame(out)
 
-    return tagged.groupby("__shard").map_groups(pairs,
-                                                batch_format="pandas")
+    return shard_cogroup(tagged, "__kc", pairs)
 
 
 def kfold_assign(ds: "rd.Dataset", key_col: str, k: int = 5,

@@ -37,14 +37,13 @@ import pyarrow as pa
 import ray
 import ray.data as rd
 
-_HASH_MULT = np.uint64(0x9E3779B97F4A7C15)
+from credit_ocr_backend_ray.stages.relational import shard_ids
 
 
 def bucket_of_int(keys: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Engine-wide stable bucket of an int64 key (Fibonacci hash — the
-    same mix as the graph co-group shards)."""
-    return (((keys.astype(np.uint64) * _HASH_MULT) >> np.uint64(40))
-            % np.uint64(n_buckets)).astype(np.int64)
+    """Engine-wide stable bucket of an int64 key: ``shard_ids``, the
+    Fibonacci hash of every co-group shard."""
+    return shard_ids(keys, n_buckets)
 
 
 def _strip_meta(ds: "rd.Dataset") -> "rd.Dataset":

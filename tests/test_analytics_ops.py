@@ -413,17 +413,23 @@ def test_bucket_store_colocation_and_join(ray_session, tmp_path):
     from credit_ocr_backend_ray.state.bucket_store import (
         bucket_of_int, bucketed_join, write_bucketed)
 
-    a = pd.DataFrame({"k": list(range(50)) * 2, "va": range(100)})
+    # int64 extremes too: negative and near-2**63 keys
+    ks = list(range(50)) + [-2**63, -5, -1, 2**63 - 2, 2**63 - 1]
+    a = pd.DataFrame({"k": ks * 2, "va": range(2 * len(ks))})
     b = pd.DataFrame({"k2": range(0, 100, 3), "vb": range(34)})
     pa_, pb_ = str(tmp_path / "ta"), str(tmp_path / "tb")
     assert write_bucketed(rd.from_pandas(a).repartition(4), pa_, "k", 8) \
-        == 100
+        == len(a)
     # co-location: every key's rows live in exactly ONE bucket dir,
     # and it is the bucket the hash says
     for f in glob.glob(pa_ + "/bucket=*/*.parquet"):
         bucket = int(f.split("bucket=")[1].split("/")[0])
         keys = pq.read_table(f)["k"].to_numpy(zero_copy_only=False)
         assert (bucket_of_int(keys.astype(np.int64), 8) == bucket).all()
+    # the persisted layout itself: pinned buckets of the int64 extremes
+    ext = np.array([-2**63, -5, -1, 0, 1, 63, 2**62, 2**63 - 2, 2**63 - 1],
+                   np.int64)
+    assert bucket_of_int(ext, 8).tolist() == [0, 7, 6, 0, 1, 4, 0, 4, 6]
 
     write_bucketed(rd.from_pandas(b), pb_, "k2", 8)
     out = bucketed_join(pa_, pb_, "k", "k2", 8,

@@ -36,7 +36,7 @@ def test_cc_chain_ring_and_singleton(ray_session):
         "src": [0, 1, 2, 3, 4, 10, 11, 12, 20],
         "dst": [1, 2, 3, 4, 5, 11, 12, 10, 20],  # chain, ring, self-loop
     })
-    labels, rounds = _cc(edges, n_shards=8)
+    labels, rounds = _cc(edges)
     assert labels == {0: 0, 1: 0, 2: 0, 3: 0, 4: 0, 5: 0,
                       10: 10, 11: 10, 12: 10, 20: 20}
     # chain of 6 has diameter 5: 5 propagation rounds + 1 fixpoint check
@@ -47,7 +47,7 @@ def test_cc_star_converges_fast(ray_session):
     # star centered on 50 with min id at a leaf: constant rounds, any size
     leaves = [7] + list(range(51, 80))
     edges = pd.DataFrame({"src": [50] * len(leaves), "dst": leaves})
-    labels, rounds = _cc(edges, n_shards=8)
+    labels, rounds = _cc(edges)
     assert set(labels.values()) == {7}
     assert rounds <= 4
 
@@ -58,13 +58,13 @@ def test_cc_matches_union_find_on_random_graph(ray_session):
         "src": [rng.randrange(200) for _ in range(150)],
         "dst": [rng.randrange(200) for _ in range(150)],
     })
-    labels, _ = _cc(edges, n_shards=16)
+    labels, _ = _cc(edges)
     assert labels == _reference_cc(edges)
 
 
 def test_cc_max_iter_caps_rounds(ray_session):
     edges = pd.DataFrame({"src": range(9), "dst": range(1, 10)})
-    _, rounds = _cc(edges, max_iter=3, n_shards=4)
+    _, rounds = _cc(edges, max_iter=3)
     assert rounds == 3  # capped before the chain converges
 
 
@@ -83,7 +83,7 @@ def test_session_star_edges(ray_session):
                base, base + h],
     })
     edges = session_star_edges(rd.from_pandas(ev).repartition(2),
-                               gap_s=4 * 3600, n_shards=4)
+                               gap_s=4 * 3600)
     got = edges.to_pandas().sort_values(["src", "dst"]).reset_index(drop=True)
     want = pd.DataFrame({"src": [10, 10, 12, 12, 20, 20],
                          "dst": [10, 11, 12, 13, 20, 21]})

@@ -15,7 +15,7 @@ def _ds(df):
 
 def _ranks(edges, **kw):
     from credit_ocr_backend_ray.stages.graph import pagerank
-    out, iters = pagerank(_ds(pd.DataFrame(edges)), n_shards=4, **kw)
+    out, iters = pagerank(_ds(pd.DataFrame(edges)), **kw)
     df = out.to_pandas().sort_values("node").reset_index(drop=True)
     return df, iters
 

@@ -360,11 +360,15 @@ def test_broadcast_anti_join(ray_session):
 def test_grouped_count_distinct(ray_session):
     from credit_ocr_backend_ray.stages.relational import grouped_count_distinct
 
-    df = pd.DataFrame({"g": ["a", "a", "a", "b", "b"],
-                       "v": [1, 1, 2, 7, 7]})
+    # SQL count(DISTINCT v): a NULL is no value, and a group whose
+    # values are all NULL keeps its row with 0 (as DuckDB)
+    df = pd.DataFrame({"g": ["a", "a", "a", "a", "b", "b", "c", "c"],
+                       "v": pd.array([1, 1, 2, None, 7, 7, None, None],
+                                     dtype="Int64")})
     out = (grouped_count_distinct(_ds(df), ["g"], "v", alias="nd")
            .to_pandas().sort_values("g").reset_index(drop=True))
-    assert out["nd"].tolist() == [2, 1]
+    assert out["g"].tolist() == ["a", "b", "c"]
+    assert out["nd"].tolist() == [2, 1, 0]
 
 
 def test_broadcast_semi_join(ray_session):
@@ -1588,7 +1592,7 @@ def test_interval_self_join_exact(ray_session):
         "e": pd.to_datetime([r[3] for r in rows], unit="s"),
     })
     out = (interval_self_join(_ds(df), "k", "id", "s", "e",
-                              bucket_us=60_000_000, n_shards=4)
+                              bucket_us=60_000_000)
            .to_pandas().sort_values(["id_a", "id_b"])
            .reset_index(drop=True))
     got = set(zip(out["id_a"], out["id_b"]))
@@ -1777,8 +1781,7 @@ def test_interval_join_random_brute_force(ray_session):
             "e": pd.to_datetime(s + ln, unit="s"),
         })
         out = interval_self_join(_ds(df), "k", "id", "s", "e",
-                                 bucket_us=200_000_000, n_shards=8
-                                 ).to_pandas()
+                                 bucket_us=200_000_000).to_pandas()
         got = set(zip(out["id_a"], out["id_b"]))
         expect = set()
         for i in range(n):
@@ -2277,21 +2280,21 @@ def test_gini_concentration_exact(ray_session):
 def test_time_band_join_composite_overflow_guard(ray_session):
     """ADVICE r4: the code*span int64-overflow guard must be an explicit
     ValueError (an assert vanishes under python -O and the wrapped
-    composite silently emits wrong pairs). Two keys spread over ~2e18 us
-    in one shard push (n_keys+1)*span past 2**62."""
+    composite silently emits wrong pairs). One key whose rows span ~4e18
+    us pushes (n_keys+1)*span past 2**62 in whichever shard holds it."""
     import pandas as pd
     import pytest
 
     from credit_ocr_backend_ray.stages.relational import time_band_join
 
     t0 = pd.Timestamp(0).as_unit("us")
-    far = pd.Timestamp(2 * 10**18, unit="us")
-    left = pd.DataFrame({"k": [1, 2], "ts": [t0, far], "lid": [1, 2]})
-    right = pd.DataFrame({"k": [1, 2], "ts": [t0, far], "rid": [7, 8]})
+    far = pd.Timestamp(4 * 10**18, unit="us")
+    left = pd.DataFrame({"k": [1, 1], "ts": [t0, far], "lid": [1, 2]})
+    right = pd.DataFrame({"k": [1, 1], "ts": [t0, far], "rid": [7, 8]})
     with pytest.raises(Exception, match="composite overflow"):
         (time_band_join(_ds(left), _ds(right), "k", "k", "ts", "ts",
                         band_us=1_000_000, left_cols=["lid"],
-                        right_cols=["rid"], n_shards=1)
+                        right_cols=["rid"])
          .to_pandas())
 
 

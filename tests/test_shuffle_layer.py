@@ -1,12 +1,12 @@
 """Guard for the one shuffle layer (no Ray session): ``Dataset.join`` is
 called only from ``relational.shuffle_join``, and a hand-written
-coarse-shard co-group (a ``groupby`` on a column whose name ends in
-``shard``: ``"__shard"``, ``"pair_shard"``, ``["band_id", "shard"]``)
-appears only in ``shard_cogroup`` and in the operators that replicate
-rows or shard on something other than one key's hash. Aggregation has
-one path and one fan-out: no call passes a ``combine=`` hint, only
-``graph.py``'s node layout takes a literal ``n_shards=``, and
-``relational.py`` does not import Ray's aggregate functions."""
+co-group (a ``.groupby(<string constant>).map_groups(`` chain) appears
+only in ``shard_cogroup`` and in the passes that group on something
+other than a key hash: dense range buckets and persisted bucket files.
+Aggregation has one path and one fan-out: no call passes a
+``combine=`` hint or an ``n_shards=`` count, no function but
+``shard_ids`` takes an ``n_shards`` parameter, and ``relational.py``
+does not import Ray's aggregate functions."""
 
 import ast
 import functools
@@ -14,35 +14,24 @@ import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# (file, top-level function) pairs allowed to tag and group their own
-# shards: row-replicating joins, the two-sided substring cut, the
-# id-range prefix-sum shards and the WARC file shards
-OWN_SHARDS = {
-    ("relational.py", "shard_cogroup"),
-    ("relational.py", "interval_self_join"),
-    ("relational.py", "band_self_join"),
-    ("relational.py", "time_band_join"),
-    ("curate.py", "substring_dedup"),
-    ("chunking.py", "pack_sequences"),
-    ("__ray_entry__.py", "_q_documents_from_warc"),
-    # graph operators: several tagged inputs (labels + adjacency, wedges
-    # + closing edges) co-group under graph._shard_of, the node layout
-    # the iterative rounds keep
-    ("graph.py", "connected_components"),
-    ("graph.py", "session_star_edges"),
-    ("graph.py", "pagerank"),
-    ("graph.py", "cooccurrence_edges"),
-    ("graph.py", "_simple_edges"),
-    ("graph.py", "_attach_degrees"),
-    ("graph.py", "triangle_count"),
+# (file, top-level function) allowed to write
+# ``.groupby(<string constant>).map_groups(``, and why
+OWN_GROUPS = {
+    ("relational.py", "shard_cogroup"):
+        "the co-group itself",
+    ("dedup.py", "snm_pairs"):
+        "range buckets: row-number // bucket_size, dense and balanced",
+    ("chunking.py", "pack_sequences"):
+        "range buckets: doc-id // shard_width, the prefix-sum offsets "
+        "are per range",
+    ("incremental.py", "minhash_index_query"):
+        "persisted bucket files: both passes read the bucket_store "
+        "files of their bucket",
+    ("graph.py", "connected_components_bucketed"):
+        "persisted bucket files: send reads the bucketed adjacency",
+    ("__ray_entry__.py", "_q_documents_from_warc"):
+        "one WARC file per doc_id % 8 shard",
 }
-
-
-def _is_shard_key(arg) -> bool:
-    """A string constant ending in ``shard``, or a list/tuple holding one."""
-    elts = arg.elts if isinstance(arg, (ast.List, ast.Tuple)) else [arg]
-    return any(isinstance(e, ast.Constant) and isinstance(e.value, str)
-               and e.value.endswith("shard") for e in elts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -66,11 +55,21 @@ def _keyword_calls(name: str):
     return out
 
 
+def _is_group_chain(n: ast.Call) -> bool:
+    """``<ds>.groupby(<string constant>).map_groups(...)``."""
+    inner = n.func.value
+    return (n.func.attr == "map_groups" and isinstance(inner, ast.Call)
+            and isinstance(inner.func, ast.Attribute)
+            and inner.func.attr == "groupby" and bool(inner.args)
+            and isinstance(inner.args[0], ast.Constant)
+            and isinstance(inner.args[0].value, str))
+
+
 @functools.lru_cache(maxsize=None)
 def _calls():
     """(kind, file, top-level def, line) of every ``Dataset.join`` call
-    (a ``.join(`` with ``join_type=``) and every ``groupby`` on a shard
-    column."""
+    (a ``.join(`` with ``join_type=``) and every hand-written co-group
+    chain."""
     out = []
     for f, tree in _trees():
         for top in tree.body:
@@ -81,9 +80,8 @@ def _calls():
                 if (n.func.attr == "join"
                         and any(k.arg == "join_type" for k in n.keywords)):
                     kind = "join"
-                elif (n.func.attr == "groupby" and n.args
-                        and _is_shard_key(n.args[0])):
-                    kind = "shard"
+                elif _is_group_chain(n):
+                    kind = "group"
                 else:
                     continue
                 out.append((kind, f.name, getattr(top, "name", None),
@@ -97,24 +95,26 @@ def test_dataset_join_only_in_shuffle_join():
         ("relational.py", "shuffle_join")}, joins
 
 
-def test_shard_groupby_only_in_shard_cogroup():
-    shards = [c for c in _calls() if c[0] == "shard"]
-    stray = [c for c in shards if c[1:3] not in OWN_SHARDS]
-    assert shards and not stray, stray
+def test_group_chains_only_in_shard_cogroup_and_bucket_passes():
+    groups = [c for c in _calls() if c[0] == "group"]
+    stray = [c for c in groups if c[1:3] not in OWN_GROUPS]
+    assert groups and not stray, stray
 
 
 def test_no_combine_hint():
     assert not _keyword_calls("combine")
 
 
-def test_literal_shard_counts_only_for_graph_layout():
-    graph = dict(_trees())[ROOT / "credit_ocr_backend_ray/stages/graph.py"]
-    graph_ops = {d.name for d in graph.body if isinstance(d, ast.FunctionDef)}
-    literal = [(f, callee, line)
-               for f, callee, v, line in _keyword_calls("n_shards")
-               if isinstance(v, ast.Constant) and f != "graph.py"
-               and callee not in graph_ops]
-    assert not literal, literal
+def test_no_shard_count_knob():
+    assert not _keyword_calls("n_shards")
+    takers = [(f.name, d.name, d.lineno) for f, tree in _trees()
+              for d in ast.walk(tree)
+              if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef))
+              and "n_shards" in {a.arg for a in (*d.args.posonlyargs,
+                                                 *d.args.args,
+                                                 *d.args.kwonlyargs)}]
+    assert [t[:2] for t in takers] == [("relational.py", "shard_ids")], \
+        takers
 
 
 def test_relational_does_not_import_ray_aggregates():
