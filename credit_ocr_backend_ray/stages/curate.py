@@ -314,7 +314,9 @@ def rrf_fuse(rank_lists: list[pd.DataFrame], id_col: str = "doc_id",
     ``(id_col, rank)`` with rank starting at 1; the fusion itself is
     O(Σ K) driver-side — bounded by the rankers' K, never corpus-sized
     (the distributed work lives in the rankers: ``bm25_topk``'s bounded
-    partial pass + ``knn_bruteforce``'s per-batch top-k combine)."""
+    partial pass + ``knn_bruteforce``, which runs on the one top-k layer
+    of ``stages/similarity.py``, ``_scored_topk``: a per-batch top-k
+    and a driver merge, ties by id)."""
     scores: dict[int, int] = {}
     for rl in rank_lists:
         for i, r in zip(rl[id_col].tolist(), rl["rank"].tolist()):

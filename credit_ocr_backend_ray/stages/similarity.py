@@ -1,14 +1,18 @@
 """Similarity search over an embedding column (``list<float>``).
 
-- ``knn_bruteforce``: exact cosine top-k — numpy matmul per batch against a
-  broadcast query matrix (``ray.put`` once, read per actor), per-batch
-  partial top-k, tiny driver-side merge. No shuffle; scales linearly with
-  corpus blocks.
-- ``knn_lsh``: random-hyperplane LSH bucketing (the scale path): vectors are
-  bucketed by sign pattern once; a query probes only its bucket ring, i.e.
-  touches ~corpus/2^bits of the data. Recall < 1 by design.
-- ``embedding_near_dup``: pairs of near-identical vectors (cosine >=
-  threshold) via the same bucketing.
+One top-k layer, ``_scored_topk``, runs every nearest-neighbour operator:
+a batch scorer (``batch -> (ids, scores[n_rows, n_queries])``), a
+per-batch selection of each query's ``k`` best rows by ``(-score, id)``
+and one driver merge in the same order. No shuffle, and ties at the cut
+go to the smaller id at any block count. The operators differ only in
+their scorer: ``knn_bruteforce`` scores every row against a broadcast
+query matrix; ``knn_lsh`` (random-hyperplane buckets within
+``probe_hamming`` flips), ``knn_ivf`` (probed inverted lists) and
+``knn_ivf_persisted`` (only the probed ``list_id=`` directories are
+read) score a fraction of the rows; ``knn_pq`` scores 1-byte codes
+through a lookup table. IVF trains in one place (``_ivf_centroids``)
+and every nearest-centroid assignment is ``_nearest``.
+``embedding_near_dup`` finds near-identical pairs with banded LSH.
 
 The brute-force result is SQL-pinned against DuckDB's
 ``list_cosine_similarity`` (cosines rounded to 5 decimals to absorb
@@ -55,46 +59,82 @@ def _norm_rows(m: np.ndarray) -> np.ndarray:
     return m / n
 
 
+# ------------------------------------------------------------- top-k layer
+
+def _batch_topk(ids: np.ndarray, scores: np.ndarray, k: int):
+    """(query, id, score) of each query's ``k`` best rows of one batch by
+    ``(-score, id)``, in that order. An O(n) partition finds every
+    query's k-th score; only the rows at or above it are sorted, so rows
+    tied at the cut compete on id instead of being dropped arbitrarily."""
+    keep = np.ones(scores.shape, dtype=bool)
+    if scores.shape[0] > k:
+        kth_row = np.argpartition(-scores, k - 1, axis=0)[k - 1]
+        keep = scores >= scores[kth_row, np.arange(scores.shape[1])]
+    rows, qs = np.nonzero(keep)
+    s, i = scores[rows, qs], ids[rows]
+    order = np.lexsort((i, -s, qs))
+    qs, i, s = qs[order], i[order], s[order]
+    top = np.arange(len(qs)) - np.searchsorted(qs, qs) < k
+    return qs[top], i[top], s[top]
+
+
+def _scored_topk(ds: "rd.Dataset", score, k: int, id_col: str,
+                 score_col: str, round_to: int | None) -> pd.DataFrame:
+    """The one top-k operator: ``score(batch) -> (ids, scores[n_rows,
+    n_queries])`` runs per batch, ``_batch_topk`` keeps each query's k
+    best rows, and the driver merges the k-per-batch candidates in the
+    same ``(-score, id)`` order. Returns (query_id, id_col, score_col)
+    sorted by (query_id, -score, id), scores rounded to ``round_to``
+    places when given."""
+    cols = ["query_id", id_col, score_col]
+
+    def partial(batch: pa.Table) -> pa.Table:
+        qs, ids, s = _batch_topk(*score(batch), k)
+        return pa.table({"query_id": pa.array(qs, pa.int64()),
+                         id_col: pa.array(ids, pa.int64()),
+                         score_col: pa.array(s, pa.float64())})
+
+    cand = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
+    rows = []
+    # a scan that kept no row at all comes back without columns
+    for _, grp in cand.reindex(columns=cols).groupby("query_id"):
+        rows.extend(heapq.nsmallest(k, grp.itertuples(index=False,
+                                                      name=None),
+                                    key=lambda r: (-r[2], r[1])))
+    out = pd.DataFrame(rows, columns=cols)
+    if round_to is not None:
+        out[score_col] = out[score_col].round(round_to)
+    return (out.sort_values(["query_id", score_col, id_col],
+                            ascending=[True, False, True])
+               .reset_index(drop=True))
+
+
+def _cosine_topk(ds: "rd.Dataset", queries: np.ndarray, k: int,
+                 id_col: str, vec_col: str, keep=None,
+                 round_to: int | None = None) -> pd.DataFrame:
+    """Cosine top-k through ``_scored_topk``: the query matrix is
+    broadcast once, and ``keep(unit_vecs) -> mask``, when given, picks
+    the rows of a batch that score (the probed buckets or lists)."""
+    qref = ray.put(_norm_rows(np.asarray(queries, dtype=np.float64)))
+
+    def score(batch: pa.Table):
+        vecs = _norm_rows(_as_matrix(batch[vec_col]))
+        ids = np.asarray(batch[id_col].to_pylist(), dtype=np.int64)
+        if keep is not None:
+            mask = keep(vecs)
+            vecs, ids = vecs[mask], ids[mask]
+        return ids, vecs @ ray.get(qref).T
+
+    return _scored_topk(ds, score, k, id_col, "cos", round_to)
+
+
 def knn_bruteforce(ds: "rd.Dataset", queries: np.ndarray, k: int = 10,
                    id_col: str = "vec_id", vec_col: str = "embedding",
                    round_to: int | None = 5) -> pd.DataFrame:
     """Exact top-k by cosine for each query row; returns
     (query_id, vec_id, cos) sorted by (query_id, -cos, vec_id)."""
-    q = _norm_rows(np.asarray(queries, dtype=np.float64))
-    qref = ray.put(q)
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        qm = ray.get(qref)
-        vecs = _norm_rows(_as_matrix(batch[vec_col]))
-        ids = np.asarray(batch[id_col].to_pylist(), dtype=np.int64)
-        sims = vecs @ qm.T  # (n, nq)
-        out_q, out_id, out_cos = [], [], []
-        kk = min(k, sims.shape[0])
-        for qi in range(qm.shape[0]):
-            col = sims[:, qi]
-            idx = np.argpartition(-col, kk - 1)[:kk]
-            out_q.extend([qi] * len(idx))
-            out_id.extend(ids[idx].tolist())
-            out_cos.extend(col[idx].tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            id_col: pa.array(out_id, pa.int64()),
-            "cos": pa.array(out_cos, pa.float64()),
-        })
-
-    cand = ds.map_batches(partial_topk, batch_format="pyarrow").to_pandas()
-    rows = []
-    for qi, grp in cand.groupby("query_id"):
-        top = heapq.nsmallest(
-            k, grp.itertuples(index=False),
-            key=lambda r: (-r.cos, getattr(r, id_col)))
-        rows.extend(top)
-    out = pd.DataFrame(rows, columns=["query_id", id_col, "cos"])
-    if round_to is not None:
-        out["cos"] = out["cos"].round(round_to)
-    return (out.sort_values(["query_id", "cos", id_col],
-                            ascending=[True, False, True])
-               .reset_index(drop=True))
+    return _cosine_topk(ds, queries, k, id_col, vec_col,
+                        round_to=round_to)
 
 
 def _hyperplanes(dim: int, bits: int) -> np.ndarray:
@@ -115,67 +155,82 @@ def knn_lsh(ds: "rd.Dataset", queries: np.ndarray, k: int = 10,
     flips of the query's bucket (multi-probe LSH)."""
     q = _norm_rows(np.asarray(queries, dtype=np.float64))
     planes = _hyperplanes(q.shape[1], bits)
-    qbuckets = lsh_bucket_ids(q, planes)
+    flips = [0] + ([1 << f for f in range(bits)] if probe_hamming >= 1 else [])
+    probe = np.unique(lsh_bucket_ids(q, planes)[:, None] ^ np.array(flips))
+    return _cosine_topk(
+        ds, queries, k, id_col, vec_col,
+        keep=lambda vecs: np.isin(lsh_bucket_ids(vecs, planes), probe))
 
-    probe: set[int] = set()
-    for b in qbuckets.tolist():
-        probe.add(b)
-        if probe_hamming >= 1:
-            for f in range(bits):
-                probe.add(b ^ (1 << f))
-    pref = ray.put((q, planes, probe))
 
-    def bucketed_topk(batch: pa.Table) -> pa.Table:
-        qm, pl, pr = ray.get(pref)
-        vecs = _norm_rows(_as_matrix(batch[vec_col]))
-        ids = np.asarray(batch[id_col].to_pylist(), dtype=np.int64)
-        buckets = lsh_bucket_ids(vecs, pl)
-        mask = np.isin(buckets, list(pr))
-        vecs, ids = vecs[mask], ids[mask]
-        if len(ids) == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "cos": pa.array([], pa.float64())})
-        sims = vecs @ qm.T
-        out_q, out_id, out_cos = [], [], []
-        kk = min(k, sims.shape[0])
-        for qi in range(qm.shape[0]):
-            col = sims[:, qi]
-            idx = np.argpartition(-col, kk - 1)[:kk] if kk < len(col) else np.arange(len(col))
-            out_q.extend([qi] * len(idx))
-            out_id.extend(ids[idx].tolist())
-            out_cos.extend(col[idx].tolist())
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         id_col: pa.array(out_id, pa.int64()),
-                         "cos": pa.array(out_cos, pa.float64())})
+# --------------------------------------------------------- k-means and IVF
 
-    cand = ds.map_batches(bucketed_topk, batch_format="pyarrow").to_pandas()
-    rows = []
-    for qi, grp in cand.groupby("query_id"):
-        rows.extend(heapq.nsmallest(
-            k, grp.itertuples(index=False),
-            key=lambda r: (-r.cos, getattr(r, id_col))))
-    return (pd.DataFrame(rows, columns=["query_id", id_col, "cos"])
-              .sort_values(["query_id", "cos", id_col],
-                           ascending=[True, False, True])
-              .reset_index(drop=True))
+def _nearest(vecs: np.ndarray,
+             cent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index and cosine of each unit row's nearest centroid (the first
+    one on a tie)."""
+    sims = vecs @ cent.T
+    a = np.argmax(sims, axis=1)
+    return a, sims[np.arange(len(a)), a]
+
+
+def _id_sample(ds: "rd.Dataset", id_col: str, vec_col: str,
+               below: int) -> np.ndarray:
+    """Vectors of the rows with ``id < below``, in id order: the
+    deterministic bounded training sample of k-means and IVF."""
+    t = (ds.filter(expr=f"{id_col} < {below}")
+           .select_columns([id_col, vec_col]).to_pandas()
+           .sort_values(id_col))
+    return np.asarray(t[vec_col].tolist(), dtype=np.float64)
 
 
 def _fit_centroids(sample: np.ndarray, nlist: int, iters: int = 5) -> np.ndarray:
     """Deterministic spherical k-means-lite: first-nlist init on the sorted
     sample, ``iters`` Lloyd rounds, centroids re-normalized each round.
     Driver-side on a bounded sample by design (IVF trains on a sample at any
-    scale; the assignment pass below is the distributed part)."""
+    scale; the assignment pass is the distributed part)."""
     sample = _norm_rows(sample)
     cent = sample[:nlist].copy()
     for _ in range(iters):
-        assign = np.argmax(sample @ cent.T, axis=1)
+        assign, _ = _nearest(sample, cent)
         for c in range(nlist):
             members = sample[assign == c]
             if len(members):
                 cent[c] = members.mean(axis=0)
         cent = _norm_rows(cent)
     return cent
+
+
+def _ivf_centroids(ds: "rd.Dataset", nlist: int, id_col: str, vec_col: str,
+                   train_ids: int) -> np.ndarray:
+    """IVF training, shared by every IVF operator: ``_fit_centroids`` on
+    the ``id < train_ids`` sample, so every path sees the same lists."""
+    sample = _id_sample(ds, id_col, vec_col, train_ids)
+    return _fit_centroids(sample, min(nlist, len(sample)))
+
+
+def _ivf_lists(ds: "rd.Dataset", cent: np.ndarray, id_col: str,
+               vec_col: str) -> "rd.Dataset":
+    """(id, vector, list_id): every row tagged with its nearest list."""
+    cref = ray.put(cent)
+
+    def assign(batch: pa.Table) -> pa.Table:
+        a, _ = _nearest(_norm_rows(_as_matrix(batch[vec_col])),
+                        ray.get(cref))
+        return batch.append_column(
+            "list_id", pa.array(a.astype(np.int32), pa.int32())
+        ).replace_schema_metadata(None)
+
+    return (ds.select_columns([id_col, vec_col])
+              .map_batches(assign, batch_format="pyarrow"))
+
+
+def _probe_lists(queries: np.ndarray, cent: np.ndarray,
+                 nprobe: int) -> np.ndarray:
+    """Sorted union of every query's ``nprobe`` nearest lists; centroid
+    ties go to the smaller list id, as in ``_nearest``."""
+    q = _norm_rows(np.asarray(queries, dtype=np.float64))
+    order = np.argsort(-(q @ cent.T), axis=1, kind="stable")
+    return np.unique(order[:, :min(nprobe, cent.shape[0])])
 
 
 def kmeans_fit(ds: "rd.Dataset", nlist: int = 16, iters: int = 5,
@@ -191,11 +246,7 @@ def kmeans_fit(ds: "rd.Dataset", nlist: int = 16, iters: int = 5,
     monotonicity). Init: deterministic STRIDED rows of the sorted
     ``id < init_ids`` sample (first-n would start every centroid inside
     one region when ids correlate with content)."""
-    sample_t = (ds.filter(expr=f"{id_col} < {init_ids}")
-                  .select_columns([id_col, vec_col]).to_pandas()
-                  .sort_values(id_col))
-    sample = _norm_rows(np.asarray(sample_t[vec_col].tolist(),
-                                   dtype=np.float64))
+    sample = _norm_rows(_id_sample(ds, id_col, vec_col, init_ids))
     nlist = min(nlist, len(sample))
     cent = sample[:: max(1, len(sample) // nlist)][:nlist].copy()
     dim = cent.shape[1]
@@ -205,14 +256,11 @@ def kmeans_fit(ds: "rd.Dataset", nlist: int = 16, iters: int = 5,
         cref = ray.put(cent)
 
         def partial(batch: pa.Table) -> pa.Table:
-            cm = ray.get(cref)
             vecs = _norm_rows(_as_matrix(batch[vec_col]))
-            sims = vecs @ cm.T
-            a = np.argmax(sims, axis=1)
+            a, best = _nearest(vecs, ray.get(cref))
             sums = np.zeros((nlist, dim), dtype=np.float64)
             np.add.at(sums, a, vecs)
             counts = np.bincount(a, minlength=nlist).astype(np.int64)
-            best = sims[np.arange(len(a)), a]
             return pa.table({
                 "sums": pa.array([sums.tobytes()], pa.binary()),
                 "counts": pa.array([counts.tobytes()], pa.binary()),
@@ -242,21 +290,9 @@ def ivf_assign(ds: "rd.Dataset", nlist: int = 16,
     centroids once, each batch computes argmax-cosine vectorized. At scale
     this column is persisted (partition key for IVF probing and for
     cluster-balanced sampling of training data)."""
-    sample_t = (ds.filter(expr=f"{id_col} < {train_ids}")
-                  .select_columns([id_col, vec_col]).to_pandas()
-                  .sort_values(id_col))
-    sample = np.asarray(sample_t[vec_col].tolist(), dtype=np.float64)
-    cent = _fit_centroids(sample, min(nlist, len(sample)))
-    cref = ray.put(cent)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        cm = ray.get(cref)
-        vecs = _norm_rows(_as_matrix(batch[vec_col]))
-        a = np.argmax(vecs @ cm.T, axis=1).astype(np.int32)
-        return pa.table({id_col: batch[id_col],
-                         "list_id": pa.array(a, pa.int32())})
-
-    return ds.map_batches(assign, batch_format="pyarrow")
+    cent = _ivf_centroids(ds, nlist, id_col, vec_col, train_ids)
+    return _ivf_lists(ds, cent, id_col, vec_col).select_columns(
+        [id_col, "list_id"])
 
 
 def knn_ivf(ds: "rd.Dataset", queries: np.ndarray, k: int = 10,
@@ -266,58 +302,14 @@ def knn_ivf(ds: "rd.Dataset", queries: np.ndarray, k: int = 10,
     """IVF approximate top-k: train centroids on the vectors with
     ``id < train_ids`` (deterministic sample), then each batch scores only
     vectors whose nearest centroid is among the query's ``nprobe`` closest
-    lists. At scale the list assignment becomes a persisted column and the
-    probe filter a Parquet partition prune — the per-batch math is the
-    same."""
-    sample_t = (ds.filter(expr=f"{id_col} < {train_ids}")
-                  .select_columns([id_col, vec_col]).to_pandas()
-                  .sort_values(id_col))
-    sample = np.asarray(sample_t[vec_col].tolist(), dtype=np.float64)
-    cent = _fit_centroids(sample, min(nlist, len(sample)))
-
-    q = _norm_rows(np.asarray(queries, dtype=np.float64))
-    qsims = q @ cent.T
-    probe: set[int] = set()
-    npb = min(nprobe, cent.shape[0])
-    for qi in range(q.shape[0]):
-        probe.update(np.argsort(-qsims[qi])[:npb].tolist())
-    pref = ray.put((q, cent, np.array(sorted(probe), dtype=np.int64)))
-
-    def probed_topk(batch: pa.Table) -> pa.Table:
-        qm, cm, pr = ray.get(pref)
-        vecs = _norm_rows(_as_matrix(batch[vec_col]))
-        ids = np.asarray(batch[id_col].to_pylist(), dtype=np.int64)
-        assign = np.argmax(vecs @ cm.T, axis=1)
-        mask = np.isin(assign, pr)
-        vecs, ids = vecs[mask], ids[mask]
-        if len(ids) == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "cos": pa.array([], pa.float64())})
-        sims = vecs @ qm.T
-        out_q, out_id, out_cos = [], [], []
-        kk = min(k, sims.shape[0])
-        for qi in range(qm.shape[0]):
-            col = sims[:, qi]
-            idx = (np.argpartition(-col, kk - 1)[:kk]
-                   if kk < len(col) else np.arange(len(col)))
-            out_q.extend([qi] * len(idx))
-            out_id.extend(ids[idx].tolist())
-            out_cos.extend(col[idx].tolist())
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         id_col: pa.array(out_id, pa.int64()),
-                         "cos": pa.array(out_cos, pa.float64())})
-
-    cand = ds.map_batches(probed_topk, batch_format="pyarrow").to_pandas()
-    rows = []
-    for qi, grp in cand.groupby("query_id"):
-        rows.extend(heapq.nsmallest(
-            k, grp.itertuples(index=False),
-            key=lambda r: (-r.cos, getattr(r, id_col))))
-    return (pd.DataFrame(rows, columns=["query_id", id_col, "cos"])
-              .sort_values(["query_id", "cos", id_col],
-                           ascending=[True, False, True])
-              .reset_index(drop=True))
+    lists. ``ivf_index_write`` persists the list assignment and
+    ``knn_ivf_persisted`` turns the probe filter into a directory prune —
+    the per-batch math is the same."""
+    cent = _ivf_centroids(ds, nlist, id_col, vec_col, train_ids)
+    probe = _probe_lists(queries, cent, nprobe)
+    return _cosine_topk(
+        ds, queries, k, id_col, vec_col,
+        keep=lambda vecs: np.isin(_nearest(vecs, cent)[0], probe))
 
 
 def ivf_index_write(ds: "rd.Dataset", index_dir: str, nlist: int = 16,
@@ -325,7 +317,7 @@ def ivf_index_write(ds: "rd.Dataset", index_dir: str, nlist: int = 16,
                     train_ids: int = 2048) -> dict:
     """Persist the IVF layout that ``knn_ivf``'s docstring promises: train
     centroids on the deterministic ``id < train_ids`` sample (same
-    ``_fit_centroids`` as the in-memory path, so assignments are
+    ``_ivf_centroids`` as the in-memory path, so assignments are
     identical), assign every vector its nearest list, and write the corpus
     as parquet PARTITIONED BY ``list_id`` — one directory per inverted
     list. One pass, one write; the centroids (nlist x dim floats, tiny)
@@ -338,25 +330,11 @@ def ivf_index_write(ds: "rd.Dataset", index_dir: str, nlist: int = 16,
     import os
     import shutil
 
-    sample_t = (ds.filter(expr=f"{id_col} < {train_ids}")
-                  .select_columns([id_col, vec_col]).to_pandas()
-                  .sort_values(id_col))
-    sample = np.asarray(sample_t[vec_col].tolist(), dtype=np.float64)
-    cent = _fit_centroids(sample, min(nlist, len(sample)))
-    cref = ray.put(cent)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        cm = ray.get(cref)
-        vecs = _norm_rows(_as_matrix(batch[vec_col]))
-        a = np.argmax(vecs @ cm.T, axis=1).astype(np.int32)
-        return batch.append_column(
-            "list_id", pa.array(a, pa.int32())).replace_schema_metadata(None)
-
+    cent = _ivf_centroids(ds, nlist, id_col, vec_col, train_ids)
     shutil.rmtree(index_dir, ignore_errors=True)
     os.makedirs(index_dir, exist_ok=True)
-    (ds.select_columns([id_col, vec_col])
-       .map_batches(assign, batch_format="pyarrow")
-       .write_parquet(index_dir, partition_cols=["list_id"]))
+    _ivf_lists(ds, cent, id_col, vec_col).write_parquet(
+        index_dir, partition_cols=["list_id"])
     manifest = {"nlist": int(cent.shape[0]), "dim": int(cent.shape[1]),
                 "id_col": id_col, "vec_col": vec_col,
                 "centroids": cent.tolist()}
@@ -375,7 +353,7 @@ def knn_ivf_persisted(index_dir: str, queries: np.ndarray, k: int = 10,
     matching ``list_id=<p>`` partition directories, brute-force cosine
     inside them. Result is identical to in-memory ``knn_ivf`` with the
     same (nlist, nprobe, train sample) — pinned by
-    tests/test_graph_index.py — but the scan touches ~nprobe/nlist of the
+    tests/test_relational_ops.py — but the scan touches ~nprobe/nlist of the
     corpus bytes instead of reading everything and masking."""
     import glob as _glob
     import json
@@ -387,50 +365,14 @@ def knn_ivf_persisted(index_dir: str, queries: np.ndarray, k: int = 10,
     id_col = m["id_col"]
     vec_col = m["vec_col"]
     cent = np.asarray(m["centroids"], dtype=np.float64)
-
-    q = _norm_rows(np.asarray(queries, dtype=np.float64))
-    qsims = q @ cent.T
-    npb = min(nprobe, cent.shape[0])
-    probe: set[int] = set()
-    for qi in range(q.shape[0]):
-        probe.update(np.argsort(-qsims[qi])[:npb].tolist())
     files: list[str] = []
-    for p in sorted(probe):
+    for p in _probe_lists(queries, cent, nprobe).tolist():
         files.extend(sorted(_glob.glob(
             os.path.join(index_dir, f"list_id={p}", "*.parquet"))))
     if not files:
         return pd.DataFrame(columns=["query_id", id_col, "cos"])
-    qref = ray.put(q)
-
-    def topk(batch: pa.Table) -> pa.Table:
-        qm = ray.get(qref)
-        vecs = _norm_rows(_as_matrix(batch[vec_col]))
-        ids = np.asarray(batch[id_col].to_pylist(), dtype=np.int64)
-        sims = vecs @ qm.T
-        out_q, out_id, out_cos = [], [], []
-        kk = min(k, sims.shape[0])
-        for qi in range(qm.shape[0]):
-            col = sims[:, qi]
-            idx = (np.argpartition(-col, kk - 1)[:kk]
-                   if kk < len(col) else np.arange(len(col)))
-            out_q.extend([qi] * len(idx))
-            out_id.extend(ids[idx].tolist())
-            out_cos.extend(col[idx].tolist())
-        return pa.table({"query_id": pa.array(out_q, pa.int64()),
-                         id_col: pa.array(out_id, pa.int64()),
-                         "cos": pa.array(out_cos, pa.float64())})
-
-    cand = (rd.read_parquet(files, columns=[id_col, vec_col])
-              .map_batches(topk, batch_format="pyarrow").to_pandas())
-    rows = []
-    for qi, grp in cand.groupby("query_id"):
-        rows.extend(heapq.nsmallest(
-            k, grp.itertuples(index=False),
-            key=lambda r: (-r.cos, getattr(r, id_col))))
-    return (pd.DataFrame(rows, columns=["query_id", id_col, "cos"])
-              .sort_values(["query_id", "cos", id_col],
-                           ascending=[True, False, True])
-              .reset_index(drop=True))
+    return _cosine_topk(rd.read_parquet(files, columns=[id_col, vec_col]),
+                        queries, k, id_col, vec_col)
 
 
 def label_centroids(ds: "rd.Dataset", key_col: str = "label",
@@ -631,7 +573,8 @@ def embedding_near_dup(ds: "rd.Dataset", threshold: float = 0.95,
 
     # coarse-shard co-group: distinct (band, bucket) keys scale with the
     # corpus, so Ray's per-key machinery (priced by distinct-key count)
-    # is replaced by 64 hash shards with an in-shard per-bucket loop
+    # is replaced by default_partitions() hash shards with an in-shard
+    # per-bucket loop
     from credit_ocr_backend_ray.stages.relational import (
         _groupwise, shard_cogroup)
     bucketed = ds.map_batches(bucketize, batch_format="pyarrow")
@@ -671,7 +614,6 @@ def mmr_select(ds: "rd.Dataset", query: np.ndarray, k: int = 10,
     idset = ray.put(ids)
 
     def fetch(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
         want = ray.get(idset)
         rid = t[id_col].cast(pa.int64())
         mask = pa.array(np.isin(rid.to_numpy(zero_copy_only=False), want))
@@ -780,51 +722,28 @@ def knn_pq(ds: "rd.Dataset", queries: np.ndarray, codebooks: np.ndarray,
     then every encoded vector scores as m table lookups — the scan
     touches 1-byte codes, never the float vectors. Per-batch partial
     top-k + tiny driver merge, the ``knn_bruteforce`` shape over the
-    compressed column. Returns (query_id, vec_id, score) with score =
-    approximate cosine (LUT sum), rounded to 5."""
+    compressed column (``_scored_topk``). Returns (query_id, vec_id,
+    score) with score = approximate cosine (LUT sum), rounded to 5."""
     q = _norm_rows(np.asarray(queries, np.float64))
     m, ksub, dsub = codebooks.shape
     # LUT[qi, j, c] = <q_sub, codebook[j, c]>
     lut = np.einsum("qjd,jcd->qjc",
                     q.reshape(q.shape[0], m, dsub), codebooks)
-    encoded = pq_encode(ds, codebooks, id_col=id_col, vec_col=vec_col)
     lref = ray.put(lut)
 
-    def partial_topk(t: pa.Table) -> pa.Table:
-        lt = ray.get(lref)
+    def score(t: pa.Table):
         ids = np.asarray(t[id_col].to_pylist(), np.int64)
         code_col = t["pq_code"]
         if isinstance(code_col, pa.ChunkedArray):
             code_col = code_col.combine_chunks()
         codes = code_col.flatten().to_numpy(
             zero_copy_only=False).astype(np.int64).reshape(len(ids), m)
-        out_q, out_id, out_s = [], [], []
-        kk = min(k, len(ids))
-        for qi in range(lt.shape[0]):
-            score = lt[qi, np.arange(m)[None, :], codes].sum(axis=1)
-            idx = np.argpartition(-score, kk - 1)[:kk]
-            out_q.extend([qi] * len(idx))
-            out_id.extend(ids[idx].tolist())
-            out_s.extend(score[idx].tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            id_col: pa.array(out_id, pa.int64()),
-            "score": pa.array(out_s, pa.float64()),
-        })
+        return ids, ray.get(lref)[:, np.arange(m)[None, :], codes].sum(
+            axis=2).T
 
-    cand = encoded.map_batches(partial_topk,
-                               batch_format="pyarrow").to_pandas()
-    rows = []
-    for qi, grp in cand.groupby("query_id"):
-        top = heapq.nsmallest(
-            k, grp.itertuples(index=False),
-            key=lambda r: (-r.score, getattr(r, id_col)))
-        rows.extend(top)
-    out = pd.DataFrame(rows, columns=["query_id", id_col, "score"])
-    out["score"] = out["score"].round(5)
-    return (out.sort_values(["query_id", "score", id_col],
-                            ascending=[True, False, True])
-               .reset_index(drop=True))
+    return _scored_topk(pq_encode(ds, codebooks, id_col=id_col,
+                                  vec_col=vec_col),
+                        score, k, id_col, "score", round_to=5)
 
 
 def semantic_dedup(ds: "rd.Dataset", threshold: float = 0.92,
@@ -852,9 +771,7 @@ def semantic_dedup(ds: "rd.Dataset", threshold: float = 0.92,
     cref = ray.put(cent)
 
     def assign(t: pa.Table) -> pa.Table:
-        cm = ray.get(cref)
-        vecs = _norm_rows(_as_matrix(t[vec_col]))
-        a = np.argmax(vecs @ cm.T, axis=1).astype(np.int64)
+        a, _ = _nearest(_norm_rows(_as_matrix(t[vec_col])), ray.get(cref))
         return t.append_column("__cl", pa.array(a, pa.int64()))
 
     def prune(g: pd.DataFrame) -> pd.DataFrame:
@@ -996,31 +913,39 @@ def contrastive_pairs(ds: "rd.Dataset", id_col: str = "vec_id",
     return shard_cogroup(roled, "__g", neg_fold)
 
 
+def _exact_vs_ivf(ds: "rd.Dataset", queries: np.ndarray, k: int,
+                  id_col: str, vec_col: str, nlist: int, nprobe: int):
+    """The one evaluation pass of ``knn_recall`` and ``knn_rank_eval``:
+    per query, the exact top-k id set (``knn_bruteforce``) and the IVF
+    top-k ids in rank order (``knn_ivf``). Both rankers keep their scale
+    shapes; the comparison is a bounded 2·k·|queries| driver fold."""
+    brute = knn_bruteforce(ds, queries, k=k, id_col=id_col,
+                           vec_col=vec_col)
+    approx = knn_ivf(ds, queries, k=k, id_col=id_col, vec_col=vec_col,
+                     nlist=nlist, nprobe=nprobe)
+    return (brute.groupby("query_id")[id_col].agg(set),
+            approx.groupby("query_id")[id_col].agg(list))
+
+
 def knn_recall(ds: "rd.Dataset", queries: np.ndarray, k: int = 10,
                id_col: str = "vec_id", vec_col: str = "embedding",
                nlist: int = 16, nprobe: int = 4) -> pd.DataFrame:
     """ANN quality harness: recall@k of the IVF index against the exact
     brute-force top-k, per query — the evaluation loop every
     ANN deployment runs before trusting an approximate index (and the
-    number that decides nprobe). Both sides reuse the existing ops
-    (``knn_bruteforce``: streaming partial top-k; ``knn_ivf``: probed
-    scan), so the harness inherits their scale shapes; the comparison
-    itself is a per-query set intersection over 2·k·|queries| rows on
-    the driver — bounded by construction.
+    number that decides nprobe). Both sides come from
+    ``_exact_vs_ivf``; the comparison itself is a per-query set
+    intersection.
 
     recall_micro is exact-integer ``floor(|hit|/k * 1e6 + 0.5)`` via
     ``(2*|hit|*1e6 + k) // (2*k)``. With ``nprobe == nlist`` the probe
     covers every list, so recall is exactly 1.0 (the unit-test
     invariant)."""
-    brute = knn_bruteforce(ds, queries, k=k, id_col=id_col,
-                           vec_col=vec_col)
-    approx = knn_ivf(ds, queries, k=k, id_col=id_col, vec_col=vec_col,
-                     nlist=nlist, nprobe=nprobe)
-    b = brute.groupby("query_id")[id_col].agg(set)
-    a = approx.groupby("query_id")[id_col].agg(set)
+    gold, ranked = _exact_vs_ivf(ds, queries, k, id_col, vec_col, nlist,
+                                 nprobe)
     rows = []
-    for qi, bset in b.items():
-        hit = len(bset & a.get(qi, set()))
+    for qi, gset in gold.items():
+        hit = len(gset & set(ranked.get(qi, [])))
         rows.append((int(qi), k, hit,
                      (2 * hit * 1_000_000 + k) // (2 * k)))
     return pd.DataFrame(rows, columns=["query_id", "k", "n_hit",
@@ -1036,26 +961,20 @@ def knn_rank_eval(ds: "rd.Dataset", queries: np.ndarray, k: int = 10,
     they land). Integer-exact given the pinned position weights
     ``w_i = floor(1e6 / log2(i+1))``: ``ndcg_micro = sum(w at hit
     positions) * 1e6 // sum(w_1..w_|gold|)``; ``mrr_micro = 1e6 //
-    first-hit rank`` (0 when nothing relevant surfaces). Both rankers
-    reuse the existing scale-shaped ops; the comparison is a bounded
-    2*k*|queries| driver fold. With ``nprobe == nlist`` the probe is
+    first-hit rank`` (0 when nothing relevant surfaces). Both rankings
+    come from ``_exact_vs_ivf``. With ``nprobe == nlist`` the probe is
     exhaustive, every retrieved position is relevant, and both metrics
     are exactly 1e6 — the unit-test invariant."""
     import math
 
     w = [int(1_000_000 // math.log2(i + 1)) for i in range(1, k + 1)]
-    brute = knn_bruteforce(ds, queries, k=k, id_col=id_col,
-                           vec_col=vec_col)
-    approx = knn_ivf(ds, queries, k=k, id_col=id_col, vec_col=vec_col,
-                     nlist=nlist, nprobe=nprobe)
-    gold = brute.groupby("query_id")[id_col].agg(set)
-    ranked = dict(list(approx.groupby("query_id")))
+    gold, ranked = _exact_vs_ivf(ds, queries, k, id_col, vec_col, nlist,
+                                 nprobe)
     rows = []
     # iterate the GOLD index: a query whose probed lists held no
     # candidates still scores (0 hits), it must not vanish
     for qi, gset in gold.items():
-        grp = ranked.get(qi)
-        ids = [] if grp is None else list(grp[id_col])
+        ids = ranked.get(qi, [])
         hits = [i for i, v in enumerate(ids) if i < k and v in gset]
         dcg = sum(w[i] for i in hits)
         idcg = sum(w[:min(k, len(gset))])

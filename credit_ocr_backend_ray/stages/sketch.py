@@ -165,6 +165,28 @@ def cms_heavy_hitters(ds: "rd.Dataset", col: str, k: int = 20,
 _QBINS = 4096
 
 
+def _bin_quantiles(banks, qs: dict[str, float], lo: float,
+                   width: float) -> dict[str, float]:
+    """Sum ``_QBINS``-bin count banks (raw int64 bytes) and interpolate
+    each quantile linearly inside its winning bin; NaN when the banks
+    count nothing."""
+    acc = np.zeros(_QBINS, dtype=np.int64)
+    for b in banks:
+        acc += np.frombuffer(b, dtype=np.int64)
+    total = int(acc.sum())
+    cum = np.cumsum(acc)
+    out: dict[str, float] = {}
+    for alias, q in qs.items():
+        if total == 0:
+            out[alias] = float("nan")
+            continue
+        target = q * total
+        i = int(np.searchsorted(cum, target, side="left"))
+        prev = cum[i - 1] if i else 0
+        out[alias] = lo + (i + (target - prev) / (acc[i] or 1)) * width
+    return out
+
+
 def approx_quantile(ds: "rd.Dataset", col: str, qs: dict[str, float],
                     lo: float, hi: float) -> "rd.Dataset":
     """Approximate quantiles of ``col`` via a mergeable fixed-grid
@@ -187,23 +209,8 @@ def approx_quantile(ds: "rd.Dataset", col: str, qs: dict[str, float],
     partials = ds.map_batches(partial, batch_format="pyarrow").repartition(1)
 
     def finish(t: pa.Table) -> pa.Table:
-        acc = np.zeros(_QBINS, dtype=np.int64)
-        for b in t["counts"].to_pylist():
-            acc += np.frombuffer(b, dtype=np.int64)
-        total = int(acc.sum())
-        cum = np.cumsum(acc)
-        out: dict[str, list[float]] = {}
-        for alias, q in qs.items():
-            if total == 0:
-                out[alias] = [float("nan")]
-                continue
-            target = q * total
-            i = int(np.searchsorted(cum, target, side="left"))
-            prev = cum[i - 1] if i else 0
-            in_bin = acc[i] or 1
-            frac = (target - prev) / in_bin
-            out[alias] = [lo + (i + frac) * width]
-        return pa.table({a: pa.array(v, pa.float64())
+        out = _bin_quantiles(t["counts"].to_pylist(), qs, lo, width)
+        return pa.table({a: pa.array([v], pa.float64())
                          for a, v in out.items()})
 
     return partials.map_batches(finish, batch_format="pyarrow")
@@ -243,23 +250,8 @@ def grouped_approx_quantile(ds: "rd.Dataset", keys: Sequence[str],
     partials = ds.map_batches(partial, batch_format="pyarrow")
 
     def merge(g: pd.DataFrame) -> pd.DataFrame:
-        acc = np.zeros(_QBINS, dtype=np.int64)
-        for b in g["__bins"]:
-            acc += np.frombuffer(b, dtype=np.int64)
-        total = int(acc.sum())
-        cum = np.cumsum(acc)
-        out = g.iloc[:1][keys].copy()
-        for alias, q in qs.items():
-            if total == 0:
-                out[alias] = float("nan")
-                continue
-            target = q * total
-            i = int(np.searchsorted(cum, target, side="left"))
-            prev = cum[i - 1] if i else 0
-            in_bin = acc[i] or 1
-            frac = (target - prev) / in_bin
-            out[alias] = lo + (i + frac) * width
-        return out
+        return g.iloc[:1][keys].assign(
+            **_bin_quantiles(g["__bins"], qs, lo, width))
 
     from credit_ocr_backend_ray.stages.relational import (
         _groupwise, shard_cogroup)
@@ -364,8 +356,10 @@ def kmv_source_overlap(ds: "rd.Dataset", source_col: str = "source",
         out["__kmv"] = [u.tobytes()]
         return out
 
-    sketches = (partials.groupby(source_col)
-                .map_groups(merge, batch_format="pandas").to_pandas())
+    from credit_ocr_backend_ray.stages.relational import (
+        _groupwise, shard_cogroup)
+    sketches = shard_cogroup(partials, source_col,
+                             _groupwise([source_col], merge)).to_pandas()
 
     scale = float(2**64)
 
@@ -564,6 +558,16 @@ class KLLSketch:
         return s
 
 
+def _merge_kll(blobs) -> KLLSketch:
+    """Fold serialized KLL sketches in order; an empty sketch when there
+    are none."""
+    acc: KLLSketch | None = None
+    for b in blobs:
+        s = KLLSketch.from_bytes(b)
+        acc = s if acc is None else acc.merge(s)
+    return KLLSketch() if acc is None else acc
+
+
 def kll_quantiles(ds: "rd.Dataset", col: str,
                   qs: dict[str, float]) -> pd.DataFrame:
     """Range-free approximate quantiles: one KLL sketch per batch (a few
@@ -576,12 +580,7 @@ def kll_quantiles(ds: "rd.Dataset", col: str,
                                         pa.binary())})
 
     parts = ds.map_batches(partial, batch_format="pyarrow").to_pandas()
-    acc: KLLSketch | None = None
-    for b in parts["sk"]:
-        s = KLLSketch.from_bytes(b)
-        acc = s if acc is None else acc.merge(s)
-    if acc is None:
-        acc = KLLSketch()
+    acc = _merge_kll(parts["sk"])
     return pd.DataFrame({alias: [acc.quantile(q)]
                          for alias, q in qs.items()})
 
@@ -607,10 +606,7 @@ def grouped_kll_quantiles(ds: "rd.Dataset", keys: Sequence[str], col: str,
     out = []
     for kv, g in parts.groupby(keys, sort=True, dropna=False):
         kv = kv if isinstance(kv, tuple) else (kv,)
-        acc: KLLSketch | None = None
-        for b in g["__sk"]:
-            s = KLLSketch.from_bytes(b)
-            acc = s if acc is None else acc.merge(s)
+        acc = _merge_kll(g["__sk"])
         out.append((*kv, *[acc.quantile(q) for q in qs.values()]))
     return (pd.DataFrame(out, columns=[*keys, *qs.keys()])
             .reset_index(drop=True))

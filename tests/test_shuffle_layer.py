@@ -1,6 +1,6 @@
 """Guard for the one shuffle layer (no Ray session): ``Dataset.join`` is
 called only from ``relational.shuffle_join``, and a hand-written
-co-group (a ``.groupby(<string constant>).map_groups(`` chain) appears
+co-group (a ``.groupby(<key>).map_groups(`` chain) appears
 only in ``shard_cogroup`` and in the passes that group on something
 other than a key hash: dense range buckets and persisted bucket files.
 Aggregation has one path and one fan-out: no call passes a
@@ -15,7 +15,7 @@ import pathlib
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # (file, top-level function) allowed to write
-# ``.groupby(<string constant>).map_groups(``, and why
+# ``.groupby(<key>).map_groups(``, and why
 OWN_GROUPS = {
     ("relational.py", "shard_cogroup"):
         "the co-group itself",
@@ -56,13 +56,12 @@ def _keyword_calls(name: str):
 
 
 def _is_group_chain(n: ast.Call) -> bool:
-    """``<ds>.groupby(<string constant>).map_groups(...)``."""
+    """``<ds>.groupby(<key>).map_groups(...)``, whatever the key
+    expression: a constant, a variable or a list."""
     inner = n.func.value
     return (n.func.attr == "map_groups" and isinstance(inner, ast.Call)
             and isinstance(inner.func, ast.Attribute)
-            and inner.func.attr == "groupby" and bool(inner.args)
-            and isinstance(inner.args[0], ast.Constant)
-            and isinstance(inner.args[0].value, str))
+            and inner.func.attr == "groupby" and bool(inner.args))
 
 
 @functools.lru_cache(maxsize=None)
