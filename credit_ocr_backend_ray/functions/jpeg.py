@@ -12,17 +12,21 @@ azure_ocr_client.py:28-63); the repo's raster text channel was PNG-only
   upsampling (4:4:4 and 4:2:0 streams), JFIF YCbCr -> RGB. Progressive
   (SOF2) and non-8-bit frames raise — the decoder rejects what it cannot
   decode rather than mis-decoding.
-  - Entropy decode reads each Huffman code through a 16-bit lookahead
-    table that applies the bit-serial F.16 rule to every prefix, and
-    each read is one lookup in a list of 32-bit windows of the segment.
-    Coefficients go to flat ``array("q")`` buffers, scattered into each
-    component's block array once. The last few thousand bits of a
-    segment, and any DC category above 16, are read by the bit-serial
-    ``_BitReader`` instead, so a truncated or corrupt stream fails with
-    the exception and message of a wholly bit-serial decode.
-  - The IDCT is the einsum ``M.T @ block @ M`` per block, except for
-    blocks with no AC coefficient (blank page areas), whose constant
-    value is computed directly and bit-identically.
+  - Entropy decode reads through 16-bit lookahead tables, built with
+    numpy once per decode from that stream's DHTs: one applies the
+    bit-serial F.16 rule to every prefix; one reads a blank block (DC
+    category 0, then EOB) in one lookup; one folds an AC code's
+    magnitude bits into its lookup (stb_image's "fast AC" idea). Each
+    read is one lookup in a list of 32-bit windows of the segment. Each
+    block's DC value and each non-zero AC coefficient go to flat
+    ``array("q")`` buffers. The last few thousand bits of a segment, and
+    any DC category above 16, are read by the bit-serial ``_BitReader``
+    instead, so a truncated or corrupt stream fails with the exception
+    and message of a wholly bit-serial decode.
+  - The pixels are rebuilt from those buffers. A block whose dequantized
+    AC coefficients are all zero (blank page areas) is one value,
+    computed directly and bit-identically; only the other blocks go
+    through the IDCT einsum ``M.T @ block @ M``.
 - ``encode_baseline_jpeg``: the matching encoder (grayscale, 4:4:4 or
   4:2:0 color; Annex-K tables scaled by the IJG quality rule), used to
   synthesize test/bench fixtures in-sandbox (no external data) and by
@@ -44,7 +48,7 @@ import re
 import struct
 from array import array
 from functools import cached_property
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -173,10 +177,11 @@ def _markers(data: bytes):
 
 class _Huff:
     """Canonical Huffman table -> (mincode, maxcode, valptr) decode form
-    (ITU T.81 F.2.2.3), plus a 16-bit lookahead table ``lut``, built on
-    first use: for each 16-bit prefix, ``(length << 8) | symbol`` of the
-    code the F.16 rule finds in it, or 0 when that needs ``slow`` (no code
-    matches, or the value index runs past the end of HUFFVAL)."""
+    (ITU T.81 F.2.2.3), plus 16-bit lookahead tables built on first use
+    in the decode that parsed the DHT: ``lut`` holds for each 16-bit
+    prefix ``(length << 8) | symbol`` of the code the F.16 rule finds in
+    it, or 0 when that needs ``slow`` (no code matches, or the value index
+    runs past the end of HUFFVAL)."""
 
     def __init__(self, bits: list[int], vals: list[int]):
         self.vals = vals
@@ -194,22 +199,44 @@ class _Huff:
             code <<= 1
 
     @cached_property
-    def lut(self) -> list[int]:
+    def table(self) -> np.ndarray:
         # F.16 takes the first length ln whose maxcode fits the prefix.
         # A prefix reaching ln unmatched is >= mincode[ln], and one at or
         # above mincode[ln] matched no shorter length, so filling each
         # length's codes from mincode on gives F.16's answer for every
         # prefix, over-subscribed tables included.
-        lut = [0] * 65536
+        lut = np.zeros(65536, dtype=np.int64)
+        vals = np.array(self.vals, dtype=np.int64)
         for ln in range(1, 17):
             sh = 16 - ln
-            for code in range(self.mincode[ln],
-                              min(self.maxcode[ln], (1 << ln) - 1) + 1):
-                i = self.valptr[ln] + code - self.mincode[ln]
-                if i < len(self.vals):
-                    lut[code << sh:(code + 1) << sh] = \
-                        [(ln << 8) | self.vals[i]] * (1 << sh)
+            code = np.arange(self.mincode[ln],
+                             min(self.maxcode[ln], (1 << ln) - 1) + 1)
+            i = self.valptr[ln] + code - self.mincode[ln]
+            code = code[i < len(self.vals)]
+            if code.size:
+                lut[code[0] << sh:(code[-1] + 1) << sh] = np.repeat(
+                    (ln << 8) | vals[i[:code.size]], 1 << sh)
         return lut
+
+    @cached_property
+    def lut(self) -> array:
+        return _lookup(self.table)
+
+    @cached_property
+    def fast_ac(self) -> array:
+        """Per 16-bit prefix, an AC code and its magnitude bits read in
+        one go (the "fast AC" idea of stb_image): ``(value << 16) |
+        (run << 8) | bits`` when the prefix holds a code of non-zero size
+        and all of its magnitude bits, else 0."""
+        e = self.table
+        ln, s = e >> 8, e & 15
+        bits = ln + s
+        ok = (e != 0) & (s != 0) & (bits <= 16)
+        bits = np.where(ok, bits, 16)
+        mag = (np.arange(65536) >> (16 - bits)) & ((1 << s) - 1)
+        v = np.where(mag < (1 << s) >> 1, mag - (1 << s) + 1, mag)
+        return _lookup(np.where(ok, (v << 16) | ((e >> 4 & 15) << 8) | bits,
+                                0))
 
     def slow(self, b16: int) -> int:
         """F.16 on the next 16 bits ``b16``: ``(length << 8) | symbol``,
@@ -295,14 +322,35 @@ def _ac_index_error(k: int, v: int) -> None:
     np.zeros(64, dtype=np.int64)[k] = v
 
 
+def _lookup(table: np.ndarray) -> array:
+    """An int64 table as an ``array("q")``: one copy of its bytes, where
+    ``tolist`` would make 65536 ints on every decode."""
+    return array("q", table.astype(np.int64).tobytes())
+
+
+def _blank_table(dc: _Huff, ac: _Huff) -> array:
+    """Per 16-bit prefix, the bit count of a blank block read in one go
+    (the DC category-0 code, then the AC EOB code, both inside the 16
+    bits), else 0. Such a block's DC predictor stays as it is."""
+    e = dc.table
+    ln = e >> 8
+    nxt = ac.table[(np.arange(65536) << ln) & 0xFFFF]
+    alen = nxt >> 8
+    blank = ((e != 0) & (e & 255 == 0) & (nxt != 0) & (nxt & 255 == 0)
+             & (alen <= 16 - ln))
+    return _lookup(np.where(blank, ln + alen, 0))
+
+
 def _decode_segment(d: bytes, blocks, pred: list[int]) -> None:
     """Entropy-decode the blocks of one restart segment ``d``.
 
-    ``blocks`` yields ``(tab, bi)``: the block's index ``bi`` in its
-    component and ``tab`` = (DC table, AC table, DC predictor slot in
-    ``pred``, and the ``append`` methods of the component's index and
-    value buffers). Each coefficient written is appended as its flat
-    natural-order index and its value."""
+    ``blocks`` yields one ``tab`` per block, in scan order: (DC table, AC
+    table, the blank-block table of the pair, DC predictor slot in
+    ``pred``, the component's DC buffer, and the ``append`` methods of
+    its DC, AC index and AC value buffers). Each block appends its DC
+    value; each AC coefficient appends ``(n << 6) | natural index``, n
+    being the block's place in the component's scan order, and its
+    value."""
     limit = len(d) * 8 - _FAST_BITS
     # w[i]: the 32 bits from byte i on, so each read is one list lookup at
     # bit offset bp (a 16-bit code peek, or up to 16 magnitude bits)
@@ -314,8 +362,13 @@ def _decode_segment(d: bytes, blocks, pred: list[int]) -> None:
         if bp > limit:
             _decode_exact(d, bp, chain((u,), blocks), pred)
             return
-        (dc, ac, slot, ia, va), bi = u
+        dc, ac, blank, slot, dcs, da, ia, va = u
         p = w[bp >> 3] >> (16 - (bp & 7)) & 0xFFFF
+        n = blank[p]
+        if n:
+            bp += n
+            da(pred[slot])
+            continue
         e = dc.lut[p] or dc.slow(p)
         t = e & 255
         if t > 16:  # may overflow int64: let the exact path read it
@@ -326,13 +379,22 @@ def _decode_segment(d: bytes, blocks, pred: list[int]) -> None:
             v = w[bp >> 3] >> (32 - t - (bp & 7)) & mask[t]
             bp += t
             pred[slot] += v - mask[t] if v < half[t] else v
-        base = bi << 6
-        ia(base)
-        va(pred[slot])
-        alut = ac.lut
+        da(pred[slot])
+        base = (len(dcs) - 1) << 6
+        alut, fast = ac.lut, ac.fast_ac
         k = 1
         while k < 64:
             p = w[bp >> 3] >> (16 - (bp & 7)) & 0xFFFF
+            f = fast[p]
+            if f:  # code and magnitude in one lookup
+                bp += f & 255
+                k += f >> 8 & 255
+                if k > 63:
+                    _ac_index_error(k, f >> 16)
+                ia(base + zz[k])
+                va(f >> 16)
+                k += 1
+                continue
             e = alut[p] or ac.slow(p)
             bp += e >> 8
             s = e & 15
@@ -361,13 +423,12 @@ def _decode_exact(d: bytes, bit: int, blocks, pred: list[int]) -> None:
     where, and as, a wholly bit-serial decode raises them."""
     rd = _BitReader(d, bit)
     dc_slot = np.zeros(1, dtype=np.int64)
-    for (dc, ac, slot, ia, va), bi in blocks:
+    for dc, ac, _, slot, dcs, da, ia, va in blocks:
         t = rd.huff(dc)
         pred[slot] += _extend(rd.bits(t), t) if t else 0
         dc_slot[0] = pred[slot]  # past int64: numpy's OverflowError
-        base = bi << 6
-        ia(base)
-        va(pred[slot])
+        da(pred[slot])
+        base = (len(dcs) - 1) << 6
         k = 1
         while k < 64:
             rs = rd.huff(ac)
@@ -386,43 +447,88 @@ def _decode_exact(d: bytes, bit: int, blocks, pred: list[int]) -> None:
             k += 1
 
 
-def _block_order(units: list[tuple], mcux: int, start: int, end: int):
-    """``(tab, block index)`` of every block of MCUs ``start..end-1``, in
-    scan order; ``units`` holds each block of one MCU as (tab, MCU-row
-    stride, blocks per MCU across, offset inside the MCU)."""
-    for mcu in range(start, end):
-        my, mx = divmod(mcu, mcux)
-        for tab, rstride, ch, off in units:
-            yield tab, my * rstride + mx * ch + off
-
-
-def _decode_scan(segs: list[bytes], order: list[dict], mcux: int,
-                 n_mcus: int, restart: int) -> int:
+def _decode_scan(segs: list[bytes], order: list[dict], n_mcus: int,
+                 restart: int) -> int:
     """Entropy-decode the scan's restart segments into each component's
-    ``blocks`` (natural order); returns the number of MCUs decoded."""
-    bufs: dict[int, tuple[array, array]] = {}  # per component: idx, val
+    ``dcs`` (DC per block) and ``acs`` (AC index and value) buffers, in
+    scan order; returns the number of MCUs decoded."""
+    bufs: dict[int, tuple[array, array, array]] = {}
     slots: dict[int, int] = {}  # DC predictor per component id
-    units = []
+    blanks: dict[tuple[int, int], array] = {}
+    # a stream too short for the lookahead path never needs its tables
+    fast = any(len(sd) * 8 >= _FAST_BITS for sd in segs)
+    mcu_tabs = []
     for c in order:
-        idx, val = bufs.setdefault(id(c), (array("q"), array("q")))
-        tab = (c["dc"], c["ac"], slots.setdefault(c["id"], len(slots)),
+        dcs, idx, val = bufs.setdefault(
+            id(c), (array("q"), array("q"), array("q")))
+        c["dcs"], c["acs"] = dcs, (idx, val)
+        pair = (id(c["dc"]), id(c["ac"]))
+        if pair not in blanks:
+            blanks[pair] = _blank_table(c["dc"], c["ac"]) if fast else None
+        tab = (c["dc"], c["ac"], blanks[pair],
+               slots.setdefault(c["id"], len(slots)), dcs, dcs.append,
                idx.append, val.append)
-        for v in range(c["v"]):
-            for hh in range(c["h"]):
-                units.append((tab, c["v"] * c["bw"], c["h"],
-                              v * c["bw"] + hh))
+        mcu_tabs += [tab] * (c["v"] * c["h"])
     mcu = 0
     for sdata in segs:
         end = min(n_mcus, mcu + restart) if restart else n_mcus
         if mcu < end:
-            _decode_segment(sdata, _block_order(units, mcux, mcu, end),
-                            [0] * len(slots))
+            _decode_segment(sdata, chain.from_iterable(
+                repeat(mcu_tabs, end - mcu)), [0] * len(slots))
             mcu = end
-    for c in order:
-        idx, val = bufs[id(c)]
-        c["blocks"].reshape(-1)[np.frombuffer(idx, np.int64)] = \
-            np.frombuffer(val, np.int64)
     return mcu
+
+
+def _scan_blocks(c: dict, mcux: int, n_mcus: int,
+                 reps: int) -> np.ndarray:
+    """Block index (row-major in the component's block grid) of each of
+    ``c``'s blocks in scan order, one row per MCU: ``v`` rows of ``h``
+    blocks, and all of that again for each further time the scan lists
+    ``c``."""
+    my, mx = np.divmod(np.arange(n_mcus), mcux)
+    off = (np.arange(c["v"])[:, None] * c["bw"]
+           + np.arange(c["h"])[None, :]).reshape(-1)
+    return np.tile((my * c["v"] * c["bw"] + mx * c["h"])[:, None]
+                   + off[None, :], reps).reshape(-1)
+
+
+def _component_pixels(c: dict, q: np.ndarray, sbi: np.ndarray, rnd):
+    """``c``'s sample plane, ``(bh*8, bw*8)``, with ``rnd`` applied to
+    every sample. A block whose dequantized AC coefficients are all zero
+    (a blank patch of page) is one value: every term of the IDCT but
+    (M[0,i]*dc)*M[0,l] is a product with a zero, adding zeros is exact,
+    and both outer factors are M[0,0] (row 0 of the basis is constant),
+    so it is the einsum's result bit for bit. The other blocks keep the
+    einsum ``M.T @ block @ M``: two batched matmuls would be as fast but
+    sum in another order, moving pixels by one gray level at rounding
+    ties."""
+    bh, bw = c["bh"], c["bw"]
+    dc = np.zeros(bh * bw, dtype=np.int64)
+    dc[sbi] = np.frombuffer(c["dcs"], np.int64)
+    idx, val = (np.frombuffer(a, np.int64) for a in c["acs"])
+    blk, pos = sbi[idx >> 6], idx & 63
+    busy = np.unique(blk[val * q[pos] != 0])
+    flat = (_M[0, 0] * (dc * q[0]).astype(np.float64)) * _M[0, 0] + 128.0
+    flat = rnd(flat)
+    out = np.empty((bh, 8, bw, 8), dtype=flat.dtype)
+    out[:] = flat.reshape(bh, 1, bw, 1)
+    if busy.size:
+        row = np.full(bh * bw, -1)
+        row[busy] = np.arange(busy.size)
+        coef = np.zeros((busy.size, 64), dtype=np.int64)
+        coef[:, 0] = dc[busy]
+        mine = row[blk] >= 0
+        coef[row[blk[mine]], pos[mine]] = val[mine]
+        deq = (coef * q[None, :]).astype(np.float64).reshape(-1, 8, 8)
+        pix = np.einsum("ij,njk,kl->nil", _M.T, deq, _M)
+        pix += 128.0
+        by, bx = np.divmod(busy, bw)
+        out[by, :, bx, :] = rnd(pix)
+    return out.reshape(bh * 8, bw * 8)
+
+
+def _to_u8(x: np.ndarray) -> np.ndarray:
+    return np.clip(np.round(x), 0, 255).astype(np.uint8)
 
 
 def decode_baseline_jpeg(data: bytes) -> np.ndarray:
@@ -494,48 +600,32 @@ def decode_baseline_jpeg(data: bytes) -> np.ndarray:
         c["ac"] = huffs[(1, ta)]
         c["bw"] = mcux * c["h"]
         c["bh"] = mcuy * c["v"]
-        c["blocks"] = np.zeros((c["bh"] * c["bw"], 64),  # natural order
-                               dtype=np.int64)
         order.append(c)
 
-    mcu = _decode_scan(_entropy_segments(data, scan_pos), order, mcux,
-                       mcux * mcuy, restart)
-    if mcu != mcux * mcuy:
-        raise ValueError(f"decoded {mcu}/{mcux * mcuy} MCUs")
+    n_mcus = mcux * mcuy
+    mcu = _decode_scan(_entropy_segments(data, scan_pos), order, n_mcus,
+                       restart)
+    if mcu != n_mcus:
+        raise ValueError(f"decoded {mcu}/{n_mcus} MCUs")
 
     planes = []
     for c in order:
-        q = qtabs[c["tq"]][_UNZIGZAG]  # natural order, as the blocks
-        deq = (c["blocks"] * q[None, :]).astype(np.float64)
-        blk = deq.reshape(-1, 8, 8)
-        # A block whose AC coefficients are all zero (a blank patch of
-        # page) skips the einsum: every term but (M[0,i]*dc)*M[0,l] is a
-        # product with a zero, adding zeros is exact, and both outer
-        # factors are M[0,0] (row 0 of the basis is constant), so this is
-        # the einsum's result bit for bit. Two batched matmuls
-        # ((M.T @ blk) @ M) would be as fast for the other blocks but sum
-        # in another order, moving pixels by one gray level at rounding
-        # ties; the einsum stays for them.
-        flat = ~deq[:, 1:].any(axis=1)
-        pix = np.empty_like(blk)
-        pix[flat] = ((_M[0, 0] * blk[flat, 0, 0]) * _M[0, 0])[:, None, None]
-        pix[~flat] = np.einsum("ij,njk,kl->nil", _M.T, blk[~flat], _M)
-        pix += 128.0
-        arr = (pix.reshape(c["bh"], c["bw"], 8, 8)
-               .transpose(0, 2, 1, 3).reshape(c["bh"] * 8, c["bw"] * 8))
+        q = qtabs[c["tq"]][_UNZIGZAG]  # natural order, as the indices
+        sbi = _scan_blocks(c, mcux, n_mcus, order.count(c))
+        if len(order) == 1:
+            return np.ascontiguousarray(
+                _component_pixels(c, q, sbi, _to_u8)[:h, :w])
+        arr = _component_pixels(c, q, sbi, np.asarray)
         if (c["v"], c["h"]) != (vmax, hmax):  # upsample subsampled chroma
             arr = np.repeat(np.repeat(arr, vmax // c["v"], axis=0),
                             hmax // c["h"], axis=1)
         planes.append(arr[:h, :w])
 
-    if len(planes) == 1:
-        return np.clip(np.round(planes[0]), 0, 255).astype(np.uint8)
     y, cb, cr = planes
     r = y + 1.402 * (cr - 128.0)
     g = y - 0.344136 * (cb - 128.0) - 0.714136 * (cr - 128.0)
     b = y + 1.772 * (cb - 128.0)
-    return np.clip(np.round(np.stack([r, g, b], axis=-1)),
-                   0, 255).astype(np.uint8)
+    return _to_u8(np.stack([r, g, b], axis=-1))
 
 
 # ----------------------------------------------------------------- encoder

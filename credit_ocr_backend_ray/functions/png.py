@@ -7,18 +7,22 @@ all stdlib — the same trick as the zip-of-XML xlsx sink.
 
 Scope: 8-bit RGB (color type 2), non-interlaced — exactly what the
 annotation renderer produces. ``encode_png`` uses the Up filter on every
-scanline (vertical delta), which both compresses page rasters (mostly
-blank rows delta to zeros) and keeps BOTH directions fully vectorized
-(encode: one uint8 subtraction; decode: one cumulative sum). ``decode_png``
-additionally handles filter types 0/1/2/3/4 so third-party RGB PNGs decode
-too; types 1/3/4 carry a per-pixel horizontal dependency, so those rows
-fall back to a per-row scan (correctness path, not the hot path — our own
-files never use them).
+scanline (vertical delta), which compresses page rasters: a row equal to
+the one above filters to zeros. ``decode_png`` inflates at most one byte
+past the size the header declares, so a deflate bomb costs no more memory
+than an honest file. An all-Up file is un-filtered only where it changes:
+the non-zero filtered rows are summed in turn on top of a zero row, and
+every output row is gathered from the last of them at or above it (one
+uint8 add per changed row; on a benchmark page 309 of 2208). Filter types
+0/1/3/4 decode too, so third-party RGB PNGs work; such a file goes through
+a per-row scan (correctness path, not the hot path — our own files never
+use them).
 """
 
 from __future__ import annotations
 
 import struct
+import sys
 import zlib
 
 import numpy as np
@@ -79,9 +83,22 @@ def _defilter_row(ft: int, cur: np.ndarray, prev: np.ndarray,
     raise ValueError(f"unknown PNG filter type {ft}")
 
 
-def decode_png(data: bytes) -> np.ndarray:
-    """PNG bytes -> (h, w, 3) uint8. RGB8 non-interlaced only (the format
-    this engine emits); other color types / bit depths raise."""
+def _inflate(idat: bytes, size: int) -> bytes:
+    """zlib-inflate ``idat``, stopping one byte past ``size``: an
+    over-long stream comes back ``size + 1`` bytes long, and a stream cut
+    short raises zlib's own truncation error."""
+    d = zlib.decompressobj()
+    raw = d.decompress(idat, min(size + 1, sys.maxsize))
+    if len(raw) <= size and not d.eof:
+        raise zlib.error("Error -5 while decompressing data: "
+                         "incomplete or truncated stream")
+    return raw
+
+
+def decode_png(data: bytes, plane: int | None = None) -> np.ndarray:
+    """PNG bytes -> (h, w, 3) uint8, or with ``plane=c`` the contiguous
+    (h, w) channel ``c``. RGB8 non-interlaced only (the format this
+    engine emits); other color types / bit depths raise."""
     if not data.startswith(_SIG):
         raise ValueError("not a PNG")
     pos = len(_SIG)
@@ -105,21 +122,26 @@ def decode_png(data: bytes) -> np.ndarray:
             break
     if w is None:
         raise ValueError("PNG missing IHDR")
-    raw = np.frombuffer(zlib.decompress(bytes(idat)), dtype=np.uint8)
     stride = 1 + w * 3
+    raw = np.frombuffer(_inflate(bytes(idat), h * stride), dtype=np.uint8)
     if raw.size != h * stride:
         raise ValueError("PNG scanline payload size mismatch")
     raw = raw.reshape(h, stride)
     fts = raw[:, 0]
     if (fts == 2).all():  # the fast path for our own files
-        # row-wise in-place uint8 accumulation: wraps mod 256 natively —
-        # exactly the Up filter's inverse. Measured on a 4400x1500 page:
-        # int64 cumsum + %256 = 0.39 s, uint8 np.cumsum = 0.29 s (strided
-        # scalar path), this loop of whole-row vector adds = 0.12 s.
-        out = raw[:, 1:].copy()
-        for y in range(1, h):
-            np.add(out[y], out[y - 1], out=out[y])
-        return out.reshape(h, w, 3)
+        # an Up row of zeros repeats the row above, so only the changed
+        # rows are summed (uint8 adds wrap mod 256, the filter's inverse),
+        # on top of a zero row for the rows above the first change
+        body = raw[:, 1:]
+        changed = np.flatnonzero(body.any(axis=1))
+        acc = np.zeros((changed.size + 1, w * 3), dtype=np.uint8)
+        acc[1:] = body[changed]
+        for k in range(2, acc.shape[0]):
+            np.add(acc[k], acc[k - 1], out=acc[k])
+        row_of = np.searchsorted(changed, np.arange(h), "right")
+        if plane is None:
+            return acc[row_of].reshape(h, w, 3)
+        return np.ascontiguousarray(acc[:, plane::3])[row_of]
     body16 = raw[:, 1:].astype(np.int16)
     prev = np.zeros(w * 3, dtype=np.int16)
     out = np.empty((h, w * 3), dtype=np.uint8)
@@ -128,4 +150,5 @@ def decode_png(data: bytes) -> np.ndarray:
         row %= 256
         out[y] = row.astype(np.uint8)
         prev = row
-    return out.reshape(h, w, 3)
+    out = out.reshape(h, w, 3)
+    return out if plane is None else np.ascontiguousarray(out[:, :, plane])

@@ -232,8 +232,7 @@ def extract_raster_layout(data: bytes) -> dict[str, Any]:
         ink = (arr if arr.ndim == 2 else arr[:, :, 0]) < 128
     else:
         dpi = _read_dpi(data)
-        rgb = decode_png(data)
-        ink = rgb[:, :, 0] < 128
+        ink = decode_png(data, 0) < 128
 
     lines: list[dict[str, Any]] = []
     words: list[dict[str, Any]] = []

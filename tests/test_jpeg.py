@@ -233,3 +233,102 @@ def test_decoder_errors_truncated_scan_and_ac_overrun():
         "meta": pa.array(["{}"], pa.string()),
     })
     assert MediaFeatureExtractor()(batch).to_pydict()["decode_ok"] == [False]
+
+
+def _with_tables(g: np.ndarray, dc: tuple, ac: tuple) -> bytes:
+    """A gray quality-50 stream of ``g`` (sides a multiple of 8) entropy
+    coded with the Huffman tables ``dc`` and ``ac`` (BITS, HUFFVAL)."""
+    from credit_ocr_backend_ray.functions.jpeg import (
+        _BitWriter, _enc_table, _encode_blocks, _fdct_quant)
+
+    std = encode_baseline_jpeg(g, quality=50)
+    dqt = std.find(b"\xff\xdb") + 5
+    q = np.frombuffer(std, np.uint8, 64, dqt).astype(np.int64)
+    sos = std.find(b"\xff\xda")
+    sos_end = sos + 2 + int.from_bytes(std[sos + 2:sos + 4], "big")
+    dht = b"".join(
+        b"\xff\xc4" + (19 + len(vals)).to_bytes(2, "big")
+        + bytes([tc << 4]) + bytes(bits) + bytes(vals)
+        for tc, (bits, vals) in ((0, dc), (1, ac)))
+    bw = _BitWriter()
+    _encode_blocks(bw, _fdct_quant(g.astype(np.float64), q), [0], 0,
+                   _enc_table(*dc), _enc_table(*ac))
+    bw.flush()
+    return (std[:std.find(b"\xff\xc4")] + dht + std[sos:sos_end]
+            + bytes(bw.out) + b"\xff\xd9")
+
+
+def _blank_paths_corpus() -> list[bytes]:
+    """Seeded streams for the blank-block and folded-AC paths: blank and
+    inked gray pages with and without restarts (blank runs that cross
+    restart and lookahead-limit boundaries), 4:2:0 colour pages, DC/AC
+    tables whose category-0 + EOB codes take 16, 17 and 25 bits, DQTs
+    with zero entries (coded AC coefficients that dequantize to zero),
+    and truncations and bit flips of the small ones."""
+    from credit_ocr_backend_ray.functions.jpeg import _AC_LUM, _DC_LUM
+
+    blank = np.full((400, 400), 255, np.uint8)
+    inked = blank.copy()
+    inked[40:64, 24:200] = 0
+    inked[200:203, 8:392] = 30
+    inked[300:340, 330:338] = 0
+    streams = [encode_baseline_jpeg(blank, quality=100, restart_interval=r)
+               for r in (0, 700, 1500)]
+    streams.append(encode_baseline_jpeg(inked, quality=100,
+                                        restart_interval=333))
+    rgb = np.full((120, 136, 3), 255, np.uint8)
+    rgb[16:40, 8:100] = (200, 30, 60)
+    rgb[70:74, :] = (0, 0, 0)
+    for rst in (0, 5):
+        streams.append(encode_baseline_jpeg(rgb, quality=90, subsample=True,
+                                            restart_interval=rst))
+
+    g = _gray(64, 80, seed=9)
+    g[8:40, 16:64] = 255
+    page = inked[:96, :160]
+    dc_vals = list(range(1, 12)) + [0]  # category 0 takes the last code
+    dc9 = ([0, 1, 5, 1, 1, 1, 1, 1, 1] + [0] * 7, dc_vals)
+    dc12 = ([0, 1, 5, 1, 1, 1, 1, 1, 0, 0, 0, 1] + [0] * 4, dc_vals)
+    dc13 = ([0, 1, 5, 1, 1, 1, 1, 1, 0, 0, 0, 0, 1] + [0] * 3, dc_vals)
+    ac_eob16 = (_AC_LUM[0], [v for v in _AC_LUM[1] if v] + [0])
+    for img in (g, page):
+        streams += [_with_tables(img, dc9, ac_eob16),
+                    _with_tables(img, dc12, _AC_LUM),
+                    _with_tables(img, dc13, _AC_LUM)]
+    assert _DC_LUM[1] == list(range(12))
+
+    for zeros in (range(1, 64), range(1, 21), range(0, 64, 2)):
+        d = bytearray(encode_baseline_jpeg(g, quality=50))
+        at = d.find(b"\xff\xdb") + 5
+        for z in zeros:
+            d[at + z] = 0
+        streams.append(bytes(d))
+    d = bytearray(streams[4])  # 4:2:0: zero the chroma table's AC
+    at = d.find(b"\xff\xdb", d.find(b"\xff\xdb") + 2) + 5
+    d[at + 1:at + 64] = bytes(63)
+    streams.append(bytes(d))
+
+    r = random.Random(2025)
+    for d in list(streams):
+        scan = d.find(b"\xff\xda")
+        streams.append(d[:r.randrange(scan, len(d))])
+        for end in ((len(d) + scan) // 2, len(d) - 2):
+            b = bytearray(d)
+            b[r.randrange(scan + 14, end)] ^= 1 << r.randrange(8)
+            streams.append(bytes(b))
+    return streams
+
+
+# sha256 over the outcomes of _blank_paths_corpus(), from the decoder that
+# read every block's codes one lookup each and dequantized every block
+_BLANK_PATHS_DIGEST = ("131fa729b771f7f3ab75e3e596b11049"
+                       "458fa2e88a9173c6cb6ec87d1aa69dad")
+
+
+def test_blank_and_folded_ac_paths_match_per_block_decoder():
+    h = hashlib.sha256()
+    streams = _blank_paths_corpus()
+    for d in streams:
+        h.update(hashlib.sha256(_outcome(d)).digest())
+    assert len(streams) == 64
+    assert h.hexdigest() == _BLANK_PATHS_DIGEST

@@ -3,6 +3,7 @@ the reference writes real PNGs, pdf_visualizer.py:186-189). Round-trip
 through our own decoder pins validity; a hand-built PNG with all five
 filter types pins decode generality; the renderer test pins pixels."""
 
+import hashlib
 import struct
 import zlib
 
@@ -150,3 +151,156 @@ def test_media_feature_extractor_real_png_decode(ray_session):
 def pd_isna(v):
     import pandas as pd
     return pd.isna(v)
+
+
+def _png_of(w: int, h: int, idat: bytes, *, split: int = 0) -> bytes:
+    """An RGB8 PNG around an already-deflated IDAT payload (``split`` > 0
+    cuts it into IDAT chunks of that many bytes)."""
+    ihdr = struct.pack(">IIBBBBB", w, h, 8, 2, 0, 0, 0)
+    parts = ([idat[i:i + split] for i in range(0, len(idat), split)]
+             if split else [idat])
+    return (_SIG + _chunk(b"IHDR", ihdr)
+            + b"".join(_chunk(b"IDAT", p) for p in parts)
+            + _chunk(b"IEND", b""))
+
+
+def _idat_of(png: bytes) -> bytes:
+    """The (single) IDAT payload of one of ``encode_png``'s files."""
+    at = png.index(b"IDAT")
+    (n,) = struct.unpack_from(">I", png, at - 4)
+    return png[at + 4:at + 4 + n]
+
+
+def _png_parity_corpus() -> list[bytes]:
+    """Seeded PNGs for the decoder parity guard: raster page renders at
+    100, 200 and 300 dpi; rows that change only in G or only in B; an
+    all-zero first row and an all-zero image; 1x1, 0-row and 0-column
+    images; mixed-filter images; split, truncated, short, over-long and
+    checksum-flipped IDAT streams; a bad filter byte."""
+    from credit_ocr_backend_ray.sources.synth import raster_doc_bytes
+
+    rng = np.random.default_rng(11)
+    out = [raster_doc_bytes(0, 100), raster_doc_bytes(3, 200),
+           raster_doc_bytes(5, 300)]
+    gb = np.full((16, 9, 3), 255, np.uint8)
+    gb[5:, 3, 1] = 0    # from row 5 on only G changes
+    gb[9:, 7, 2] = 17   # from row 9 on only B changes
+    gb[12, :, 1] = 40   # one row differs from both neighbours in G only
+    zero_top = rng.integers(0, 256, (12, 7, 3)).astype(np.uint8)
+    zero_top[0] = 0
+    zero_top[4] = zero_top[3]
+    out += [encode_png(a) for a in (
+        gb, zero_top, np.zeros((9, 5, 3), np.uint8),
+        np.array([[[9, 8, 7]]], np.uint8), np.zeros((0, 4, 3), np.uint8),
+        np.zeros((3, 0, 3), np.uint8))]
+
+    h, w = 14, 6
+    arr = rng.integers(0, 256, (h, w, 3)).astype(np.uint8)
+    arr[6:9] = arr[5]
+    up = np.zeros((h, w * 3), np.uint8)
+    up[0] = arr[0].reshape(-1)
+    up[1:] = (arr[1:].astype(np.int16) - arr[:-1]).reshape(h - 1, -1)
+    lines = np.concatenate([np.full((h, 1), 2, np.uint8), up], axis=1)
+    mixed = lines.copy()
+    mixed[7, 0] = 0  # an unfiltered row amid Up rows
+    mixed[7, 1:] = arr[7].reshape(-1)
+    bad = lines.copy()
+    bad[10, 0] = 5
+    for ls in (mixed, bad):
+        out.append(_png_of(w, h, zlib.compress(ls.tobytes())))
+
+    page = raster_doc_bytes(1, 100)
+    (pw, ph) = struct.unpack_from(">II", page, 16)
+    idat = _idat_of(page)
+    raw = zlib.decompress(idat)
+    flipped = bytearray(idat)
+    flipped[-1] ^= 0x10  # the Adler-32 check
+    out += [
+        _png_of(pw, ph, idat, split=997),
+        _png_of(pw, ph, idat[:len(idat) // 2]),  # truncated mid-stream
+        _png_of(pw, ph, idat[:-4]),  # full payload, no Adler-32
+        _png_of(pw, ph, idat[:-1]),
+        _png_of(pw, ph, bytes(flipped)),
+        _png_of(pw, ph, zlib.compress(raw[:-1])),  # one byte short
+        _png_of(pw, ph, zlib.compress(raw + b"\x00")),  # one byte over
+        _png_of(pw, ph, zlib.compress(raw + bytes(5 * len(raw)))),
+        _png_of(pw, ph, idat + b"trailing bytes"),
+        _png_of(pw, ph + 1, idat),  # IHDR claims one row more
+    ]
+    return out
+
+
+def _png_outcome(data: bytes) -> bytes:
+    try:
+        a = decode_png(data)
+    except Exception as e:  # noqa: BLE001 — the error is the outcome
+        return f"{type(e).__name__}: {e}".encode()
+    return str(a.shape).encode() + a.tobytes()
+
+
+# sha256 over the outcomes of _png_parity_corpus(), from the decoder that
+# un-filtered every row and inflated the whole IDAT at once
+_PNG_PARITY_DIGEST = ("12f28847823c26c4e063a790ba6f02b5"
+                      "d237d9172dd1b43fe72951cbc2b0bf2a")
+
+
+def test_png_decoder_outcomes_match_row_by_row_decoder():
+    """Every array and every (exception type, message) of the corpus is
+    what un-filtering each row in turn produced; the raster renders are
+    also OCR'd, so the channel-0 ink plane the raster reads is pinned."""
+    from credit_ocr_backend_ray.functions.raster import extract_raster_layout
+
+    hsh = hashlib.sha256()
+    corpus = _png_parity_corpus()
+    for d in corpus:
+        hsh.update(hashlib.sha256(_png_outcome(d)).digest())
+    for d in corpus[:3]:
+        layout = repr(extract_raster_layout(d)).encode()
+        hsh.update(hashlib.sha256(layout).digest())
+    assert len(corpus) == 21
+    assert hsh.hexdigest() == _PNG_PARITY_DIGEST
+
+
+def test_decode_png_plane_is_the_rgb_channel():
+    """``decode_png(d, c)`` is channel ``c`` of ``decode_png(d)``, as a
+    contiguous (h, w) array, and fails as ``decode_png(d)`` fails."""
+    for d in _png_parity_corpus():
+        rgb = _png_outcome(d)
+        for c in range(3):
+            try:
+                plane = decode_png(d, c)
+            except Exception as e:  # noqa: BLE001
+                assert rgb == f"{type(e).__name__}: {e}".encode()
+                continue
+            full = decode_png(d)
+            assert plane.flags.c_contiguous and plane.dtype == np.uint8
+            assert plane.shape == full.shape[:2]
+            assert (plane == full[:, :, c]).all()
+
+
+def test_png_inflate_bomb_is_a_bounded_error_row():
+    """A 100x100 PNG whose IDAT inflates to 200 MB: inflate stops one
+    byte past the declared size, so the row is a size-mismatch error and
+    the decoder never holds the whole payload."""
+    import tracemalloc
+
+    from credit_ocr_backend_ray.config import default_config
+    from credit_ocr_backend_ray.functions.document import extract_document
+    from credit_ocr_backend_ray.functions.raster import _phys_chunk
+
+    co = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    idat = b"".join(co.compress(zeros) for _ in range(200)) + co.flush()
+    bomb = _png_of(100, 100, idat)
+    bomb = bomb[:33] + _phys_chunk(100) + bomb[33:]
+    del zeros
+    cfg = default_config()["credit_request"]
+    tracemalloc.start()
+    try:
+        out = extract_document(bomb, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out["status"] == "Fehlerhaft"
+    assert out["error"] == "ValueError: PNG scanline payload size mismatch"
+    assert peak < 8 << 20, peak
