@@ -1,13 +1,13 @@
 """Pure, Ray-free kernels: the semantic core of the engine.
 
 Every function here is deterministic and operates on plain Python
-dicts/lists (one document's worth of data — a single row of the Dataset).
+dicts/lists or one document's ``LineTable`` (a single row of the Dataset).
 They are the byte-identity contract: the Ray pipeline and the
 single-process oracle (pipelines/oracle.py) call exactly these.
 """
 
-from credit_ocr_backend_ray.functions.geometry import (  # noqa: F401
-    box_center_x, box_center_y, box_height, box_width, horizontally_aligned,
+from credit_ocr_backend_ray.functions.lines import (  # noqa: F401
+    LineTable, box_center, box_height,
 )
 from credit_ocr_backend_ray.functions.layout import flatten_layout  # noqa: F401
 from credit_ocr_backend_ray.functions.pairing import pair_label_values  # noqa: F401

@@ -11,13 +11,14 @@ extension-checked (/root/reference/src/api/main.py:331-338):
 - payload starting with ``%PDF-`` -> real PDF: stdlib text-layer
   extraction (functions/pdf.py) into the layout-document shape;
 - payload starting with ``{``  -> layout document (OCR-result stand-in):
-  flatten word boxes to line records (functions/layout.py);
+  flatten word boxes to a line table (functions/layout.py);
 - otherwise                    -> HTML: DOM text-density boilerplate strip
-  emitting the same line-record shape (functions/html_extract.py);
+  emitting the same line table (functions/html_extract.py);
 
-then the shared reference-pinned kernels: reading-order sort
-(postprocess.py:111-114), label-value pairing + normalization, deterministic
-field mapping + validation. Any exception is captured per document as the
+then the shared reference-pinned kernels over the channel's one line
+table (functions/lines.py): reading-order sort (postprocess.py:111-114),
+label-value pairing + normalization, deterministic field mapping +
+validation. Any exception is captured per document as the
 reference's terminal error state (``"Fehlerhaft"`` — extraction.py:88/302),
 never propagated — one poisoned document must not kill a block.
 """
@@ -28,9 +29,9 @@ import json
 from typing import Any
 
 from credit_ocr_backend_ray.config import DocTypeConfig
-from credit_ocr_backend_ray.functions.geometry import box_center_y
 from credit_ocr_backend_ray.functions.html_extract import html_to_lines
 from credit_ocr_backend_ray.functions.layout import flatten_layout
+from credit_ocr_backend_ray.functions.lines import LineTable
 from credit_ocr_backend_ray.functions.normalize import normalize_lines
 from credit_ocr_backend_ray.functions.fields import map_fields
 
@@ -38,7 +39,7 @@ STATUS_OK = "Fertig"
 STATUS_ERROR = "Fehlerhaft"
 
 
-def payload_to_lines(payload: bytes) -> list[dict[str, Any]]:
+def payload_to_lines(payload: bytes) -> LineTable:
     stripped = payload.lstrip()
     if stripped[:8] == b"\x89PNG\r\n\x1a\n" or stripped[:3] == b"\xff\xd8\xff":
         # raster page image (the reference's .png/.jpg upload channel,
@@ -59,14 +60,11 @@ def payload_to_lines(payload: bytes) -> list[dict[str, Any]]:
     return html_to_lines(payload.decode("utf-8", errors="replace"))
 
 
-def reading_order_text(lines: list[dict[str, Any]]) -> str:
+def reading_order_text(lines: LineTable | list[dict[str, Any]]) -> str:
     """Byte-identity deliverable: newline-join of ``line`` texts, stable-
     sorted by (page, bbox center y) — the reference's reading-order sort."""
-    ordered = sorted(
-        (r for r in lines if r["type"] == "line"),
-        key=lambda r: (r["page"], box_center_y(r["bounding_box"])),
-    )
-    return "\n".join(r["text"] for r in ordered)
+    t = LineTable.of(lines)
+    return "\n".join([t.text[r] for r in t.line_order()])
 
 
 def fields_long_form(result: dict[str, Any]) -> list[dict[str, Any]]:
@@ -94,12 +92,12 @@ def extract_document(
     """Run the full chain for one document; never raises."""
     try:
         lines = payload_to_lines(payload)
-        normalized = normalize_lines(lines)
-        result = map_fields(normalized, lines, cfg)
+        pairs = normalize_lines(lines, text_lines=False)
+        result = map_fields(pairs, lines, cfg)
         out = {
             "extracted_text": reading_order_text(lines),
-            "n_lines": sum(r["type"] == "line" for r in lines),
-            "n_pairs": sum(it["type"] == "label_value" for it in normalized),
+            "n_lines": lines.type.count("line"),
+            "n_pairs": len(pairs),
             "fields": fields_long_form(result),
             "missing_fields": result["missing_fields"],
             "status": STATUS_OK,

@@ -12,8 +12,8 @@ lxml in this environment):
    aside``), class/id markers (cookie banners, menus, ads), and any block
    whose link density exceeds ``LINK_DENSITY_MAX`` with less than
    ``MIN_CONTENT_CHARS`` of text (short link farms);
-4. emit the surviving content in document order as *positioned line records*
-   (the same record shape the layout path produces) so the downstream
+4. emit the surviving content in document order as a *positioned line
+   table* (the same table the layout path produces) so the downstream
    pairing/normalize/field kernels are shared between the HTML and PDF
    paths: table rows and ``<dt>/<dd>`` pairs become a left-column label line
    plus a right-column value line on the same text row; headings, paragraphs
@@ -22,7 +22,7 @@ lxml in this environment):
    inch-based geometry — /root/reference/src/visualization/pdf_visualizer.py:44-49).
 
 The per-url byte-identity deliverable ``extracted_text`` is
-``functions.document.reading_order_text`` over these records, which arrive
+``functions.document.reading_order_text`` over these rows, which arrive
 in strictly increasing (page, y) order.
 
 Replaces the reference's FastAPI-era HTML-less ingest (it only accepted
@@ -36,6 +36,8 @@ from __future__ import annotations
 import re
 from html import unescape
 from typing import Any
+
+from credit_ocr_backend_ray.functions.lines import LineTable
 
 DROP_TAGS = {"script", "style", "noscript", "template", "svg", "iframe"}
 STRUCTURAL_BOILERPLATE = {"nav", "header", "footer", "aside"}
@@ -132,9 +134,16 @@ def parse_dom(html: str) -> Node:
     raw_text = _RAW_TEXT
     node_cls = Node
     unesc = unescape
+    # only a comment left open can match past the last ">", so the search
+    # stops there: a "<" with no ">" after it is not rescanned to the end
+    stop = html.rfind(">") + 1
 
     while pos < n:
-        m = search(html, pos)
+        m = search(html, pos, stop)
+        if m is None or (m.end() == stop
+                         and html.startswith("<!--", m.start())):
+            k = html.find("<!--", pos if m is None else m.start())
+            m = search(html, k) if k >= 0 else None
         end = m.start() if m else n
         if end > pos:
             text = html[pos:end]
@@ -288,36 +297,26 @@ def _segments(node: Node, out: list[tuple[str, str, str]]) -> None:
         _segments(child, out)
 
 
-def _box(x_center: float, y_center: float, width: float) -> list[dict[str, float]]:
+def _box(x_center: float, y_center: float, width: float) -> tuple:
     x0, x1 = x_center - width / 2, x_center + width / 2
     y0, y1 = y_center - LINE_H / 2, y_center + LINE_H / 2
-    return [{"x": x0, "y": y0}, {"x": x1, "y": y0},
-            {"x": x1, "y": y1}, {"x": x0, "y": y1}]
+    return (x0, y0), (x1, y0), (x1, y1), (x0, y1)
 
 
-def html_to_lines(html: str) -> list[dict[str, Any]]:
-    """Extract main content and emit positioned line records (shared shape
-    with the layout path), one text row per segment."""
+def html_to_lines(html: str) -> LineTable:
+    """Extract main content and emit a positioned line table (the layout
+    path's shape), one text row per segment: a label line at LABEL_X and
+    its value line at VALUE_X, ROW_DY lower, or one full-width text line."""
     root = parse_dom(html)
     segs: list[tuple[str, str, str]] = []
     _segments(root, segs)
 
-    records: list[dict[str, Any]] = []
+    rows = []
     for row, (kind, a, b) in enumerate(segs):
         page = row // ROWS_PER_PAGE + 1
         y = float(row % ROWS_PER_PAGE) + 1.0
+        rows.append(("line", a, page, 1.0, _box(LABEL_X, y, 1.8)))
         if kind == "pair":
-            records.append({
-                "type": "line", "text": a, "page": page,
-                "bounding_box": _box(LABEL_X, y, 1.8), "confidence": 1.0,
-            })
-            records.append({
-                "type": "line", "text": b, "page": page,
-                "bounding_box": _box(VALUE_X, y + ROW_DY, 2.6), "confidence": 1.0,
-            })
-        else:
-            records.append({
-                "type": "line", "text": a, "page": page,
-                "bounding_box": _box(LABEL_X, y, 1.8), "confidence": 1.0,
-            })
-    return records
+            rows.append(("line", b, page, 1.0,
+                         _box(VALUE_X, y + ROW_DY, 2.6)))
+    return LineTable(rows)

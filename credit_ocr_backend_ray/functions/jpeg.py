@@ -311,6 +311,11 @@ def _entropy_segments(data: bytes, pos: int) -> list[bytes]:
 # in the segment at a block's start it cannot run past the end. The last
 # blocks of each segment go to the bit-serial exact path instead.
 _FAST_BITS = 4096
+# One DC/AC pair's lookahead tables cost 2-5.4 ms to build (varying by
+# process); lookahead then reads ~0.9 ms per KB of entropy data, bit-serial
+# ~2.4. On gray, 4:4:4 and 4:2:0 noise streams they cross at 2.7-4.8 KB
+# per pair: a scan with less than the low end reads bit-serially.
+_TABLE_BITS = 2560 * 8
 _MASK = [(1 << s) - 1 for s in range(17)]
 _ZZ = ZIGZAG.tolist()
 _HALF = [0] + [1 << (s - 1) for s in range(1, 17)]
@@ -341,8 +346,9 @@ def _blank_table(dc: _Huff, ac: _Huff) -> array:
     return _lookup(np.where(blank, ln + alen, 0))
 
 
-def _decode_segment(d: bytes, blocks, pred: list[int]) -> None:
-    """Entropy-decode the blocks of one restart segment ``d``.
+def _decode_segment(d: bytes, blocks, pred: list[int], fast: bool) -> None:
+    """Entropy-decode the blocks of one restart segment ``d`` (all of them
+    bit-serially unless ``fast``).
 
     ``blocks`` yields one ``tab`` per block, in scan order: (DC table, AC
     table, the blank-block table of the pair, DC predictor slot in
@@ -351,7 +357,7 @@ def _decode_segment(d: bytes, blocks, pred: list[int]) -> None:
     value; each AC coefficient appends ``(n << 6) | natural index``, n
     being the block's place in the component's scan order, and its
     value."""
-    limit = len(d) * 8 - _FAST_BITS
+    limit = len(d) * 8 - _FAST_BITS if fast else -1
     # w[i]: the 32 bits from byte i on, so each read is one list lookup at
     # bit offset bp (a 16-bit code peek, or up to 16 magnitude bits)
     b = np.frombuffer(d + b"\0\0\0", dtype=np.uint8).astype(np.uint32)
@@ -381,11 +387,11 @@ def _decode_segment(d: bytes, blocks, pred: list[int]) -> None:
             pred[slot] += v - mask[t] if v < half[t] else v
         da(pred[slot])
         base = (len(dcs) - 1) << 6
-        alut, fast = ac.lut, ac.fast_ac
+        alut, fac = ac.lut, ac.fast_ac
         k = 1
         while k < 64:
             p = w[bp >> 3] >> (16 - (bp & 7)) & 0xFFFF
-            f = fast[p]
+            f = fac[p]
             if f:  # code and magnitude in one lookup
                 bp += f & 255
                 k += f >> 8 & 255
@@ -455,8 +461,10 @@ def _decode_scan(segs: list[bytes], order: list[dict], n_mcus: int,
     bufs: dict[int, tuple[array, array, array]] = {}
     slots: dict[int, int] = {}  # DC predictor per component id
     blanks: dict[tuple[int, int], array] = {}
-    # a stream too short for the lookahead path never needs its tables
-    fast = any(len(sd) * 8 >= _FAST_BITS for sd in segs)
+    # only entropy data in segments long enough for lookahead counts
+    n_pairs = len({(id(c["dc"]), id(c["ac"])) for c in order})
+    fast = (sum(len(sd) for sd in segs if len(sd) * 8 >= _FAST_BITS) * 8
+            >= _TABLE_BITS * n_pairs)
     mcu_tabs = []
     for c in order:
         dcs, idx, val = bufs.setdefault(
@@ -474,7 +482,7 @@ def _decode_scan(segs: list[bytes], order: list[dict], n_mcus: int,
         end = min(n_mcus, mcu + restart) if restart else n_mcus
         if mcu < end:
             _decode_segment(sdata, chain.from_iterable(
-                repeat(mcu_tabs, end - mcu)), [0] * len(slots))
+                repeat(mcu_tabs, end - mcu)), [0] * len(slots), fast)
             mcu = end
     return mcu
 

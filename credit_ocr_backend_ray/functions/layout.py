@@ -1,4 +1,4 @@
-"""Flatten a layout-analysis document (the PDF path) into line/word records.
+"""Flatten a layout-analysis document (the PDF path) into a line table.
 
 Our PDF stand-in is a JSON layout document — the cloud OCR service of the
 reference is not available in-sandbox, so the rasterize/OCR step is replaced
@@ -28,6 +28,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from typing import Any
 
+from credit_ocr_backend_ray.functions.lines import LineTable
+
 
 # coordinate types whose comparisons with a float never raise
 _REAL = {int, float, bool}
@@ -37,8 +39,8 @@ def _center(poly: list[dict], axis: str) -> float:
     return sum(p[axis] for p in poly) / len(poly)
 
 
-def flatten_layout(doc: dict[str, Any]) -> list[dict[str, Any]]:
-    records: list[dict[str, Any]] = []
+def flatten_layout(doc: dict[str, Any]) -> LineTable:
+    rows: list[tuple] = []
 
     for page in doc.get("pages", []):
         page_number = page["page_number"]
@@ -83,22 +85,16 @@ def flatten_layout(doc: dict[str, Any]) -> list[dict[str, Any]]:
                 if inside:
                     conf = round(sum(inside) / len(inside), 2)
 
-            records.append({
-                "type": "line",
-                "text": line["content"],
-                "page": page_number,
-                "bounding_box": [{"x": p["x"], "y": p["y"]} for p in poly] if poly else None,
-                "confidence": conf,
-            })
+            rows.append(("line", line["content"], page_number, conf,
+                         tuple([(p["x"], p["y"]) for p in poly])
+                         if poly else None))
 
         for w in words:
             poly = w.get("polygon")
-            records.append({
-                "type": "word",
-                "text": w["content"],
-                "page": page_number,
-                "bounding_box": [{"x": p["x"], "y": p["y"]} for p in poly] if poly else None,
-                "confidence": round(w["confidence"], 2) if w.get("confidence") is not None else None,
-            })
+            rows.append(("word", w["content"], page_number,
+                         round(w["confidence"], 2)
+                         if w.get("confidence") is not None else None,
+                         tuple([(p["x"], p["y"]) for p in poly])
+                         if poly else None))
 
-    return records
+    return LineTable(rows)

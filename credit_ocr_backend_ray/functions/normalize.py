@@ -11,51 +11,34 @@ from __future__ import annotations
 
 from typing import Any
 
+from credit_ocr_backend_ray.functions.lines import LineTable, points
 from credit_ocr_backend_ray.functions.pairing import pair_label_values
 
 
-def normalize_lines(ocr_lines: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    items: list[dict[str, Any]] = []
+def normalize_lines(ocr_lines: LineTable | list[dict[str, Any]],
+                    text_lines: bool = True) -> list[dict[str, Any]]:
+    """The ``label_value`` items, then the ``text_line`` items unless
+    ``text_lines`` is False (the field mapper reads only the pairs)."""
+    t = LineTable.of(ocr_lines)
+    items = [{"type": "label_value", **p} for p in pair_label_values(t)]
 
-    pairs = pair_label_values(ocr_lines)
+    # confidence backfill from the first row with the exact (unstripped)
+    # text, over all rows
+    first: dict[str, int] = {}
+    for i, x in enumerate(t.text):
+        first.setdefault(x, i)
+    for it in items:
+        li, vi = first.get(it["label"]), first.get(it["value"])
+        if it["confidence"] is None and li is not None and vi is not None:
+            cs = [c for c in (t.confidence(li), t.confidence(vi))
+                  if c is not None]
+            if cs:
+                it["confidence"] = min(cs)
 
-    # first-occurrence index by exact (unstripped) text, over all records
-    by_text: dict[str, dict] = {}
-    for rec in ocr_lines:
-        by_text.setdefault(rec["text"], rec)
-
-    for p in pairs:
-        confidence = p.get("confidence")
-        if confidence is None:
-            label_rec = by_text.get(p["label"])
-            value_rec = by_text.get(p["value"])
-            if label_rec and value_rec:
-                lc = label_rec.get("confidence")
-                vc = value_rec.get("confidence")
-                if lc is not None and vc is not None:
-                    confidence = min(lc, vc)
-                elif lc is not None:
-                    confidence = lc
-                elif vc is not None:
-                    confidence = vc
-        items.append({
-            "type": "label_value",
-            "label": p["label"],
-            "value": p["value"],
-            "page": p["page"],
-            "confidence": confidence,
-            "bounding_box": p.get("bounding_box"),
-        })
-
-    for rec in ocr_lines:
-        if rec["type"] != "line" or rec.get("bounding_box") is None:
-            continue
-        items.append({
-            "type": "text_line",
-            "text": rec["text"].strip(),
-            "page": rec["page"],
-            "confidence": rec.get("confidence"),
-            "bounding_box": rec.get("bounding_box"),
-        })
-
+    if text_lines:
+        items += [{"type": "text_line", "text": t.text[r].strip(),
+                   "page": t.page[r], "confidence": t.confidence(r),
+                   "bounding_box": points(t.box[r])}
+                  for r in range(len(t))
+                  if t.type[r] == "line" and t.box[r] is not None]
     return items

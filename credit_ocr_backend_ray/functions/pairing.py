@@ -17,8 +17,10 @@ Semantics pinned to the reference's ``extract_label_value_pairs``
 - the "mark value line used" step resolves the value line by *first equal
   dict content* (the reference's ``list.index``), not by position.
 
-Centers and heights are computed once per line with the reference's
-arithmetic, so every threshold and tie sees the same floats. Pass 2
+Pairing reads one ``LineTable`` (functions/lines.py): its
+(page, centre y) sort over all rows gives each page's lines, and centres and heights
+are computed once per line with the reference's arithmetic, so every
+threshold and tie sees the same floats. Pass 2
 looks for a label's value only in a y-window: lines are in center-y
 order, an aligned line is at most ``reach = max(heights) * 0.1`` away in
 y (float rounding is monotone, so ``max(h_i, h_j) * 0.1 <= reach``), and
@@ -35,58 +37,49 @@ from __future__ import annotations
 
 from typing import Any
 
-from credit_ocr_backend_ray.functions.geometry import (
-    box_center_x, box_center_y, box_height,
+from credit_ocr_backend_ray.functions.lines import (
+    LineTable, box_center, box_height, points,
 )
 
 _INF = float("inf")
 
 
-def _first_equal_index(lines: list[dict], target: dict) -> int:
-    # cheap text pre-filter before the full dict compare (bounding_box is a
-    # list of point dicts, so == on the record is the expensive part); the
-    # first index whose record compares equal is unchanged
-    ttext = target["text"]
-    for k, ln in enumerate(lines):
-        if ln["text"] == ttext and ln == target:
-            return k
-    raise ValueError("line not found")
+def _pair(t: LineTable, page, label: str, r: int, v: int) -> dict[str, Any]:
+    """The two-column pair of label row ``r`` and value row ``v``."""
+    return {"label": label, "value": t.text[v].strip(), "page": page,
+            "confidence": min(t.confidence(r, 1.0), t.confidence(v, 1.0)),
+            "bounding_box": points(t.box[v])}
 
 
 def pair_label_values(
-    ocr_lines: list[dict[str, Any]],
+    ocr_lines: LineTable | list[dict[str, Any]],
     y_thresh: float = 0.2,
     x_split: float = 2.5,
 ) -> list[dict[str, Any]]:
     """Return label-value pair dicts
     ``{label, value, page, confidence, bounding_box}`` in detection order
     (colon pairs first, then geometric pairs, per page ascending)."""
-    in_order = sorted(
-        ocr_lines,
-        key=lambda r: (r["page"], box_center_y(r["bounding_box"])),
-    )
-
-    pages: dict[int, list[dict]] = {}
-    for rec in in_order:
-        if rec["type"] != "line":
-            continue
-        pages.setdefault(rec["page"], []).append(rec)
+    t = LineTable.of(ocr_lines)
+    pages: dict[Any, list[int]] = {}
+    for r in t.order():
+        if t.type[r] == "line":
+            pages.setdefault(t.page[r], []).append(r)
 
     pairs: list[dict[str, Any]] = []
 
-    for page, lines in pages.items():
+    for page, rows in pages.items():
         used: set[int] = set()
-        # geometry computed once per line (identical expressions => identical
-        # floats vs the reference's per-comparison recomputation)
-        cxs = [box_center_x(ln["bounding_box"]) for ln in lines]
-        cys = [box_center_y(ln["bounding_box"]) for ln in lines]
-        hts = [box_height(ln["bounding_box"]) for ln in lines]
+        texts = [t.text[r] for r in rows]
+        boxes = [t.box[r] for r in rows]
+        cxs = [box_center(b, 0) for b in boxes]
+        cys = [t.cy[r] for r in rows]
+        hts = [box_height(b) for b in boxes]
 
         # pass 1: same-line "label: value"
-        for i, ln in enumerate(lines):
+        for i, r in enumerate(rows):
             if i in used:
                 continue
-            text = ln["text"].strip()
+            text = texts[i].strip()
             if ":" not in text:
                 continue
             label, value = (part.strip() for part in text.split(":", 1))
@@ -95,8 +88,8 @@ def pair_label_values(
                     "label": label,
                     "value": value,
                     "page": page,
-                    "confidence": ln.get("confidence"),
-                    "bounding_box": ln.get("bounding_box"),
+                    "confidence": t.confidence(r),
+                    "bounding_box": points(boxes[i]),
                 })
                 used.add(i)
 
@@ -105,19 +98,19 @@ def pair_label_values(
         # ``reach`` is exact); inf - inf is NaN and would end a scan
         # early, so a page with a non-finite center y or height, or out
         # of y order, is scanned whole
-        n = len(lines)
+        n = len(rows)
         free = [j not in used for j in range(n)]
-        has_box = [bool(ln["bounding_box"]) for ln in lines]
+        has_box = [bool(b) for b in boxes]
         windowed = (all(-_INF < v < _INF for v in cys)
                     and all(-_INF < v < _INF for v in hts)
                     and all(a <= b for a, b in zip(cys, cys[1:])))
         if windowed:
             reach = max(hts) * 0.1
 
-        for i, ln in enumerate(lines):
+        for i, r in enumerate(rows):
             if i in used:
                 continue
-            text = ln["text"].strip()
+            text = texts[i].strip()
             cx_i = cxs[i]
             if cx_i >= x_split:
                 continue  # not a left-column label candidate
@@ -149,33 +142,25 @@ def pair_label_values(
                         best_j, best_cx = j, cx_j
 
             if best_j is not None:
-                value_line = lines[best_j]
-                pairs.append({
-                    "label": text,
-                    "value": value_line["text"].strip(),
-                    "page": page,
-                    "confidence": min(ln.get("confidence", 1.0),
-                                      value_line.get("confidence", 1.0)),
-                    "bounding_box": value_line.get("bounding_box"),
-                })
-                idx = _first_equal_index(lines, value_line)
+                v = rows[best_j]
+                pairs.append(_pair(t, page, text, r, v))
+                # the value line marked used is the first line equal to
+                # it as a record (same text, page, confidence and box)
+                key = (t.page[v], t.conf[v], t.box[v])
+                idx = texts.index(texts[best_j])
+                while (t.page[rows[idx]], t.conf[rows[idx]],
+                       t.box[rows[idx]]) != key:
+                    idx = texts.index(texts[best_j], idx + 1)
                 used.update([i, idx])
                 free[i] = free[idx] = False
                 continue
 
             # fallback: right-column value in the next <=2 lines, close in y
-            for j in range(i + 1, min(i + 3, len(lines))):
+            for j in range(i + 1, min(i + 3, n)):
                 if j in used:
                     continue
                 if cxs[j] > x_split and abs(cys[j] - cys[i]) <= y_thresh:
-                    pairs.append({
-                        "label": text,
-                        "value": lines[j]["text"].strip(),
-                        "page": page,
-                        "confidence": min(ln.get("confidence", 1.0),
-                                          lines[j].get("confidence", 1.0)),
-                        "bounding_box": lines[j].get("bounding_box"),
-                    })
+                    pairs.append(_pair(t, page, text, r, rows[j]))
                     used.update([i, j])
                     free[i] = free[j] = False
                     break

@@ -34,6 +34,8 @@ import re
 import zlib
 from typing import Any
 
+from credit_ocr_backend_ray.functions.png import inflate
+
 PAGE_W_PT, PAGE_H_PT = 612, 792
 COURIER_EM = 0.6  # standard-14 Courier glyph advance (600/1000 em)
 
@@ -117,9 +119,11 @@ _OCTAL_RE = re.compile(rb"[0-7]{1,3}")
 # (NUL is part of a run), or one stray delimiter. The number comes before
 # the operator run, so "-5" is a number and "-x" an operator. The
 # whitespace run is possessive: trailing NULs never turn into an operator.
+# Trailing whitespace matches as an empty token at the end, so it is
+# scanned once, not again from each of its bytes.
 _TOKEN_RE = re.compile(
     rb"[ \t\r\n\x00]*+(?:(\()|(\[)|(<)|([-+]?\d*\.?\d+)"
-    rb"|([^ \t\r\n()\[\]<>/%]+)|.)", re.S)
+    rb"|([^ \t\r\n()\[\]<>/%]+)|.|\Z)", re.S)
 _T_STR, _T_ARR, _T_HEX, _T_NUM, _T_OP = 1, 2, 3, 4, 5
 # inside a TJ array: skip every byte that is no '(', ']' or number start
 # (whitespace included), then a string, the closing ']', a number, or one
@@ -284,6 +288,10 @@ def _stream_length(body: bytes, objects: dict[int, bytes]) -> int | None:
     return int(ref.group(1)) if ref else None
 
 
+# a content stream declares no decoded size, so inflate stops at a budget
+MAX_CONTENT_BYTES = 8 << 20
+
+
 def _page_content_streams(pdf: bytes) -> list[bytes]:
     """Decoded content stream per page, in page-tree order (the simple
     linear /Kids order our scope covers)."""
@@ -314,7 +322,10 @@ def _page_content_streams(pdf: bytes) -> list[bytes]:
             m = _STREAM_RE.search(body)
             raw = m.group(1) if m else b""
         if re.search(rb"/Filter\s*/FlateDecode", body):
-            raw = zlib.decompress(raw)
+            raw = inflate(raw, MAX_CONTENT_BYTES)
+            if len(raw) > MAX_CONTENT_BYTES:
+                raise ValueError(f"content stream inflates past "
+                                 f"{MAX_CONTENT_BYTES} bytes")
         streams.append(raw)
     return streams
 

@@ -83,7 +83,7 @@ def _defilter_row(ft: int, cur: np.ndarray, prev: np.ndarray,
     raise ValueError(f"unknown PNG filter type {ft}")
 
 
-def _inflate(idat: bytes, size: int) -> bytes:
+def inflate(idat: bytes, size: int) -> bytes:
     """zlib-inflate ``idat``, stopping one byte past ``size``: an
     over-long stream comes back ``size + 1`` bytes long, and a stream cut
     short raises zlib's own truncation error."""
@@ -123,7 +123,7 @@ def decode_png(data: bytes, plane: int | None = None) -> np.ndarray:
     if w is None:
         raise ValueError("PNG missing IHDR")
     stride = 1 + w * 3
-    raw = np.frombuffer(_inflate(bytes(idat), h * stride), dtype=np.uint8)
+    raw = np.frombuffer(inflate(bytes(idat), h * stride), dtype=np.uint8)
     if raw.size != h * stride:
         raise ValueError("PNG scanline payload size mismatch")
     raw = raw.reshape(h, stride)

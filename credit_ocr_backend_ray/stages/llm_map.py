@@ -188,8 +188,10 @@ class LLMFieldMapper:
             try:
                 lines = payload_to_lines(payload or b"")
                 items = normalize_lines(lines)
-                result = extract_fields_via_model(items, lines, self.cfg,
-                                                  self.client)
+                # the grounding walks the records once per field: build
+                # them once
+                result = extract_fields_via_model(items, list(lines),
+                                                  self.cfg, self.client)
                 canon = json.dumps(result["extracted_fields"],
                                    ensure_ascii=False, sort_keys=True)
                 n_ext.append(len(result["extracted_fields"]))

@@ -3,6 +3,8 @@
 (equivalence was verified against the old builder on the full synth corpus
 plus these edge cases; this file keeps that contract)."""
 
+import pytest
+
 from credit_ocr_backend_ray.functions.document import reading_order_text
 from credit_ocr_backend_ray.functions.html_extract import (
     html_to_lines, link_stats, node_text, parse_dom,
@@ -84,3 +86,33 @@ def test_plain_text_and_empty_inputs():
     assert html_to_lines("   ") == []
     # bare text outside any block tag is not a content segment
     assert html_to_lines("no tags at all") == []
+
+
+def _shape(node):
+    return [c if isinstance(c, str) else (c.tag, c._raw_attrs, _shape(c))
+            for c in node.children]
+
+
+def test_unterminated_start_tags_parse_in_linear_time():
+    """60 KB of ``<a `` with no ``>`` after them is text, found in one
+    scan: the tokenizer once rescanned to the end from every ``<`` (39 s)."""
+    import time
+
+    html = "<a " * 20000
+    t0 = time.perf_counter()
+    root = parse_dom("<p>x > y</p>" + html)
+    assert time.perf_counter() - t0 < 3.0
+    assert _shape(root) == [("p", "", ["x > y"]), html]
+
+
+@pytest.mark.parametrize("html, shape", [
+    ("x > y <a <b", ["x > y <a <b"]),
+    ("<p>t</p><!-- c <a ", [("p", "", ["t"])]),
+    ("<p>t</p><!-- c <a \n", [("p", "", ["t"])]),
+    ("<p>t</p><!-- c --> tail <a ", [("p", "", ["t"]), " tail <a "]),
+    ("<a href='>'> x <b", [("a", " href='>'", [" x <b"])]),
+    ('<a title="x <b', ['<a title="x <b']),
+    ("<p>t</p><!x <a ", [("p", "", ["t"]), "<!x <a "]),
+])
+def test_tail_without_gt_keeps_tokens(html, shape):
+    assert _shape(parse_dom(html)) == shape

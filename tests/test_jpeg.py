@@ -332,3 +332,31 @@ def test_blank_and_folded_ac_paths_match_per_block_decoder():
         h.update(hashlib.sha256(_outcome(d)).digest())
     assert len(streams) == 64
     assert h.hexdigest() == _BLANK_PATHS_DIGEST
+
+
+def test_small_scan_builds_no_lookahead_tables(monkeypatch):
+    """A 3 KB 40x32 colour stream reads bit-serially: building the four
+    Huffman lookahead tables would cost more than they save."""
+    from credit_ocr_backend_ray.functions import jpeg as J
+
+    noise = np.random.default_rng(3).integers(0, 256, (32, 40, 3))
+    data = encode_baseline_jpeg(noise.astype(np.uint8), quality=90)
+    assert 2500 < len(data) < 3500
+    want = decode_baseline_jpeg(data)
+
+    def no_table(self):
+        raise AssertionError("lookahead table built")
+
+    monkeypatch.setattr(J._Huff, "table", property(no_table))
+    assert np.array_equal(decode_baseline_jpeg(data), want)
+
+
+def test_lookahead_path_keeps_both_digests_on_small_scans(monkeypatch):
+    """With no size threshold every stream of both parity corpora takes
+    the lookahead path where its segments allow, as before the
+    threshold, and both digests hold."""
+    from credit_ocr_backend_ray.functions import jpeg as J
+
+    monkeypatch.setattr(J, "_TABLE_BITS", 0)
+    test_decoder_outcomes_match_bit_serial_decoder()
+    test_blank_and_folded_ac_paths_match_per_block_decoder()

@@ -133,6 +133,26 @@ def test_normalize_confidence_backfill():
     assert pair["confidence"] == 0.6  # min of both ends
 
 
+def test_confidence_backfill_is_linear_in_rows():
+    """50,000 colon lines with no words: every pair needs a backfill and
+    no row has its label as text, so a per-pair scan over the rows is
+    quadratic (minutes); one first-text index is milliseconds."""
+    import json
+    import time
+
+    from credit_ocr_backend_ray.config import default_config
+    from credit_ocr_backend_ray.functions.document import extract_document
+
+    n = 50_000
+    doc = {"pages": [{"page_number": 1,
+                      "lines": [{"content": "a:1"}] * n}]}
+    t0 = time.perf_counter()
+    out = extract_document(json.dumps(doc).encode(),
+                           default_config()["credit_request"])
+    assert time.perf_counter() - t0 < 5.0
+    assert out["status"] == "Fertig" and out["n_pairs"] == n
+
+
 def test_infinite_center_x_value_is_paired_not_line_zero():
     """A value line whose right edge is ``1e309`` (JSON reads it as +inf)
     has center x +inf; it is still the nearest aligned line right of the

@@ -256,3 +256,51 @@ def test_indirect_length_stream_containing_endobj_is_not_cut(length_obj):
     assert out["status"] == "Fertig", out.get("error")
     assert out["n_lines"] == 1
     assert out["extracted_text"] == "endobj"
+
+
+def _flate_pdf(compressed: bytes) -> bytes:
+    """``_one_page_pdf`` with a FlateDecode content stream."""
+    return _one_page_pdf(compressed).replace(
+        b"<< /Length %d >>" % len(compressed),
+        b"<< /Length %d /Filter /FlateDecode >>" % len(compressed))
+
+
+def test_inflate_bomb_is_a_bounded_error_row():
+    """A 195 KB payload whose content stream inflates to 200 MB stops at
+    the inflate budget: a ``Fehlerhaft`` row with the budget error, and
+    the inflate never holds much more than the budget."""
+    import tracemalloc
+
+    from credit_ocr_backend_ray.config import default_config
+    from credit_ocr_backend_ray.functions import pdf as P
+    from credit_ocr_backend_ray.functions.document import extract_document
+
+    c = zlib.compressobj(9)
+    chunk = b"0" * 1_000_000
+    stream = c.compress(b"<") + b"".join(c.compress(chunk)
+                                         for _ in range(200))
+    stream += c.flush()
+    assert len(stream) < 200_000
+    tracemalloc.start()
+    try:
+        out = extract_document(_flate_pdf(stream),
+                               default_config()["credit_request"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out["status"] == "Fehlerhaft"
+    assert out["error"] == (f"ValueError: content stream inflates past "
+                            f"{P.MAX_CONTENT_BYTES} bytes")
+    assert peak < 2.5 * P.MAX_CONTENT_BYTES
+
+
+def test_truncated_flate_stream_keeps_zlib_error():
+    from credit_ocr_backend_ray.config import default_config
+    from credit_ocr_backend_ray.functions.document import extract_document
+
+    stream = zlib.compress(b"BT /F1 12 Tf 1 0 0 1 72 700 Tm (Hallo) Tj ET")
+    cfg = default_config()["credit_request"]
+    assert extract_document(_flate_pdf(stream), cfg)["n_lines"] == 1
+    out = extract_document(_flate_pdf(stream[:-6]), cfg)
+    assert out["error"] == ("error: Error -5 while decompressing data: "
+                            "incomplete or truncated stream")

@@ -172,3 +172,15 @@ def test_tokenizer_matches_char_loop_oracle(monkeypatch):
     # the corpus reaches runs and operand errors, not only empty streams
     assert sum(o.startswith("[(") for o in new_runs) > 500
     assert sum(not o.startswith("[") for o in new_runs) > 20
+
+
+def test_trailing_whitespace_tokenizes_in_linear_time():
+    """200 KB of whitespace after the last token is one scan: the
+    tokenizer once rescanned the run from every byte (61 s)."""
+    import time
+
+    data = b"BT 1 0 0 1 72 700 Tm (x) Tj ET" + b"\n" * 200_000
+    t0 = time.perf_counter()
+    tokens = list(P._tokenize_content(data))
+    assert time.perf_counter() - t0 < 3.0
+    assert tokens == list(_oracle_tokenize(data[:40]))
